@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Rational = Fraction
 
@@ -432,18 +432,3 @@ def char_matrix_poly(matrix: QMatrix, sign: int = 1) -> RationalPolynomial:
         )
     return poly
 
-
-def block_diagonal(blocks: Iterable[QMatrix]) -> QMatrix:
-    blocks = list(blocks)
-    size_r = sum(b.rows for b in blocks)
-    size_c = sum(b.cols for b in blocks)
-    rows = [[Fraction(0)] * size_c for _ in range(size_r)]
-    ro = co = 0
-    for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                rows[ro + i][co + j] = b.entry(i, j)
-        ro += b.rows
-        co += b.cols
-    flat = tuple(e for row in rows for e in row)
-    return QMatrix(size_r, size_c, flat)

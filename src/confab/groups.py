@@ -1,12 +1,11 @@
-"""Finite matrix groups, class functions, and irreducible-character catalogs.
+"""Finite groups by conjugacy class, class functions, and character catalogs.
 
-Groups are closed from explicit rational matrix generators by breadth-first
-multiplication, so element order is deterministic: the identity is element 0
-and new products are appended in discovery order.  Conjugacy classes are
-likewise deterministic: the identity's class first, the rest sorted by
-(size, smallest member index).  Every published multiplicity table depends on
-these orderings only through class *values*, never through indices, but the
-fixed order keeps JSON output and test fixtures byte-stable.
+A group is known only through its conjugacy classes: one label per class,
+the identity's class first, and the number of elements in each.  Nothing
+here enumerates elements; the Weyl module supplies the classes in closed
+form.  Every character in use is rational, so each class is its own inverse
+class and the class-function pairing needs no inverse map.  Published tables
+depend on class order only through class *values*, never through indices.
 
 Characters take values in ``Fraction`` and are stored per conjugacy class.
 """
@@ -15,15 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
-
-from .exact import QMatrix, block_diagonal
+from itertools import product
+from math import prod
+from typing import Hashable, Sequence
 
 TRIVIAL_LABEL = "1"
-
-
-class CapExceeded(RuntimeError):
-    """Generator closure exceeded the element cap; likely an infinite group."""
 
 
 class GroupMismatch(ValueError):
@@ -34,164 +29,33 @@ class NotACharacter(ValueError):
     """A class function failed to decompose into nonnegative integer parts."""
 
 
-class NotAHomomorphism(ValueError):
-    """A purported matrix representation is not multiplicative."""
+@dataclass(frozen=True)
+class FiniteGroup:
+    """Conjugacy classes of a finite group, identity class first.
 
-
-class FiniteMatrixGroup:
-    """A finite group of invertible rational matrices, fully enumerated.
-
-    Immutable by convention after construction.  ``elements[0]`` must be the
-    identity matrix.  Multiplication is by index: ``mult(i, j)`` is the index
-    of ``elements[i] @ elements[j]``.
+    ``classes`` holds one hashable label per class and ``sizes`` the number
+    of elements in each; the order is their sum.
     """
 
-    def __init__(
-        self,
-        elements: Sequence[QMatrix],
-        generator_indices: Sequence[int] = (),
-    ):
-        elements = tuple(elements)
-        if not elements:
-            raise ValueError("a group needs at least the identity")
-        dimension = elements[0].rows
-        if elements[0] != QMatrix.identity(dimension):
-            raise ValueError("element 0 must be the identity matrix")
-        for e in elements:
-            if e.rows != dimension or e.cols != dimension:
-                raise ValueError("elements must share one square size")
-        self.elements = elements
-        self.dimension = dimension
-        self.generator_indices = tuple(generator_indices)
-        self.index: dict[QMatrix, int] = {
-            e: i for i, e in enumerate(elements)
-        }
-        if len(self.index) != len(elements):
-            raise ValueError("duplicate elements")
-        self._mult: dict[tuple[int, int], int] = {}
-        self.inverses = self._find_inverses()
-        self.classes, self.class_of = self._conjugacy_classes()
-        self.inverse_class = tuple(
-            self.class_of[self.inverses[cls[0]]] for cls in self.classes
-        )
+    classes: tuple[Hashable, ...]
+    sizes: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.classes or len(self.classes) != len(self.sizes):
+            raise ValueError("one size per conjugacy class required")
+        if self.sizes[0] != 1 or any(size < 1 for size in self.sizes):
+            raise ValueError("identity class first, every size positive")
 
     @property
     def order(self) -> int:
-        return len(self.elements)
-
-    def mult(self, i: int, j: int) -> int:
-        key = (i, j)
-        cached = self._mult.get(key)
-        if cached is not None:
-            return cached
-        product = self.elements[i].mul(self.elements[j])
-        idx = self.index.get(product)
-        if idx is None:
-            raise ValueError("element set is not closed under multiplication")
-        self._mult[key] = idx
-        return idx
-
-    def _find_inverses(self) -> tuple[int, ...]:
-        out = [-1] * len(self.elements)
-        for i in range(len(self.elements)):
-            for j in range(len(self.elements)):
-                if self.mult(i, j) == 0:
-                    out[i] = j
-                    break
-            if out[i] < 0:
-                raise ValueError("element without inverse; not a group")
-        return tuple(out)
-
-    def _conjugacy_classes(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        n = len(self.elements)
-        seen = [False] * n
-        raw: list[tuple[int, ...]] = []
-        for i in range(n):
-            if seen[i]:
-                continue
-            orbit = set()
-            for g in range(n):
-                orbit.add(self.mult(self.mult(g, i), self.inverses[g]))
-            members = tuple(sorted(orbit))
-            for m in members:
-                seen[m] = True
-            raw.append(members)
-        identity_class = next(c for c in raw if 0 in c)
-        rest = sorted(
-            (c for c in raw if c is not identity_class),
-            key=lambda c: (len(c), c[0]),
-        )
-        classes = (identity_class, *rest)
-        class_of = [-1] * n
-        for ci, members in enumerate(classes):
-            for m in members:
-                class_of[m] = ci
-        return classes, tuple(class_of)
-
-    def class_sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FiniteMatrixGroup):
-            return NotImplemented
-        return (
-            self.dimension == other.dimension
-            and self.elements == other.elements
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dimension, self.elements))
-
-    def __repr__(self) -> str:
-        return (
-            f"FiniteMatrixGroup(order={self.order}, "
-            f"dimension={self.dimension}, classes={len(self.classes)})"
-        )
-
-
-def close_group(
-    generators: Sequence[QMatrix], cap: int = 10000
-) -> FiniteMatrixGroup:
-    """Enumerate the group generated by the given matrices.
-
-    Breadth-first: start from the identity, repeatedly right-multiply each
-    known element by each generator in the given order, appending products in
-    discovery order.  Raises ``CapExceeded`` past ``cap`` elements, the guard
-    against accidentally infinite (non-finite-order) generators.
-    """
-    generators = list(generators)
-    if not generators:
-        raise ValueError("need at least one generator")
-    dimension = generators[0].rows
-    identity = QMatrix.identity(dimension)
-    elements = [identity]
-    seen = {identity: 0}
-    frontier = 0
-    while frontier < len(elements):
-        current = elements[frontier]
-        frontier += 1
-        for g in generators:
-            product = current.mul(g)
-            if product not in seen:
-                if len(elements) >= cap:
-                    raise CapExceeded(
-                        f"group closure exceeded cap of {cap} elements"
-                    )
-                seen[product] = len(elements)
-                elements.append(product)
-    generator_indices = tuple(seen[g] for g in generators)
-    return FiniteMatrixGroup(elements, generator_indices)
-
-
-def trivial_group(dimension: int) -> FiniteMatrixGroup:
-    return FiniteMatrixGroup((QMatrix.identity(dimension),), ())
+        return sum(self.sizes)
 
 
 @dataclass(frozen=True)
 class ClassFunction:
     """A Fraction-valued function on the conjugacy classes of a group."""
 
-    group: FiniteMatrixGroup
+    group: FiniteGroup
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
@@ -202,11 +66,11 @@ class ClassFunction:
         )
 
     @classmethod
-    def trivial(cls, group: FiniteMatrixGroup) -> "ClassFunction":
+    def trivial(cls, group: FiniteGroup) -> "ClassFunction":
         return cls(group, (Fraction(1),) * len(group.classes))
 
     @classmethod
-    def zero(cls, group: FiniteMatrixGroup) -> "ClassFunction":
+    def zero(cls, group: FiniteGroup) -> "ClassFunction":
         return cls(group, (Fraction(0),) * len(group.classes))
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
@@ -239,13 +103,18 @@ class ClassFunction:
 
 
 def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
-    """Class-function pairing (1/|G|) sum over classes |C| f(C) g(C^-1)."""
+    """Class-function pairing (1/|G|) sum over classes |C| f(C) g(C).
+
+    Pairing f(C) with g(C) rather than g(C^-1) is exact for the rational
+    characters used throughout.
+    """
     if f.group != g.group:
         raise GroupMismatch("inner product across different groups")
     group = f.group
-    total = Fraction(0)
-    for ci, members in enumerate(group.classes):
-        total += len(members) * f.values[ci] * g.values[group.inverse_class[ci]]
+    total = sum(
+        (size * a * b for size, a, b in zip(group.sizes, f.values, g.values)),
+        Fraction(0),
+    )
     return total / group.order
 
 
@@ -259,10 +128,9 @@ class IrreducibleCatalog:
 
     def __init__(
         self,
-        group: FiniteMatrixGroup,
+        group: FiniteGroup,
         labels: Sequence[str],
         chars: Sequence[ClassFunction],
-        tag: str | None = None,
     ):
         labels = tuple(labels)
         chars = tuple(chars)
@@ -287,7 +155,6 @@ class IrreducibleCatalog:
         self.group = group
         self.labels = labels
         self.chars = chars
-        self.tag = tag
         self.by_label = dict(zip(labels, chars))
 
     def __len__(self) -> int:
@@ -334,202 +201,32 @@ def format_decomposition(parts: Sequence[tuple[str, int]]) -> str:
     return " ⊕ ".join(chunks)
 
 
-def matrix_rep_character(
-    group: FiniteMatrixGroup,
-    rep: Sequence[QMatrix] | Mapping[int, QMatrix],
-) -> ClassFunction:
-    """Character of an explicit matrix representation given per element.
-
-    ``rep`` maps element index to matrix.  The identity must map to the
-    identity matrix and multiplicativity is checked against every
-    (element, generator) pair, which pins the whole multiplication table for
-    a generated group; failures raise ``NotAHomomorphism``.
-    """
-    if isinstance(rep, Mapping):
-        try:
-            matrices = [rep[i] for i in range(group.order)]
-        except KeyError as missing:
-            raise NotAHomomorphism(
-                f"representation missing element {missing}"
-            ) from None
-    else:
-        matrices = list(rep)
-    if len(matrices) != group.order:
-        raise NotAHomomorphism("one matrix per group element required")
-    size = matrices[0].rows
-    if matrices[0] != QMatrix.identity(size):
-        raise NotAHomomorphism("identity must map to the identity matrix")
-    check_against = group.generator_indices or range(group.order)
-    for x in range(group.order):
-        for g in check_against:
-            if matrices[group.mult(x, g)] != matrices[x].mul(matrices[g]):
-                raise NotAHomomorphism(
-                    f"rep({x})*rep({g}) differs from rep of the product"
-                )
-    values = tuple(
-        matrices[members[0]].trace() for members in group.classes
-    )
-    return ClassFunction(group, values)
-
-
-def product_group(
-    g1: FiniteMatrixGroup, g2: FiniteMatrixGroup
-) -> FiniteMatrixGroup:
-    """Direct product as block-diagonal matrices, pairs in lex order.
-
-    Element (i, j) lands at index i*|G2| + j, so the identity stays at 0 and
-    catalogs can recover the factorization by divmod.
-    """
-    elements = []
-    for e1 in g1.elements:
-        for e2 in g2.elements:
-            elements.append(block_diagonal((e1, e2)))
-    n2 = g2.order
-    generator_indices = tuple(gi * n2 for gi in g1.generator_indices) + tuple(
-        g2.generator_indices
-    )
-    return FiniteMatrixGroup(tuple(elements), generator_indices)
-
-
-def product_class_pairs(
-    product: FiniteMatrixGroup,
-    g1: FiniteMatrixGroup,
-    g2: FiniteMatrixGroup,
-) -> tuple[tuple[int, int], ...]:
-    """For each product class, the (factor1 class, factor2 class) it covers."""
-    if product.order != g1.order * g2.order:
-        raise GroupMismatch("product order does not match the factors")
-    n2 = g2.order
-    pairs = []
-    for members in product.classes:
-        i, j = divmod(members[0], n2)
-        pairs.append((g1.class_of[i], g2.class_of[j]))
-    return tuple(pairs)
-
-
 def product_catalog(
-    product: FiniteMatrixGroup,
-    cat1: IrreducibleCatalog,
-    cat2: IrreducibleCatalog,
+    group: FiniteGroup, catalogs: Sequence[IrreducibleCatalog]
 ) -> IrreducibleCatalog:
-    """Tensor catalog for a product built by ``product_group``.
+    """Tensor catalog of a direct product of the catalogs' groups.
 
-    Labels: when at most one factor is nontrivial its bare labels survive,
-    otherwise every label is the explicit join "l1⊗l2" (bare labels would
-    collide for products of isomorphic factors).
+    Each class of ``group`` must be the tuple of factor class indices it
+    covers, one per catalog.  Labels: the labels of the factors with a
+    nontrivial group, joined by "⊗" (bare labels would collide for products
+    of isomorphic factors); the trivial label when every factor is trivial.
     """
-    pairs = product_class_pairs(product, cat1.group, cat2.group)
     labels: list[str] = []
     chars: list[ClassFunction] = []
-    for l1, c1 in zip(cat1.labels, cat1.chars):
-        for l2, c2 in zip(cat2.labels, cat2.chars):
-            if cat2.group.order == 1:
-                label = l1
-            elif cat1.group.order == 1:
-                label = l2
-            else:
-                label = f"{l1}⊗{l2}"
-            labels.append(label)
-            chars.append(
-                ClassFunction(
-                    product,
-                    tuple(
-                        c1.values[a] * c2.values[b] for a, b in pairs
-                    ),
-                )
+    for combo in product(*(zip(c.labels, c.chars) for c in catalogs)):
+        shown = [
+            label
+            for (label, _), catalog in zip(combo, catalogs)
+            if catalog.group.order != 1
+        ]
+        labels.append("⊗".join(shown) or TRIVIAL_LABEL)
+        chars.append(
+            ClassFunction(
+                group,
+                tuple(
+                    prod(char.values[i] for (_, char), i in zip(combo, cls))
+                    for cls in group.classes
+                ),
             )
-    if cat1.tag and cat2.tag:
-        tag = f"{cat1.tag}x{cat2.tag}"
-    else:
-        tag = cat1.tag or cat2.tag
-    return IrreducibleCatalog(product, labels, chars, tag=tag)
-
-
-def trivial_catalog(group: FiniteMatrixGroup) -> IrreducibleCatalog:
-    if group.order != 1:
-        raise ValueError("trivial catalog requires the trivial group")
-    return IrreducibleCatalog(
-        group, (TRIVIAL_LABEL,), (ClassFunction.trivial(group),), tag="1"
-    )
-
-
-def z2_catalog(group: FiniteMatrixGroup) -> IrreducibleCatalog:
-    """Characters 1 and σ of an order-2 group; σ is -1 off the identity."""
-    if group.order != 2:
-        raise ValueError("order-2 group required")
-    sign = ClassFunction(
-        group,
-        tuple(
-            Fraction(1) if ci == 0 else Fraction(-1)
-            for ci in range(len(group.classes))
-        ),
-    )
-    return IrreducibleCatalog(
-        group,
-        (TRIVIAL_LABEL, "σ"),
-        (ClassFunction.trivial(group), sign),
-        tag="Z2",
-    )
-
-
-def s3_catalog(group: FiniteMatrixGroup) -> IrreducibleCatalog:
-    """Characters 1, std, sgn of a symmetric-group-on-3-letters realization.
-
-    Classes are recognized by size (1: identity, 2: the 3-cycles, 3: the
-    transpositions), which is realization independent.
-    """
-    if group.order != 6 or len(group.classes) != 3:
-        raise ValueError("order-6 group with 3 classes required")
-    by_size = {
-        1: (Fraction(1), Fraction(2), Fraction(1)),
-        2: (Fraction(1), Fraction(-1), Fraction(1)),
-        3: (Fraction(1), Fraction(0), Fraction(-1)),
-    }
-    columns = [by_size[len(members)] for members in group.classes]
-    chars = tuple(
-        ClassFunction(group, tuple(col[k] for col in columns))
-        for k in range(3)
-    )
-    return IrreducibleCatalog(group, (TRIVIAL_LABEL, "std", "sgn"), chars, tag="S3")
-
-
-def _perm_sign_of_signed_perm(g: QMatrix) -> Fraction:
-    unsigned = QMatrix(
-        g.rows, g.cols, tuple(abs(e) for e in g.entries)
-    )
-    from .exact import det
-
-    return det(unsigned)
-
-
-def _nonzero_entry_product(g: QMatrix) -> Fraction:
-    total = Fraction(1)
-    for e in g.entries:
-        if e != 0:
-            total *= e
-    return total
-
-
-def d8_catalog(group: FiniteMatrixGroup) -> IrreducibleCatalog:
-    """Characters of the order-8 signed 2x2 permutation group.
-
-    The four sign characters are pinned elementwise, so labels do not depend
-    on class order: a is the sign of the underlying permutation, b the
-    product of the nonzero entries, c the determinant, d the trace of the
-    2-dimensional representation itself.
-    """
-    from .exact import det
-
-    if group.order != 8 or len(group.classes) != 5 or group.dimension != 2:
-        raise ValueError("order-8 signed permutation group required")
-    reps = [group.elements[members[0]] for members in group.classes]
-    chars = (
-        ClassFunction.trivial(group),
-        ClassFunction(group, tuple(_perm_sign_of_signed_perm(g) for g in reps)),
-        ClassFunction(group, tuple(_nonzero_entry_product(g) for g in reps)),
-        ClassFunction(group, tuple(det(g) for g in reps)),
-        ClassFunction(group, tuple(g.trace() for g in reps)),
-    )
-    return IrreducibleCatalog(
-        group, (TRIVIAL_LABEL, "a", "b", "c", "d"), chars, tag="D8"
-    )
+        )
+    return IrreducibleCatalog(group, labels, chars)

@@ -284,7 +284,7 @@ def _ceil_half(value: int) -> int:
 
 
 def stable_bound(query: StabilityQuery) -> int:
-    """Smallest rank parameter from which the degree is stable."""
+    """A rank from which H^N is guaranteed stable, N the query degree."""
     n = query.degree
     if query.family == "u":
         return max(_ceil_half(n + query.k - 1), n + 2)

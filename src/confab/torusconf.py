@@ -28,7 +28,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from .exact import QMatrix
 from .freegroup import (
     FreeGroupModule,
     abelianized_matrix,
@@ -44,6 +43,7 @@ from .weyl import (
     WeylDatum,
     kunneth,
     torus_character,
+    unitary,
 )
 
 # loops on the twice-punctured torus: the two coordinate circles and a loop
@@ -79,9 +79,6 @@ ALPHA_BIRMAN = {
     "b3": "a3",
 }
 
-_SWAP = QMatrix.from_rows([[0, 1], [1, 0]])
-
-
 def conf2_torus(d: WeylDatum) -> GradedCharacter:
     """Character of ordered pairs of distinct points in the torus of ``d``."""
     full = torus_character(d)
@@ -93,7 +90,8 @@ def conf2_torus(d: WeylDatum) -> GradedCharacter:
 
 
 def _require_rank2_swap(d: WeylDatum) -> None:
-    if d.rank != 2 or d.group.order != 2 or d.group.elements[1] != _SWAP:
+    # the monodromy words are written in the basis that U2's Weyl group swaps
+    if d.factors != (unitary(2),):
         raise UnsupportedDatum(
             "punctured-torus configuration data exists only for the rank-2 "
             "torus with coordinate-swap symmetry"
@@ -160,9 +158,16 @@ class CircleConfSummary:
     reflection_orbits: int
 
 
+# the largest k whose (k - 1)! component count still converts to a decimal
+# string under CPython's default limit of 4300 digits
+MAX_K = 1559
+
+
 def circle_conf(k: int) -> CircleConfSummary:
     if k < 2:
         raise UnsupportedDatum("need at least two points on the circle")
+    if k > MAX_K:
+        raise UnsupportedDatum(f"k must be at most {MAX_K}")
     components = math.factorial(k - 1)
     if k <= 8:
         # components are slot assignments: point i+1 sits at counterclockwise

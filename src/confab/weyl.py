@@ -1,20 +1,31 @@
 """Weyl group data for the supported compact-group families.
 
 Supported factors: the circle, U(n), SU(n), Sp(n); a datum is a finite
-product of factors named by a tag like "S1xSU2".  Each factor carries its
-Weyl group as explicit integer matrices in the reflection representation:
+product of factors named by a tag like "S1xSU2".  Each factor's Weyl group is
+given by its conjugacy classes in closed form (Macdonald, *Symmetric
+Functions*, ch. I), never by enumerating elements:
 
-- circle: trivial group on Q^1, no invariant degrees, fundamental-group rank 1
-- U(n): permutation matrices on Q^n, degrees 1..n
-- SU(n): the simple-root basis of the (n-1)-dimensional reflection
-  representation, adjacent transpositions acting by s_i: a_i -> -a_i,
-  a_(i+-1) -> a_(i+-1) + a_i
-- Sp(n): signed permutation matrices on Q^n, degrees 2, 4, .., 2n
+- circle: the trivial group acting on Q^1, no invariant degrees,
+  fundamental-group rank 1
+- U(n): the symmetric group S_n permuting Q^n; classes are partitions
+  lambda of n, of size n!/z_lambda; degrees 1..n
+- SU(n): the same S_n on its (n-1)-dimensional reflection representation,
+  the permutation representation minus the trivial summand; degrees 2..n
+- Sp(n): the hyperoctahedral group B_n of signed permutations of Q^n;
+  classes are bipartitions (alpha, beta), the cycle lengths of positive and
+  of negative cycles, of size 2^n n!/(z_alpha z_beta 2^(l(alpha)+l(beta)));
+  degrees 2, 4, .., 2n
+
+A product datum takes tuples of factor classes; sizes and characteristic
+polynomials multiply across factors.  A cycle of length l and sign e
+contributes the factor 1 - e x^l to det(1 - x w) (Solomon, "Invariants of
+finite reflection groups", 1963), so both polynomials below come straight
+from the cycle type.
 
 Cohomology enters through two graded characters: the exterior algebra of the
-torus (coefficients of det(1 + t g), degree i in cohomological degree i) and
+torus (coefficients of det(1 + t w), degree i in cohomological degree i) and
 the coinvariant algebra of the flag manifold (the Molien quotient
-prod(1 - q^d_i) / det(1 - q g), q^m in cohomological degree 2m).  The Molien
+prod(1 - q^d_i) / det(1 - q w), q^m in cohomological degree 2m).  The Molien
 division must be exact; a nonzero remainder means the degree list is corrupt
 and surfaces as NonZeroRemainder rather than silently wrong dimensions.
 """
@@ -22,134 +33,202 @@ and surfaces as NonZeroRemainder rather than silently wrong dimensions.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from itertools import product
+from math import factorial, prod
+from typing import Iterator, Sequence
 
 from .exact import (
-    QMatrix,
     RationalPolynomial,
-    char_matrix_poly,
+    # unused: kept bound because perfbench's traced run counts calls to it
+    char_matrix_poly,  # noqa: F401
     poly_div_exact,
 )
 from .groups import (
+    TRIVIAL_LABEL,
     ClassFunction,
-    FiniteMatrixGroup,
+    FiniteGroup,
     GroupMismatch,
     IrreducibleCatalog,
     NotACharacter,
-    close_group,
-    d8_catalog,
     inner_product,
     product_catalog,
-    product_group,
-    s3_catalog,
-    trivial_catalog,
-    trivial_group,
-    z2_catalog,
 )
 
 CONVENTIONS = ("derived", "paper")
+
+# a signed cycle type: lengths of the positive cycles, of the negative cycles
+CycleType = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class UnsupportedDatum(ValueError):
     """A tag or datum outside the supported product family."""
 
 
-def _perm_transposition(n: int, i: int) -> QMatrix:
-    # swap coordinates i and i+1 of Q^n
-    rows = [[Fraction(1) if r == c else Fraction(0) for c in range(n)] for r in range(n)]
-    rows[i][i] = rows[i + 1][i + 1] = Fraction(0)
-    rows[i][i + 1] = rows[i + 1][i] = Fraction(1)
-    return QMatrix.from_rows(rows)
+def _partitions(n: int, largest: int = 0) -> Iterator[tuple[int, ...]]:
+    """Partitions of n as non-increasing tuples, all ones first."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, min(n, largest or n) + 1):
+        for rest in _partitions(n - first, first):
+            yield (first, *rest)
 
 
-def _root_reflection(n: int, i: int) -> QMatrix:
-    # simple reflection s_i on the root basis of rank n; columns are images
-    rows = [[Fraction(1) if r == c else Fraction(0) for c in range(n)] for r in range(n)]
-    rows[i][i] = Fraction(-1)
-    if i > 0:
-        rows[i][i - 1] = Fraction(1)
-    if i + 1 < n:
-        rows[i][i + 1] = Fraction(1)
-    return QMatrix.from_rows(rows)
+def _centralizer(lengths: tuple[int, ...], weight: int) -> int:
+    # prod over cycle lengths l of multiplicity m of (weight * l)^m m!
+    return prod(
+        (weight * length) ** m * factorial(m)
+        for length, m in Counter(lengths).items()
+    )
 
 
-def _last_sign_flip(n: int) -> QMatrix:
-    rows = [[Fraction(1) if r == c else Fraction(0) for c in range(n)] for r in range(n)]
-    rows[n - 1][n - 1] = Fraction(-1)
-    return QMatrix.from_rows(rows)
+def _det_one_minus(cycle_type: CycleType, s: int) -> RationalPolynomial:
+    """det(1 - s x w) as a polynomial in x, from the signed cycle type."""
+    alpha, beta = cycle_type
+    poly = RationalPolynomial.one()
+    for lengths, sign in ((alpha, 1), (beta, -1)):
+        for length in lengths:
+            poly = poly * (
+                RationalPolynomial.one()
+                - RationalPolynomial.monomial(length, sign * s**length)
+            )
+    return poly
+
+
+def _perm_sign(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
+    # sign of the underlying permutation: (-1)^(n - number of cycles)
+    return (-1) ** (sum(alpha) + sum(beta) - len(alpha) - len(beta))
+
+
+def _cycle_sign(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
+    # product of the cycle signs, i.e. of the nonzero matrix entries
+    return (-1) ** len(beta)
+
+
+# the non-trivial irreducible characters of the small Weyl groups, keyed by
+# (signed, n): Z2 for S2 and B1, S3, and D8 for B2.  Labels and their order
+# are those of the published tables.  In D8, a is the permutation sign, b the
+# cycle sign, c = ab the determinant and d the trace.
+_NAMED_CHARACTERS = {
+    (False, 1): {},
+    (False, 2): {"σ": _perm_sign},
+    (False, 3): {"std": lambda a, b: a.count(1) - 1, "sgn": _perm_sign},
+    (True, 1): {"σ": _cycle_sign},
+    (True, 2): {
+        "a": _perm_sign,
+        "b": _cycle_sign,
+        "c": lambda a, b: _perm_sign(a, b) * _cycle_sign(a, b),
+        "d": lambda a, b: a.count(1) - b.count(1),
+    },
+}
 
 
 @dataclass(frozen=True)
 class LieFactor:
-    """One factor of a supported product, with its Weyl group closed."""
+    """One factor of a supported product, with its Weyl group's classes.
+
+    Derived attributes, set at construction and excluded from eq/repr:
+    ``group`` (classes labelled by signed cycle type), ``torus_polys``
+    (det(1 + t w) per class), ``molien_denominators`` (det(1 - q w) per
+    class) and ``catalog`` (the named irreducibles of S1, S2, S3, B1 and
+    B2; None for larger Weyl groups).
+    """
 
     kind: str
     tag: str
     rank: int
     degrees: tuple[int, ...]
     pi1_rank: int
-    generators: tuple[QMatrix, ...]
 
     def __post_init__(self):
         if self.kind == "circle" and self.degrees:
             raise UnsupportedDatum("a circle factor has no invariant degrees")
         if self.kind != "circle" and len(self.degrees) != self.rank:
             raise UnsupportedDatum("one invariant degree per rank required")
-        if self.generators:
-            group = close_group(self.generators)
+        signed = self.kind == "symplectic"
+        # the Weyl group is S_n or B_n; SU(n) acts on a rank n - 1 torus
+        n = self.rank + 1 if self.kind == "special_unitary" else self.rank
+        if signed:
+            types = tuple(
+                (alpha, beta)
+                for m in range(n, -1, -1)
+                for alpha in _partitions(m)
+                for beta in _partitions(n - m)
+            )
         else:
-            group = trivial_group(self.rank)
-        if group.dimension != self.rank:
-            raise UnsupportedDatum("Weyl matrices must act on Q^rank")
-        product = 1
-        for d in self.degrees:
-            product *= d
-        if self.kind != "circle" and product != group.order:
+            types = tuple((alpha, ()) for alpha in _partitions(n))
+        weight = 2 if signed else 1
+        order = factorial(n) * weight**n
+        group = FiniteGroup(
+            types,
+            tuple(
+                order // (_centralizer(a, weight) * _centralizer(b, weight))
+                for a, b in types
+            ),
+        )
+        if self.kind != "circle" and prod(self.degrees) != group.order:
             raise UnsupportedDatum(
                 f"invariant degrees {self.degrees} do not multiply to the "
                 f"Weyl group order {group.order}"
             )
-        # not a dataclass field: derived, cached, excluded from eq/repr
+        torus = [_det_one_minus(t, -1) for t in types]
+        molien = [_det_one_minus(t, 1) for t in types]
+        if self.kind == "special_unitary":
+            # drop the trivial summand of the permutation representation
+            one_plus_t = RationalPolynomial((1, 1))
+            one_minus_q = RationalPolynomial((1, -1))
+            torus = [poly_div_exact(p, one_plus_t) for p in torus]
+            molien = [poly_div_exact(p, one_minus_q) for p in molien]
+        named = _NAMED_CHARACTERS.get((signed, n))
+        catalog = None
+        if named is not None:
+            catalog = IrreducibleCatalog(
+                group,
+                (TRIVIAL_LABEL, *named),
+                (ClassFunction.trivial(group),)
+                + tuple(
+                    ClassFunction(group, tuple(f(a, b) for a, b in types))
+                    for f in named.values()
+                ),
+            )
+        # not dataclass fields: derived, cached, excluded from eq/repr
         object.__setattr__(self, "group", group)
+        object.__setattr__(self, "torus_polys", tuple(torus))
+        object.__setattr__(self, "molien_denominators", tuple(molien))
+        object.__setattr__(self, "catalog", catalog)
 
 
 def circle() -> LieFactor:
-    return LieFactor("circle", "S1", 1, (), 1, ())
+    return LieFactor("circle", "S1", 1, (), 1)
 
 
 def unitary(n: int) -> LieFactor:
     if n < 1:
         raise UnsupportedDatum("U(n) needs n >= 1")
-    gens = tuple(_perm_transposition(n, i) for i in range(n - 1))
-    return LieFactor("unitary", f"U{n}", n, tuple(range(1, n + 1)), 1, gens)
+    return LieFactor("unitary", f"U{n}", n, tuple(range(1, n + 1)), 1)
 
 
 def special_unitary(n: int) -> LieFactor:
     if n < 2:
         raise UnsupportedDatum("SU(n) needs n >= 2")
-    rank = n - 1
-    gens = tuple(_root_reflection(rank, i) for i in range(rank))
     return LieFactor(
-        "special_unitary", f"SU{n}", rank, tuple(range(2, n + 1)), 0, gens
+        "special_unitary", f"SU{n}", n - 1, tuple(range(2, n + 1)), 0
     )
 
 
 def symplectic(n: int) -> LieFactor:
     if n < 1:
         raise UnsupportedDatum("Sp(n) needs n >= 1")
-    gens = tuple(_perm_transposition(n, i) for i in range(n - 1)) + (
-        _last_sign_flip(n),
-    )
     return LieFactor(
         "symplectic",
         f"Sp{n}",
         n,
         tuple(2 * i for i in range(1, n + 1)),
         0,
-        gens,
     )
 
 
@@ -177,30 +256,14 @@ def parse_tag(tag: str) -> tuple[LieFactor, ...]:
     return tuple(factors)
 
 
-def _factor_catalog(group: FiniteMatrixGroup) -> IrreducibleCatalog | None:
-    if group.order == 1:
-        return trivial_catalog(group)
-    if group.order == 2:
-        return z2_catalog(group)
-    try:
-        if group.order == 6 and len(group.classes) == 3:
-            return s3_catalog(group)
-        if group.order == 8 and group.dimension == 2 and len(group.classes) == 5:
-            return d8_catalog(group)
-    except ValueError:
-        return None
-    return None
-
-
 class WeylDatum:
     """A product of supported factors with its assembled Weyl group.
 
-    The group is the block-diagonal direct product in factor order; element
-    index is mixed-radix over the factor orders, so each assembled conjugacy
-    class projects to a tuple of factor classes (``class_factor_classes``).
-    The catalog is the tensor catalog when every factor's Weyl group has one
-    (it always does up to rank-3 factors; larger factors still support
-    invariant dimensions, just not named decompositions).
+    Each class of the product group is the tuple of factor class indices it
+    covers (``class_factor_classes``), identity first; class sizes multiply
+    across factors.  The catalog is the tensor catalog when every factor has
+    one; larger factors still support invariant dimensions, just not named
+    decompositions.
     """
 
     def __init__(self, factors: Sequence[LieFactor], tag: str | None = None):
@@ -211,36 +274,22 @@ class WeylDatum:
         self.tag = tag or "x".join(f.tag for f in factors)
         self.rank = sum(f.rank for f in factors)
         self.pi1_rank = sum(f.pi1_rank for f in factors)
-        group = factors[0].group
-        catalog = _factor_catalog(factors[0].group)
-        for f in factors[1:]:
-            next_group = product_group(group, f.group)
-            next_cat = None
-            f_cat = _factor_catalog(f.group)
-            if catalog is not None and f_cat is not None:
-                next_cat = product_catalog(next_group, catalog, f_cat)
-            group, catalog = next_group, next_cat
-        self.group = group
-        self.catalog = catalog
-        self.class_factor_classes = self._project_classes()
-
-    def _project_classes(self) -> tuple[tuple[int, ...], ...]:
-        radices = [f.group.order for f in self.factors]
-        out = []
-        for members in self.group.classes:
-            idx = members[0]
-            digits = []
-            for radix in reversed(radices):
-                idx, digit = divmod(idx, radix)
-                digits.append(digit)
-            digits.reverse()
-            out.append(
-                tuple(
-                    f.group.class_of[d]
-                    for f, d in zip(self.factors, digits)
-                )
-            )
-        return tuple(out)
+        self.class_factor_classes = tuple(
+            product(*(range(len(f.group.classes)) for f in factors))
+        )
+        self.group = FiniteGroup(
+            self.class_factor_classes,
+            tuple(
+                prod(f.group.sizes[i] for f, i in zip(factors, cls))
+                for cls in self.class_factor_classes
+            ),
+        )
+        catalogs = [f.catalog for f in factors]
+        self.catalog = (
+            None
+            if any(c is None for c in catalogs)
+            else product_catalog(self.group, catalogs)
+        )
 
     def __repr__(self) -> str:
         return f"WeylDatum({self.tag!r}, rank={self.rank})"
@@ -255,7 +304,7 @@ def datum(tag: str) -> WeylDatum:
 class GradedCharacter:
     """A finitely supported sequence of class functions, one per degree."""
 
-    group: FiniteMatrixGroup
+    group: FiniteGroup
     support: tuple[tuple[int, ClassFunction], ...]
 
     def __post_init__(self):
@@ -275,12 +324,12 @@ class GradedCharacter:
         object.__setattr__(self, "support", cleaned)
 
     @classmethod
-    def unit(cls, group: FiniteMatrixGroup) -> "GradedCharacter":
+    def unit(cls, group: FiniteGroup) -> "GradedCharacter":
         return cls(group, ((0, ClassFunction.trivial(group)),))
 
     @classmethod
     def from_dict(
-        cls, group: FiniteMatrixGroup, pieces: dict[int, ClassFunction]
+        cls, group: FiniteGroup, pieces: dict[int, ClassFunction]
     ) -> "GradedCharacter":
         return cls(group, tuple(pieces.items()))
 
@@ -326,8 +375,11 @@ def torus_character(d: WeylDatum) -> GradedCharacter:
     """Exterior algebra on degree-1 classes: coefficients of det(1 + t g)."""
     group = d.group
     polys = [
-        char_matrix_poly(group.elements[members[0]], 1)
-        for members in group.classes
+        prod(
+            (f.torus_polys[i] for f, i in zip(d.factors, cls)),
+            start=RationalPolynomial.one(),
+        )
+        for cls in d.class_factor_classes
     ]
     pieces = []
     for degree in range(d.rank + 1):
@@ -361,10 +413,8 @@ def _factor_flag_values(
             + RationalPolynomial.monomial(deg, -1)
         )
     quotients = [
-        poly_div_exact(
-            numerator, char_matrix_poly(factor.group.elements[members[0]], -1)
-        )
-        for members in factor.group.classes
+        poly_div_exact(numerator, denominator)
+        for denominator in factor.molien_denominators
     ]
     top = max(q.degree for q in quotients)
     return {

@@ -8,6 +8,7 @@ import pytest
 
 from confab.cli import main
 from confab.tables import VerifyCheck, VerifyReport
+from confab.torusconf import MAX_K
 
 
 def run(capsys, *argv):
@@ -184,3 +185,12 @@ class TestExitCodes:
         code, out, _ = run(capsys, "verify")
         assert code == 1
         assert "1 FAIL" in out
+
+    @pytest.mark.parametrize("command", ("circle", "su2"))
+    def test_k_is_bounded(self, capsys, command):
+        code, out, err = run(capsys, command, "--k", str(MAX_K))
+        assert (code, err) == (0, "")
+        assert out.startswith("components ")
+        code, out, err = run(capsys, command, "--k", str(MAX_K + 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: k must be at most {MAX_K}\n"

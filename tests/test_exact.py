@@ -11,7 +11,6 @@ from confab.exact import (
     QMatrix,
     RationalPolynomial,
     Singular,
-    block_diagonal,
     char_matrix_poly,
     det,
     inverse,
@@ -191,12 +190,3 @@ class TestCharMatrixPoly:
         m = QMatrix.from_rows([[1, 2], [3, 4]])
         assert char_matrix_poly(m).coefficient(2) == det(m)
 
-
-def test_block_diagonal():
-    a = QMatrix.from_rows([[1, 2], [3, 4]])
-    b = QMatrix.from_rows([[5]])
-    combined = block_diagonal([a, b])
-    assert combined.rows == combined.cols == 3
-    assert combined.entry(2, 2) == 5
-    assert combined.entry(0, 2) == 0
-    assert det(combined) == det(a) * det(b)

@@ -1,5 +1,7 @@
 """Assembled tables, stability bounds, unordered pairs, verification."""
 
+from dataclasses import replace
+
 import pytest
 
 from confab.tables import (
@@ -20,7 +22,7 @@ from confab.tables import (
     verify_all,
 )
 from confab.rings import hilbert_series, invariant_subring_dims
-from confab.weyl import LieFactor, UnsupportedDatum, WeylDatum, datum, symplectic
+from confab.weyl import UnsupportedDatum, WeylDatum, datum, symplectic
 
 
 class TestTables:
@@ -125,6 +127,25 @@ class TestStability:
     def test_family_case_insensitive(self):
         assert stable_bound(StabilityQuery("SP", 3, 2)) == 5
 
+    def test_computed_columns_are_constant_from_the_bound(self):
+        # the bound is valid but not always the smallest such rank: H^2 of
+        # the U(n) column is constant from n = 2, the bound says 4
+        ranks = {"u": range(1, 9), "su": range(2, 9), "sp": range(1, 6)}
+        prefix = {"u": "U", "su": "SU", "sp": "Sp"}
+        for family, ns in ranks.items():
+            columns = {
+                n: conf_ab_table(datum(f"{prefix[family]}{n}"), 2).dims()
+                for n in ns
+            }
+            for degree in range(6):
+                bound = stable_bound(StabilityQuery(family, degree, 2))
+                stable = {
+                    columns[n][degree] if degree < len(columns[n]) else 0
+                    for n in ns
+                    if n >= bound
+                }
+                assert len(stable) <= 1, (family, degree, bound)
+
 
 class TestUnordered:
     def test_three_routes_agree(self):
@@ -164,11 +185,7 @@ class TestUnordered:
 
 def corrupt_symplectic_datum():
     """Degrees (1, 8) multiply to the group order but are not fundamental."""
-    good = symplectic(2)
-    bad = LieFactor(
-        good.kind, good.tag, good.rank, (1, 8), good.pi1_rank, good.generators
-    )
-    return WeylDatum((bad,), tag="Sp2")
+    return WeylDatum((replace(symplectic(2), degrees=(1, 8)),), tag="Sp2")
 
 
 class TestVerify:
