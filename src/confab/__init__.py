@@ -6,175 +6,31 @@ distinct, pairwise commuting elements is the Weyl-invariant part of the flag
 cohomology tensored with the cohomology of torus configurations.  Everything
 here is computed in exact rational arithmetic; ``verify_all`` (or the
 ``confab verify`` command) recomputes every pinned table from scratch.
+
+The package exports the API the README documents; every other name is
+imported from its submodule (``confab.exact``, ``confab.groups``,
+``confab.weyl``, ``confab.freegroup``, ``confab.torusconf``, ``confab.rings``,
+``confab.tables``).
 """
 
-from .exact import (
-    NonZeroRemainder,
-    QMatrix,
-    Rational,
-    RationalPolynomial,
-    Singular,
-    char_matrix_poly,
-    det,
-    inverse,
-    kernel_basis,
-    poly_div_exact,
-    rank,
-    rref,
-)
-from .groups import (
-    ClassFunction,
-    FiniteGroup,
-    GroupMismatch,
-    IrreducibleCatalog,
-    NotACharacter,
-    decompose,
-    format_decomposition,
-    inner_product,
-    product_catalog,
-)
-from .freegroup import (
-    FreeGroupModule,
-    H1FreeGroup,
-    InvariantViolation,
-    MalformedWord,
-    abelianized_matrix,
-    abelianized_relation_rows,
-    contragredient,
-    coordinate_quotient,
-    fixed_space_dim,
-    h1_f2,
-    parse_word,
-)
-from .rings import (
-    GeneratorAutomorphism,
-    NotInvolution,
-    RingPresentation,
-    action_matrices,
-    hilbert_series,
-    invariant_subring_dims,
-    monomial_basis,
-)
 from .tables import (
     CohomologyTable,
-    RankTooSmall,
     StabilityQuery,
     TableRow,
-    VerifyCheck,
-    VerifyReport,
-    conf2_ring,
-    conf2_ring_involution,
     conf_ab_table,
-    first_cohomology_dim,
-    shortcut_dims,
     stable_bound,
-    unordered_conf2_dims,
-    unordered_conf2_ring,
     verify_all,
 )
-from .torusconf import (
-    CircleConfSummary,
-    SU2ConfSummary,
-    circle_conf,
-    conf2_torus,
-    conf2_torus_minus_point_rank2,
-    conf3_torus_rank2,
-    su2_conf,
-)
-from .weyl import (
-    CONVENTIONS,
-    GradedCharacter,
-    LieFactor,
-    UnsupportedDatum,
-    WeylDatum,
-    circle,
-    datum,
-    flag_character,
-    invariant_dims,
-    kunneth,
-    parse_tag,
-    special_unitary,
-    symplectic,
-    torus_character,
-    unitary,
-)
+from .weyl import UnsupportedDatum, datum
 
 __all__ = [
-    "CONVENTIONS",
-    "CircleConfSummary",
-    "ClassFunction",
     "CohomologyTable",
-    "FiniteGroup",
-    "FreeGroupModule",
-    "GeneratorAutomorphism",
-    "GradedCharacter",
-    "GroupMismatch",
-    "H1FreeGroup",
-    "InvariantViolation",
-    "IrreducibleCatalog",
-    "LieFactor",
-    "MalformedWord",
-    "NonZeroRemainder",
-    "NotACharacter",
-    "NotInvolution",
-    "QMatrix",
-    "RankTooSmall",
-    "Rational",
-    "RationalPolynomial",
-    "RingPresentation",
-    "SU2ConfSummary",
-    "Singular",
     "StabilityQuery",
     "TableRow",
     "UnsupportedDatum",
-    "VerifyCheck",
-    "VerifyReport",
-    "WeylDatum",
-    "abelianized_matrix",
-    "abelianized_relation_rows",
-    "action_matrices",
-    "char_matrix_poly",
-    "circle",
-    "circle_conf",
-    "conf2_ring",
-    "conf2_ring_involution",
-    "conf2_torus",
-    "conf2_torus_minus_point_rank2",
-    "conf3_torus_rank2",
     "conf_ab_table",
-    "contragredient",
-    "coordinate_quotient",
     "datum",
-    "decompose",
-    "det",
-    "first_cohomology_dim",
-    "fixed_space_dim",
-    "flag_character",
-    "format_decomposition",
-    "h1_f2",
-    "hilbert_series",
-    "inner_product",
-    "invariant_dims",
-    "invariant_subring_dims",
-    "inverse",
-    "kernel_basis",
-    "kunneth",
-    "monomial_basis",
-    "parse_tag",
-    "parse_word",
-    "poly_div_exact",
-    "product_catalog",
-    "rank",
-    "rref",
-    "shortcut_dims",
-    "special_unitary",
     "stable_bound",
-    "su2_conf",
-    "symplectic",
-    "torus_character",
-    "unitary",
-    "unordered_conf2_dims",
-    "unordered_conf2_ring",
     "verify_all",
 ]
 

@@ -1,9 +1,17 @@
 """Command-line front end.
 
-Every subcommand writes one deterministic, newline-terminated document to
-stdout; identical invocations are byte-identical.  JSON payloads carry sorted
-keys; markdown renders the same tables with decomposition strings; csv keeps
-plain cells for spreadsheet import.  Exit codes: 0 success, 1 failed
+Every subcommand returns one ``Document``: a JSON payload, a header with rows
+of plain cells, an optional markdown text and the exit code.  ``render``
+formats a document in one place:
+
+- ``json`` writes the payload with sorted keys, two-space indentation and a
+  trailing newline;
+- ``csv`` writes the header and the rows;
+- ``md`` writes the document's own text where it has one (``circle``,
+  ``su2``, ``bound``, ``ring``, ``verify``) and otherwise a table of the
+  header and the rows.
+
+Identical invocations are byte-identical.  Exit codes: 0 success, 1 failed
 verification, 2 usage or unsupported input.
 """
 
@@ -14,6 +22,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict, dataclass
 
 from .groups import decompose, format_decomposition
 from .rings import hilbert_series
@@ -29,18 +38,18 @@ from .tables import (
     verify_all,
 )
 from .torusconf import circle_conf, conf2_torus, su2_conf
-from .weyl import UnsupportedDatum, datum, flag_character
+from .weyl import datum, flag_character
 
 
-def _emit_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+@dataclass(frozen=True)
+class Document:
+    """What one command prints, before it is put into a format."""
 
-
-def _emit_csv(rows) -> str:
-    sink = io.StringIO()
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerows(rows)
-    return sink.getvalue()
+    payload: object
+    header: list
+    rows: list
+    text: str | None = None
+    code: int = 0
 
 
 def _md_table(header, rows) -> str:
@@ -53,88 +62,76 @@ def _md_table(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def render(doc: Document, fmt: str) -> str:
+    if fmt == "json":
+        text = json.dumps(
+            doc.payload, sort_keys=True, ensure_ascii=False, indent=2
+        )
+        return text + "\n"
+    if fmt == "csv":
+        sink = io.StringIO()
+        writer = csv.writer(sink, lineterminator="\n")
+        writer.writerows([doc.header] + doc.rows)
+        return sink.getvalue()
+    if doc.text is not None:
+        return doc.text
+    return _md_table(doc.header, doc.rows)
+
+
 # ---------------------------------------------------------------------------
 # table 1: decomposition columns for pairs in the torus and for the flag
 
 
-def _table1_characters(convention):
-    """(tag, space, datum, character) for each of the eight columns."""
+def _cmd_table1(args) -> Document:
+    """decomposition columns for torus pairs and the flag"""
     columns = []
     for tag in TABLE1_TAGS:
         d = datum(tag)
         columns.append((tag, "conf2-torus", d, conf2_torus(d)))
-        columns.append((tag, "flag", d, flag_character(d, convention)))
-    return columns
-
-
-def _cmd_table1(args) -> tuple[str, int]:
-    columns = _table1_characters(args.convention)
-    if args.format == "json":
-        docs = []
-        for tag, space, d, character in columns:
-            dims = character.dims()
-            rows = []
-            for degree in range(character.top + 1):
-                parts = decompose(character.piece(degree), d.catalog)
-                rows.append(
-                    {
-                        "degree": degree,
-                        "dimension": dims[degree],
-                        "decomposition": [
-                            {"irrep": label, "mult": mult}
-                            for label, mult in parts
-                        ],
-                    }
-                )
-            docs.append(
-                {
-                    "group": tag,
-                    "space": space,
-                    "k": 2,
-                    "convention": args.convention,
-                    "rows": rows,
-                }
-            )
-        return _emit_json(docs), 0
+        columns.append((tag, "flag", d, flag_character(d, args.convention)))
     top = max(character.top for _, _, _, character in columns)
+    payload = []
+    cells = []
+    for tag, space, d, character in columns:
+        parts = [
+            decompose(character.piece(degree), d.catalog)
+            for degree in range(top + 1)
+        ]
+        cells.append([format_decomposition(part) for part in parts])
+        dims = character.dims()
+        rows = [
+            {
+                "degree": degree,
+                "dimension": dims[degree],
+                "decomposition": [
+                    {"irrep": label, "mult": mult}
+                    for label, mult in parts[degree]
+                ],
+            }
+            for degree in range(character.top + 1)
+        ]
+        payload.append(
+            {
+                "group": tag,
+                "space": space,
+                "k": 2,
+                "convention": args.convention,
+                "rows": rows,
+            }
+        )
     header = ["n"] + [f"{tag}: {space}" for tag, space, _, _ in columns]
-    rows = []
-    for degree in range(top + 1):
-        cells = [degree]
-        for _, _, d, character in columns:
-            parts = decompose(character.piece(degree), d.catalog)
-            cells.append(format_decomposition(parts))
-        rows.append(cells)
-    if args.format == "csv":
-        return _emit_csv([header] + rows), 0
-    return _md_table(header, rows), 0
+    rows = [
+        [degree] + [column[degree] for column in cells]
+        for degree in range(top + 1)
+    ]
+    return Document(payload, header, rows)
 
 
 # ---------------------------------------------------------------------------
 # table 2 and the triple table: invariant dimension columns
 
 
-def _cmd_table2(args) -> tuple[str, int]:
-    tables = [
-        conf_ab_table(datum(tag), 2, args.convention) for tag in TABLE2_TAGS
-    ]
-    if args.format == "json":
-        return _emit_json([_dimension_doc(table) for table in tables]), 0
-    top = max(len(table.rows) for table in tables) - 1
-    header = ["n"] + list(TABLE2_TAGS)
-    rows = []
-    for degree in range(top + 1):
-        dims = [
-            table.rows[degree].dimension if degree < len(table.rows) else 0
-            for table in tables
-        ]
-        rows.append([degree] + dims)
-    if args.format == "csv":
-        return _emit_csv([header] + rows), 0
-    return _md_table(header, rows), 0
-
-
-def _dimension_doc(table: CohomologyTable) -> dict:
+def _dimension_payload(table: CohomologyTable) -> dict:
     return {
         "group": table.group,
         "k": table.k,
@@ -146,67 +143,56 @@ def _dimension_doc(table: CohomologyTable) -> dict:
     }
 
 
-def _cmd_conf3_u2(args) -> tuple[str, int]:
+def _cmd_table2(args) -> Document:
+    """invariant dimension columns for commuting pairs"""
+    tables = [
+        conf_ab_table(datum(tag), 2, args.convention) for tag in TABLE2_TAGS
+    ]
+    length = max(len(table.rows) for table in tables)
+    columns = [
+        table.dims() + (0,) * (length - len(table.rows)) for table in tables
+    ]
+    rows = [
+        [degree] + [dims[degree] for dims in columns]
+        for degree in range(length)
+    ]
+    payload = [_dimension_payload(table) for table in tables]
+    return Document(payload, ["n"] + list(TABLE2_TAGS), rows)
+
+
+def _cmd_conf3_u2(args) -> Document:
+    """dimension column for commuting triples in U2"""
     table = conf_ab_table(datum("U2"), 3, args.convention)
-    if args.format == "json":
-        return _emit_json(_dimension_doc(table)), 0
-    header = ["n", "dimension"]
     rows = [[row.degree, row.dimension] for row in table.rows]
-    if args.format == "csv":
-        return _emit_csv([header] + rows), 0
-    return _md_table(header, rows), 0
+    return Document(_dimension_payload(table), ["n", "dimension"], rows)
 
 
 # ---------------------------------------------------------------------------
 # component counts
 
 
-def _cmd_circle(args) -> tuple[str, int]:
+def _cmd_circle(args) -> Document:
+    """components of distinct k-tuples in the circle"""
     summary = circle_conf(args.k)
-    if args.format == "json":
-        doc = {
-            "k": summary.k,
-            "components": summary.components,
-            "betti": list(summary.betti),
-            "reflection_fixed": summary.reflection_fixed,
-            "reflection_orbits": summary.reflection_orbits,
-        }
-        return _emit_json(doc), 0
-    if args.format == "csv":
-        rows = [
-            ["k", "components", "orbits", "b0", "b1"],
-            [
-                summary.k,
-                summary.components,
-                summary.reflection_orbits,
-                summary.betti[0],
-                summary.betti[1],
-            ],
-        ]
-        return _emit_csv(rows), 0
-    return (
+    row = [summary.k, summary.components, summary.reflection_orbits]
+    return Document(
+        asdict(summary),
+        ["k", "components", "orbits", "b0", "b1"],
+        [row + list(summary.betti)],
         f"components {summary.components}, "
         f"orbits {summary.reflection_orbits}, b1 {summary.betti[1]}\n",
-        0,
     )
 
 
-def _cmd_su2(args) -> tuple[str, int]:
+def _cmd_su2(args) -> Document:
+    """components and Betti numbers for commuting tuples in SU2"""
     summary = su2_conf(args.k)
-    if args.format == "json":
-        doc = {
-            "k": summary.k,
-            "components": summary.components,
-            "betti": list(summary.betti),
-        }
-        return _emit_json(doc), 0
-    if args.format == "csv":
-        rows = [
-            ["k", "components", "b0", "b1", "b2", "b3"],
-            [summary.k, summary.components] + list(summary.betti),
-        ]
-        return _emit_csv(rows), 0
-    return f"components {summary.components}, betti {summary.betti}\n", 0
+    return Document(
+        asdict(summary),
+        ["k", "components", "b0", "b1", "b2", "b3"],
+        [[summary.k, summary.components, *summary.betti]],
+        f"components {summary.components}, betti {summary.betti}\n",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -216,123 +202,129 @@ def _cmd_su2(args) -> tuple[str, int]:
 _RING_GROUPS = {"u2": "U2", "s1xsu2": "S1xSU2"}
 
 
-def _cmd_ring(args) -> tuple[str, int]:
+def _cmd_ring(args) -> Document:
+    """pair-configuration cohomology ring presentation"""
     tag = _RING_GROUPS[args.group]
     build = unordered_conf2_ring if args.unordered else conf2_ring
     presentation = build(tag, args.convention)
-    series = hilbert_series(presentation)
-    if args.format == "json":
-        doc = {
-            "group": tag,
-            "k": 2,
-            "convention": args.convention,
-            "unordered": bool(args.unordered),
-            "presentation": presentation.to_payload(),
-            "rows": [
-                {"degree": degree, "dimension": dim}
-                for degree, dim in enumerate(series)
-            ],
-        }
-        return _emit_json(doc), 0
-    if args.format == "csv":
-        rows = [["degree", "dimension"]] + [
-            [degree, dim] for degree, dim in enumerate(series)
-        ]
-        return _emit_csv(rows), 0
+    rows = list(enumerate(hilbert_series(presentation)))
+    payload = {
+        "group": tag,
+        "k": 2,
+        "convention": args.convention,
+        "unordered": bool(args.unordered),
+        "presentation": presentation.to_payload(),
+        "rows": [
+            {"degree": degree, "dimension": dim} for degree, dim in rows
+        ],
+    }
     generators = ", ".join(
         f"{label} (degree {degree})"
         for label, degree in presentation.generators
     )
-    if presentation.forbidden:
-        labels = presentation.labels
-        vanishing = ", ".join(
-            f"{labels[i]}*{labels[j]}" for i, j in presentation.forbidden
-        )
-    else:
-        vanishing = "none"
-    table = _md_table(
-        ["n", "dimension"],
-        [[degree, dim] for degree, dim in enumerate(series)],
+    labels = presentation.labels
+    vanishing = ", ".join(
+        f"{labels[i]}*{labels[j]}" for i, j in presentation.forbidden
     )
-    return (
-        f"generators: {generators}\nvanishing products: {vanishing}\n"
-        + table,
-        0,
+    text = (
+        f"generators: {generators}\n"
+        f"vanishing products: {vanishing or 'none'}\n"
+        + _md_table(["n", "dimension"], rows)
     )
+    return Document(payload, ["degree", "dimension"], rows, text)
 
 
-def _cmd_bound(args) -> tuple[str, int]:
+def _cmd_bound(args) -> Document:
+    """stable range bound for a family, degree and k"""
     query = StabilityQuery(args.family, args.degree, args.k)
     bound = stable_bound(query)
-    if args.format == "json":
-        doc = {
-            "family": query.family,
-            "degree": query.degree,
-            "k": query.k,
-            "bound": bound,
-        }
-        return _emit_json(doc), 0
-    if args.format == "csv":
-        return _emit_csv([["family", "degree", "k", "bound"],
-                          [query.family, query.degree, query.k, bound]]), 0
-    return f"{bound}\n", 0
+    header = ["family", "degree", "k", "bound"]
+    row = [query.family, query.degree, query.k, bound]
+    return Document(dict(zip(header, row)), header, [row], f"{bound}\n")
 
 
-def _cmd_verify(args) -> tuple[str, int]:
+def _cmd_verify(args) -> Document:
+    """recompute every pinned result and report"""
     report = verify_all(args.convention)
     passed, failed, warned = report.counts()
-    code = 0 if report.ok else 1
-    if args.format == "json":
-        doc = {
-            "convention": report.convention,
-            "ok": report.ok,
-            "pass": passed,
-            "fail": failed,
-            "warn": warned,
-            "checks": [
-                {
-                    "name": check.name,
-                    "status": check.status,
-                    "expected": check.expected,
-                    "got": check.got,
-                }
-                for check in report.checks
-            ],
-        }
-        return _emit_json(doc), code
-    if args.format == "csv":
-        rows = [["status", "name", "expected", "got"]] + [
-            [check.status, check.name, check.expected, check.got]
-            for check in report.checks
-        ]
-        return _emit_csv(rows), code
+    payload = {
+        "convention": report.convention,
+        "ok": report.ok,
+        "pass": passed,
+        "fail": failed,
+        "warn": warned,
+        "checks": [asdict(check) for check in report.checks],
+    }
+    rows = [
+        [check.status, check.name, check.expected, check.got]
+        for check in report.checks
+    ]
     lines = [
         f"{check.status} {check.name}: expected {check.expected}; "
         f"got {check.got}"
         for check in report.checks
     ]
     lines.append(f"{passed} PASS, {failed} FAIL, {warned} WARN")
-    return "\n".join(lines) + "\n", code
+    return Document(
+        payload,
+        ["status", "name", "expected", "got"],
+        rows,
+        "\n".join(lines) + "\n",
+        0 if report.ok else 1,
+    )
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 
 
+_K_ARGUMENT = (
+    "--k",
+    {"type": int, "required": True, "help": "tuple length"},
+)
+_RING_ARGUMENTS = (
+    ("--group", {"choices": tuple(_RING_GROUPS), "required": True}),
+    (
+        "--unordered",
+        {
+            "action": "store_true",
+            "help": "presentation of the unordered-pair cohomology",
+        },
+    ),
+)
+_BOUND_ARGUMENTS = (
+    ("--family", {"choices": ("u", "su", "sp"), "required": True}),
+    ("--degree", {"type": int, "required": True}),
+    ("--k", {"type": int, "required": True}),
+)
+
+# name, handler (its docstring is the help line), arguments beyond --format
+# and --convention
+_COMMANDS = (
+    ("table1", _cmd_table1, ()),
+    ("table2", _cmd_table2, ()),
+    ("conf3-u2", _cmd_conf3_u2, ()),
+    ("circle", _cmd_circle, (_K_ARGUMENT,)),
+    ("su2", _cmd_su2, (_K_ARGUMENT,)),
+    ("ring", _cmd_ring, _RING_ARGUMENTS),
+    ("bound", _cmd_bound, _BOUND_ARGUMENTS),
+    ("verify", _cmd_verify, ()),
+)
+
+
 def _add_common(parser, suppress: bool) -> None:
     # on subcommands the defaults are suppressed so that a value given
     # before the subcommand is not overwritten by the subparser default
-    default = argparse.SUPPRESS if suppress else None
     parser.add_argument(
         "--format",
         choices=("md", "json", "csv"),
-        default=default if suppress else "md",
+        default=argparse.SUPPRESS if suppress else "md",
         help="output format (default md)",
     )
     parser.add_argument(
         "--convention",
         choices=("derived", "paper"),
-        default=default if suppress else "derived",
+        default=argparse.SUPPRESS if suppress else "derived",
         help="flag-column convention for circle factors (default derived)",
     )
 
@@ -347,81 +339,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_common(parser, suppress=False)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser(
-        "table1", help="decomposition columns for torus pairs and the flag"
-    )
-    _add_common(sub, suppress=True)
-    sub.set_defaults(handler=_cmd_table1)
-
-    sub = commands.add_parser(
-        "table2", help="invariant dimension columns for commuting pairs"
-    )
-    _add_common(sub, suppress=True)
-    sub.set_defaults(handler=_cmd_table2)
-
-    sub = commands.add_parser(
-        "conf3-u2", help="dimension column for commuting triples in U2"
-    )
-    _add_common(sub, suppress=True)
-    sub.set_defaults(handler=_cmd_conf3_u2)
-
-    sub = commands.add_parser(
-        "circle", help="components of distinct k-tuples in the circle"
-    )
-    _add_common(sub, suppress=True)
-    sub.add_argument("--k", type=int, required=True, help="tuple length")
-    sub.set_defaults(handler=_cmd_circle)
-
-    sub = commands.add_parser(
-        "su2", help="components and Betti numbers for commuting tuples in SU2"
-    )
-    _add_common(sub, suppress=True)
-    sub.add_argument("--k", type=int, required=True, help="tuple length")
-    sub.set_defaults(handler=_cmd_su2)
-
-    sub = commands.add_parser(
-        "ring", help="pair-configuration cohomology ring presentation"
-    )
-    _add_common(sub, suppress=True)
-    sub.add_argument(
-        "--group", choices=tuple(_RING_GROUPS), required=True
-    )
-    sub.add_argument(
-        "--unordered",
-        action="store_true",
-        help="presentation of the unordered-pair cohomology",
-    )
-    sub.set_defaults(handler=_cmd_ring)
-
-    sub = commands.add_parser(
-        "bound", help="stable range bound for a family, degree and k"
-    )
-    _add_common(sub, suppress=True)
-    sub.add_argument("--family", choices=("u", "su", "sp"), required=True)
-    sub.add_argument("--degree", type=int, required=True)
-    sub.add_argument("--k", type=int, required=True)
-    sub.set_defaults(handler=_cmd_bound)
-
-    sub = commands.add_parser(
-        "verify", help="recompute every pinned result and report"
-    )
-    _add_common(sub, suppress=True)
-    sub.set_defaults(handler=_cmd_verify)
-
+    for name, handler, arguments in _COMMANDS:
+        sub = commands.add_parser(name, help=handler.__doc__)
+        _add_common(sub, suppress=True)
+        for flag, options in arguments:
+            sub.add_argument(flag, **options)
+        sub.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        text, code = args.handler(args)
-    except (UnsupportedDatum, ValueError) as error:
+        doc = args.handler(args)
+    except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    sys.stdout.write(text)
-    return code
+    sys.stdout.write(render(doc, args.format))
+    return doc.code
 
 
 if __name__ == "__main__":

@@ -63,10 +63,6 @@ class RationalPolynomial:
         return cls((Fraction(1),))
 
     @classmethod
-    def constant(cls, value) -> "RationalPolynomial":
-        return cls((_as_rational(value),))
-
-    @classmethod
     def monomial(cls, degree: int, coefficient=1) -> "RationalPolynomial":
         if degree < 0:
             raise ValueError("monomial degree must be >= 0")
@@ -218,9 +214,6 @@ class QMatrix:
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]

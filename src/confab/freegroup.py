@@ -127,9 +127,6 @@ class CoordinateQuotient:
             rows.append(row)
         return QMatrix.from_rows(rows)
 
-    def project_vector(self, vector: Sequence) -> tuple[Fraction, ...]:
-        return self.projection.apply(vector)
-
     def induced(self, operator: QMatrix) -> QMatrix:
         """Matrix of an ambient operator on the quotient basis.
 

@@ -98,15 +98,6 @@ class RingPresentation:
             ],
         }
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "RingPresentation":
-        generators = [
-            (entry["label"], int(entry["degree"]))
-            for entry in payload["generators"]
-        ]
-        forbidden = [(pair[0], pair[1]) for pair in payload["forbidden"]]
-        return cls.build(generators, forbidden)
-
 
 def normalize_product(
     pres: RingPresentation, factors: Sequence[int]

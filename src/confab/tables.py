@@ -13,6 +13,9 @@ checked by ``verify_all``:
 
 ``REFERENCE_*`` constants pin the expected answers; ``verify_all`` recomputes
 everything from scratch and reports one PASS/FAIL/WARN line per comparison.
+It is a table of checks, each a name, an expected value and a computation,
+run by one loop; within one report the checks share each datum, table, flag
+character and pair character, so each is computed once.
 The single expected WARN records the one genuinely ambiguous convention: for
 the mixed product S1 x SU2 the carried-circle reading of the flag column
 disagrees with the direct coset computation, and the first-cohomology count
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .exact import QMatrix, rank
@@ -471,17 +475,14 @@ class VerifyReport:
         return passed, failed, warned
 
 
-def _format_dec_list(parts) -> str:
-    return format_decomposition(tuple(parts))
+def _conf2_text(parts_by_degree) -> str:
+    return "; ".join(format_decomposition(parts) for parts in parts_by_degree)
 
 
-def _format_conf2_reference(reference) -> str:
-    return "; ".join(_format_dec_list(parts) for parts in reference)
-
-
-def _format_flag_reference(reference) -> str:
+def _flag_text(parts_by_degree) -> str:
     return "; ".join(
-        f"{degree}: {_format_dec_list(parts)}" for degree, parts in reference
+        f"{degree}: {format_decomposition(parts)}"
+        for degree, parts in parts_by_degree
     )
 
 
@@ -570,238 +571,224 @@ def _u2_embedding_summary(convention: str) -> str:
     )
 
 
+def _run_check(name: str, expected, compute) -> VerifyCheck:
+    expected = str(expected)
+    try:
+        got = str(compute())
+    except Exception as error:  # surfaced, never silently swallowed
+        got = f"{type(error).__name__}: {error}"
+        return VerifyCheck(name, "FAIL", expected, got)
+    status = "PASS" if got == expected else "FAIL"
+    return VerifyCheck(name, status, expected, got)
+
+
+# the one honest ambiguity, always surfaced
+_DERIVED_COLUMN = REFERENCE_TABLE2["S1xSU2"]["derived"]
+_PAPER_COLUMN = REFERENCE_TABLE2["S1xSU2"]["paper"]
+_CONVENTION_WARNING = VerifyCheck(
+    "s1xsu2-convention",
+    "WARN",
+    "flag conventions for S1xSU2 disagree; the first-cohomology "
+    "count k * pi1-rank = 2 matches the derived column",
+    f"derived {_DERIVED_COLUMN} (degree 1: {_DERIVED_COLUMN[1]}) vs "
+    f"paper {_PAPER_COLUMN} (degree 1: {_PAPER_COLUMN[1]})",
+)
+
+
 def verify_all(convention: str = "derived", data=None) -> VerifyReport:
     """Recompute every pinned result and report PASS/FAIL/WARN lines.
 
-    ``data`` optionally overrides the datum used for a tag (mapping tag ->
-    WeylDatum); corrupt data then surfaces as FAIL lines naming the raised
-    error instead of crashing the report.
+    Each check is a (name, expected, compute) row; one loop runs them and
+    turns a raised exception into a FAIL line naming the error.  ``data``
+    optionally overrides the datum used for a tag (mapping tag ->
+    WeylDatum) in every check that reads that tag.  Within one report each
+    datum, table, flag character and pair character is computed once; the
+    cache belongs to this call, so an override never reaches another report.
     """
     convention = _check_convention(convention)
     overrides = data or {}
 
+    @cache
     def get(tag: str) -> WeylDatum:
         return overrides.get(tag) or datum(tag)
 
-    checks: list[VerifyCheck] = []
+    @cache
+    def table(tag: str, k: int) -> CohomologyTable:
+        return conf_ab_table(get(tag), k, convention)
 
-    def run(name: str, expected_str: str, compute) -> None:
+    @cache
+    def flag(tag: str) -> GradedCharacter:
+        return flag_character(get(tag), convention)
+
+    @cache
+    def conf2(tag: str) -> GradedCharacter:
+        return conf2_torus(get(tag))
+
+    def conf2_text(tag: str) -> str:
+        catalog = get(tag).catalog
+        return _conf2_text(
+            decompose(conf2(tag).piece(n), catalog) for n in range(4)
+        )
+
+    def flag_text(tag: str) -> str:
+        catalog = get(tag).catalog
+        return _flag_text(
+            (deg, decompose(flag(tag).piece(deg), catalog))
+            for deg in flag(tag).degrees()
+        )
+
+    def unordered(tag: str, dims) -> tuple[int, ...]:
+        return _pad(dims, len(REFERENCE_UNORDERED[tag][convention]))
+
+    def rank1_exception() -> str:
         try:
-            got = compute()
-            status = "PASS" if got == expected_str else "FAIL"
-            checks.append(VerifyCheck(name, status, expected_str, got))
-        except Exception as error:  # surfaced, never silently swallowed
-            checks.append(
-                VerifyCheck(
-                    name,
-                    "FAIL",
-                    expected_str,
-                    f"{type(error).__name__}: {error}",
-                )
+            first_cohomology_dim(get("S1"), 4)
+            raised = "no error"
+        except RankTooSmall:
+            raised = "RankTooSmall"
+        return f"H1 = {circle_conf(4).betti[1]}; naive count = 4; {raised}"
+
+    checks = []
+    for tag in TABLE1_TAGS:
+        checks.append(
+            (
+                f"conf2-torus-{tag}",
+                _conf2_text(REFERENCE_CONF2_TORUS[tag]),
+                lambda tag=tag: conf2_text(tag),
             )
-
+        )
     for tag in TABLE1_TAGS:
-        expected = _format_conf2_reference(REFERENCE_CONF2_TORUS[tag])
-        run(
-            f"conf2-torus-{tag}",
-            expected,
-            lambda tag=tag: _format_conf2_reference(
-                tuple(
-                    decompose(
-                        conf2_torus(get(tag)).piece(n), get(tag).catalog
-                    )
-                    for n in range(4)
-                )
-            ),
+        checks.append(
+            (
+                f"flag-{tag}",
+                _flag_text(REFERENCE_FLAG[tag][convention]),
+                lambda tag=tag: flag_text(tag),
+            )
         )
-
-    for tag in TABLE1_TAGS:
-        expected = _format_flag_reference(REFERENCE_FLAG[tag][convention])
-        run(
-            f"flag-{tag}",
-            expected,
-            lambda tag=tag: _format_flag_reference(
-                tuple(
-                    (
-                        deg,
-                        decompose(
-                            flag_character(get(tag), convention).piece(deg),
-                            get(tag).catalog,
-                        ),
-                    )
-                    for deg in flag_character(get(tag), convention).degrees()
-                )
-            ),
-        )
-
-    run(
-        "conf2-total-dims",
-        str((12, 12, 12, 12)),
-        lambda: str(
-            tuple(conf2_torus(get(tag)).total_dim() for tag in TABLE1_TAGS)
-        ),
-    )
-
-    for tag in TABLE2_TAGS:
-        expected = str(REFERENCE_TABLE2[tag][convention])
-        run(
-            f"table2-{tag}",
-            expected,
-            lambda tag=tag: str(
-                conf_ab_table(get(tag), 2, convention).dims()
-            ),
-        )
-        run(
-            f"shortcut-{tag}",
-            expected,
-            lambda tag=tag: str(shortcut_dims(get(tag), 2, convention)),
-        )
-        run(
-            f"euler-{tag}",
-            "0",
-            lambda tag=tag: str(conf_ab_table(get(tag), 2, convention).euler),
-        )
-
-    run(
-        "conf3-U2",
-        str(REFERENCE_CONF3_U2),
-        lambda: str(conf_ab_table(get("U2"), 3, convention).dims()),
-    )
-    run(
-        "conf3-U2-euler",
-        "0",
-        lambda: str(conf_ab_table(get("U2"), 3, convention).euler),
-    )
-    run(
-        "conf3-U2-shortcut",
-        str(REFERENCE_CONF3_U2),
-        lambda: str(shortcut_dims(get("U2"), 3, convention)),
-    )
-
-    for tag in TABLE2_TAGS:
-        expected = str(REFERENCE_TABLE2[tag]["derived"][1])
-        run(
-            f"first-cohomology-{tag}",
-            expected,
-            lambda tag=tag: str(first_cohomology_dim(get(tag), 2)),
-        )
-
-    # the one honest ambiguity, always surfaced
-    derived_column = REFERENCE_TABLE2["S1xSU2"]["derived"]
-    paper_column = REFERENCE_TABLE2["S1xSU2"]["paper"]
     checks.append(
-        VerifyCheck(
-            "s1xsu2-convention",
-            "WARN",
-            "flag conventions for S1xSU2 disagree; the first-cohomology "
-            "count k * pi1-rank = 2 matches the derived column",
-            f"derived {derived_column} (degree 1: {derived_column[1]}) vs "
-            f"paper {paper_column} (degree 1: {paper_column[1]})",
+        (
+            "conf2-total-dims",
+            (12, 12, 12, 12),
+            lambda: tuple(conf2(tag).total_dim() for tag in TABLE1_TAGS),
         )
     )
-
-    for tag in ("U2", "S1xSU2"):
-        expected = str(REFERENCE_TABLE2[tag][convention])
-        run(
-            f"ring-series-{tag}",
-            expected,
-            lambda tag=tag: str(hilbert_series(conf2_ring(tag, convention))),
+    for tag in TABLE2_TAGS:
+        expected = REFERENCE_TABLE2[tag][convention]
+        checks += [
+            (f"table2-{tag}", expected, lambda tag=tag: table(tag, 2).dims()),
+            (
+                f"shortcut-{tag}",
+                expected,
+                lambda tag=tag: shortcut_dims(get(tag), 2, convention),
+            ),
+            (f"euler-{tag}", 0, lambda tag=tag: table(tag, 2).euler),
+        ]
+    checks += [
+        ("conf3-U2", REFERENCE_CONF3_U2, lambda: table("U2", 3).dims()),
+        ("conf3-U2-euler", 0, lambda: table("U2", 3).euler),
+        (
+            "conf3-U2-shortcut",
+            REFERENCE_CONF3_U2,
+            lambda: shortcut_dims(get("U2"), 3, convention),
+        ),
+    ]
+    for tag in TABLE2_TAGS:
+        checks.append(
+            (
+                f"first-cohomology-{tag}",
+                REFERENCE_TABLE2[tag]["derived"][1],
+                lambda tag=tag: first_cohomology_dim(get(tag), 2),
+            )
         )
-        reference = REFERENCE_UNORDERED[tag][convention]
-        run(
-            f"unordered-fixed-subring-{tag}",
-            str(reference),
-            lambda tag=tag: str(
-                _pad(
+    checks.append(_CONVENTION_WARNING)
+    for tag in ("U2", "S1xSU2"):
+        expected = REFERENCE_UNORDERED[tag][convention]
+        checks += [
+            (
+                f"ring-series-{tag}",
+                REFERENCE_TABLE2[tag][convention],
+                lambda tag=tag: hilbert_series(conf2_ring(tag, convention)),
+            ),
+            (
+                f"unordered-fixed-subring-{tag}",
+                expected,
+                lambda tag=tag: unordered(
+                    tag,
                     invariant_subring_dims(
                         conf2_ring(tag, convention),
                         conf2_ring_involution(tag, convention),
                     ),
-                    len(reference),
-                )
+                ),
             ),
-        )
-        run(
-            f"unordered-model-{tag}",
-            str(reference),
-            lambda tag=tag: str(
-                _pad(
-                    unordered_conf2_dims(get(tag), convention),
-                    len(reference),
-                )
-            ),
-        )
-        run(
-            f"unordered-closed-form-{tag}",
-            str(reference),
-            lambda tag=tag: str(
-                _pad(
-                    hilbert_series(unordered_conf2_ring(tag, convention)),
-                    len(reference),
-                )
-            ),
-        )
-
-    run(
-        "ring-embedding-U2",
-        "invariant=True; swap-action=True; relations-zero=True; "
-        f"span={REFERENCE_TABLE2['U2'][convention]}",
-        lambda: _u2_embedding_summary(convention),
-    )
-
-    # bundle route (invariants over the maximal torus) against the direct
-    # component counts for the two rank-1 groups
-    run(
-        "circle-pairs",
-        "bundle (1, 1); direct (1, 1)",
-        lambda: (
-            f"bundle {conf_ab_table(datum('S1'), 2, convention).dims()}; "
-            f"direct {circle_conf(2).betti}"
-        ),
-    )
-    run(
-        "su2-pairs-bundle",
-        "bundle (1, 0, 0, 1); direct (1, 0, 0, 1)",
-        lambda: (
-            f"bundle {conf_ab_table(datum('SU2'), 2, convention).dims()}; "
-            f"direct {su2_conf(2).betti}"
-        ),
-    )
-    run(
-        "su2-components",
-        "k=3: (1, (1, 1, 1, 1)); k=4: (3, (3, 3, 3, 3)); k=5: (12, (12, 12, 12, 12))",
-        lambda: "; ".join(
-            f"k={k}: ({su2_conf(k).components}, {su2_conf(k).betti})"
-            for k in (3, 4, 5)
-        ),
-    )
-
-    def h1_exception() -> str:
-        betti1 = circle_conf(4).betti[1]
-        try:
-            first_cohomology_dim(datum("S1"), 4)
-            raised = "no error"
-        except RankTooSmall:
-            raised = "RankTooSmall"
-        return f"H1 = {betti1}; naive count = 4; {raised}"
-
-    run(
-        "rank1-first-cohomology-exception",
-        "H1 = 6; naive count = 4; RankTooSmall",
-        h1_exception,
-    )
-
-    run(
-        "stable-bounds",
-        "(5, 5, 2, 2)",
-        lambda: str(
             (
+                f"unordered-model-{tag}",
+                expected,
+                lambda tag=tag: unordered(
+                    tag, unordered_conf2_dims(get(tag), convention)
+                ),
+            ),
+            (
+                f"unordered-closed-form-{tag}",
+                expected,
+                lambda tag=tag: unordered(
+                    tag, hilbert_series(unordered_conf2_ring(tag, convention))
+                ),
+            ),
+        ]
+    checks += [
+        (
+            "ring-embedding-U2",
+            "invariant=True; swap-action=True; relations-zero=True; "
+            f"span={REFERENCE_TABLE2['U2'][convention]}",
+            lambda: _u2_embedding_summary(convention),
+        ),
+        # bundle route (invariants over the maximal torus) against the
+        # direct component counts for the two rank-1 groups
+        (
+            "circle-pairs",
+            "bundle (1, 1); direct (1, 1)",
+            lambda: (
+                f"bundle {table('S1', 2).dims()}; "
+                f"direct {circle_conf(2).betti}"
+            ),
+        ),
+        (
+            "su2-pairs-bundle",
+            "bundle (1, 0, 0, 1); direct (1, 0, 0, 1)",
+            lambda: (
+                f"bundle {table('SU2', 2).dims()}; "
+                f"direct {su2_conf(2).betti}"
+            ),
+        ),
+        (
+            "su2-components",
+            "k=3: (1, (1, 1, 1, 1)); k=4: (3, (3, 3, 3, 3)); "
+            "k=5: (12, (12, 12, 12, 12))",
+            lambda: "; ".join(
+                f"k={k}: ({su2_conf(k).components}, {su2_conf(k).betti})"
+                for k in (3, 4, 5)
+            ),
+        ),
+        (
+            "rank1-first-cohomology-exception",
+            "H1 = 6; naive count = 4; RankTooSmall",
+            rank1_exception,
+        ),
+        (
+            "stable-bounds",
+            (5, 5, 2, 2),
+            lambda: (
                 stable_bound(StabilityQuery("sp", 3, 2)),
                 stable_bound(StabilityQuery("u", 2, 9)),
                 stable_bound(StabilityQuery("su", 0, 3)),
                 stable_bound(StabilityQuery("u", 0, 2)),
-            )
+            ),
+        ),
+    ]
+    return VerifyReport(
+        convention,
+        tuple(
+            check if isinstance(check, VerifyCheck) else _run_check(*check)
+            for check in checks
         ),
     )
-
-    return VerifyReport(convention, tuple(checks))

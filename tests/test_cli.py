@@ -170,11 +170,22 @@ class TestExitCodes:
             main(["no-such-command"])
         assert excinfo.value.code == 2
 
-    def test_unsupported_input(self, capsys):
-        code, out, err = run(capsys, "circle", "--k", "1")
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("circle", "--k", "1"),
+            ("su2", "--k", "0"),
+            ("bound", "--family", "u", "--degree", "-1", "--k", "2"),
+            ("bound", "--family", "u", "--degree", "2", "--k", "0"),
+        ),
+        ids=" ".join,
+    )
+    def test_unsupported_input(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "error:" in err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
 
     def test_verify_failure_exits_one(self, capsys, monkeypatch):
         broken = VerifyReport(

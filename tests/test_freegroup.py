@@ -55,7 +55,7 @@ class TestCoordinateQuotient:
         quotient = coordinate_quotient(3, [(1, 0, -1)])
         assert quotient.dim == 2
         assert quotient.survivors == (0, 1)
-        assert quotient.project_vector((0, 0, 1)) == (
+        assert quotient.projection.apply((0, 0, 1)) == (
             Fraction(1), Fraction(0),
         )
 

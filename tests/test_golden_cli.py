@@ -1,9 +1,11 @@
 """Byte-for-byte stdout and exit code of the user-facing invocations.
 
 ``golden_cli.json`` holds, per invocation, the argv, the exit code and the
-exact stdout, captured from ``confab.cli.main`` before the Weyl data moved
-from enumerated matrix groups to cycle types.  Any change to a printed byte
-fails here.
+exact stdout, captured from ``confab.cli.main``: first before the Weyl data
+moved from enumerated matrix groups to cycle types, then (``ring`` in every
+format and convention, ``circle``, ``su2`` and ``bound`` in json and csv)
+before the commands were rebuilt on one document model.  Any change to a
+printed byte fails here.
 """
 
 import json

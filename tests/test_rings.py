@@ -155,11 +155,6 @@ class TestAutomorphisms:
 
 
 class TestPayload:
-    def test_round_trip(self):
-        ring = conf2_ring("S1xSU2", "paper")
-        payload = ring.to_payload()
-        assert RingPresentation.from_payload(payload) == ring
-
     def test_payload_shape(self):
         pres = RingPresentation.build(
             (("z", 1), ("w", 1)), (("z", "w"),)

@@ -1,13 +1,16 @@
 """Assembled tables, stability bounds, unordered pairs, verification."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from confab import tables
 from confab.tables import (
     REFERENCE_CONF3_U2,
     REFERENCE_TABLE2,
     REFERENCE_UNORDERED,
+    TABLE1_TAGS,
     TABLE2_TAGS,
     RankTooSmall,
     StabilityQuery,
@@ -216,6 +219,53 @@ class TestVerify:
         # untouched columns still pass
         u2_check = next(c for c in report.checks if c.name == "table2-U2")
         assert u2_check.status == "PASS"
+
+    def test_overrides_reach_the_rank_one_checks(self):
+        report = verify_all(data={"SU2": datum("Sp2"), "S1": datum("U2")})
+        statuses = {check.name: check.status for check in report.checks}
+        for name in (
+            "circle-pairs",
+            "su2-pairs-bundle",
+            "rank1-first-cohomology-exception",
+        ):
+            assert statuses[name] == "FAIL", name
+
+    def test_an_override_does_not_reach_the_next_report(self):
+        assert not verify_all(data={"Sp2": corrupt_symplectic_datum()}).ok
+        assert verify_all().ok
+
+    def test_each_table_and_character_is_built_once(self, monkeypatch):
+        calls = Counter()
+        for name in (
+            "conf_ab_table",
+            "shortcut_dims",
+            "flag_character",
+            "conf2_torus",
+        ):
+
+            def counted(d, *args, name=name, original=getattr(tables, name)):
+                calls[name, d.tag, args] += 1
+                return original(d, *args)
+
+            monkeypatch.setattr(tables, name, counted)
+        assert verify_all("derived").ok
+        totals = Counter()
+        for (name, _, args), n in calls.items():
+            totals[name] += n
+            if name in ("conf_ab_table", "shortcut_dims") and args[0] == 2:
+                totals["pair routes"] += n
+        # one table per (tag, k): five k = 2 columns, the U2 triples, and
+        # the S1 and SU2 bundle checks
+        assert totals["conf_ab_table"] == 8
+        assert {
+            n for key, n in calls.items() if key[0] == "conf_ab_table"
+        } == {1}
+        # each table and shortcut builds its own characters; the flag-* and
+        # conf2-torus-* checks add one per table 1 tag, not one per degree
+        routes = totals["conf_ab_table"] + totals["shortcut_dims"]
+        assert totals["flag_character"] == routes + len(TABLE1_TAGS)
+        pair_routes = totals["pair routes"]
+        assert totals["conf2_torus"] == pair_routes + len(TABLE1_TAGS)
 
     def test_unknown_convention_rejected(self):
         with pytest.raises(ValueError):
