@@ -1,9 +1,14 @@
 """Exact rational linear algebra and univariate polynomials.
 
 Everything downstream (character theory, Molien series, monodromy kernels)
-runs on these two types, so they stay deliberately small: dense matrices over
-``fractions.Fraction`` and dense coefficient-tuple polynomials.  No floats
-anywhere; a division that should be exact but is not raises
+runs on these two types, so they stay deliberately small: dense matrices and
+dense coefficient-tuple polynomials over the rationals.  An exact rational is
+stored as an ``int`` when it is integral and as a ``fractions.Fraction`` only
+when it is not; every division goes through ``exact_div``, which keeps that
+rule.  Characters, Molien coefficients and integer matrices therefore stay in
+plain ``int`` arithmetic, and mixed ``int``/``Fraction`` arithmetic
+is exact either way (``int`` has ``numerator`` and ``denominator`` too).  No
+floats anywhere; a division that should be exact but is not raises
 ``NonZeroRemainder`` instead of rounding, because a nonzero remainder always
 means an upstream datum is corrupt rather than a numerical artifact.
 
@@ -17,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-Rational = Fraction
-
 
 class NonZeroRemainder(ArithmeticError):
     """An exact division left a remainder."""
@@ -28,14 +31,37 @@ class Singular(ArithmeticError):
     """A matrix expected to be invertible is not."""
 
 
-def _as_rational(value) -> Fraction:
-    if isinstance(value, Fraction):
+def as_exact(value) -> int | Fraction:
+    """``value`` as an ``int`` when integral, else a ``Fraction``.
+
+    Accepts ints, Fractions and rational strings; a float is rejected, since
+    it may already have been rounded.
+    """
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
+    if not isinstance(value, (int, Fraction, str)):
+        raise TypeError(f"not an exact rational: {value!r}")
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def exact_div(a, b) -> int | Fraction:
+    """The exact quotient a / b: an ``int`` when b divides a, else a Fraction.
+
+    The one division of exact values in confab; it never returns a float and
+    raises ZeroDivisionError for b = 0.
+    """
+    if type(a) is int and type(b) is int:
+        quotient, remainder = divmod(a, b)
+        if not remainder:
+            return quotient
+        return Fraction(a, b)
+    return as_exact(Fraction(as_exact(a)) / as_exact(b))
+
+
+def as_exact_tuple(values) -> tuple[int | Fraction, ...]:
+    """``as_exact`` on each value, skipping the ints that need no work."""
+    return tuple(v if type(v) is int else as_exact(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -46,10 +72,10 @@ class RationalPolynomial:
     zero coefficients are trimmed at construction so equality is structural.
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        cleaned = [_as_rational(c) for c in self.coeffs]
+        cleaned = list(as_exact_tuple(self.coeffs))
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         object.__setattr__(self, "coeffs", tuple(cleaned))
@@ -60,32 +86,32 @@ class RationalPolynomial:
 
     @classmethod
     def one(cls) -> "RationalPolynomial":
-        return cls((Fraction(1),))
+        return cls((1,))
 
     @classmethod
     def monomial(cls, degree: int, coefficient=1) -> "RationalPolynomial":
         if degree < 0:
             raise ValueError("monomial degree must be >= 0")
-        return cls((Fraction(0),) * degree + (_as_rational(coefficient),))
+        return cls((0,) * degree + (coefficient,))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, degree: int) -> Fraction:
+    def coefficient(self, degree: int) -> int | Fraction:
         if 0 <= degree < len(self.coeffs):
             return self.coeffs[degree]
-        return Fraction(0)
+        return 0
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def evaluate(self, point) -> Fraction:
-        point = _as_rational(point)
-        total = Fraction(0)
+    def evaluate(self, point) -> int | Fraction:
+        point = as_exact(point)
+        total = 0
         for c in reversed(self.coeffs):
             total = total * point + c
-        return total
+        return as_exact(total)
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -105,7 +131,7 @@ class RationalPolynomial:
     def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         if self.is_zero() or other.is_zero():
             return RationalPolynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -114,7 +140,7 @@ class RationalPolynomial:
         return RationalPolynomial(tuple(out))
 
     def scale(self, value) -> "RationalPolynomial":
-        value = _as_rational(value)
+        value = as_exact(value)
         return RationalPolynomial(tuple(c * value for c in self.coeffs))
 
     def __str__(self) -> str:
@@ -148,12 +174,12 @@ def poly_div_exact(
     den = denominator.coeffs
     lead = den[-1]
     dd = len(den) - 1
-    quot = [Fraction(0)] * max(len(rem) - dd, 0)
+    quot = [0] * max(len(rem) - dd, 0)
     for i in range(len(rem) - 1, dd - 1, -1):
         c = rem[i]
         if c == 0:
             continue
-        factor = c / lead
+        factor = exact_div(c, lead)
         quot[i - dd] = factor
         for j in range(dd + 1):
             rem[i - dd + j] -= factor * den[j]
@@ -170,16 +196,14 @@ class QMatrix:
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    entries: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix dimensions")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match dimensions")
-        object.__setattr__(
-            self, "entries", tuple(_as_rational(e) for e in self.entries)
-        )
+        object.__setattr__(self, "entries", as_exact_tuple(self.entries))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "QMatrix":
@@ -190,32 +214,27 @@ class QMatrix:
                 raise ValueError("ragged rows")
         else:
             width = 0
-        flat = tuple(_as_rational(e) for r in rows for e in r)
-        return cls(len(rows), width, flat)
+        return cls(len(rows), width, tuple(e for r in rows for e in r))
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
         return cls(
             n,
             n,
-            tuple(
-                Fraction(1) if i == j else Fraction(0)
-                for i in range(n)
-                for j in range(n)
-            ),
+            tuple(1 if i == j else 0 for i in range(n) for j in range(n)),
         )
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
+        return cls(rows, cols, (0,) * (rows * cols))
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> int | Fraction:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
+    def row(self, i: int) -> tuple[int | Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def to_rows(self) -> list[list[Fraction]]:
+    def to_rows(self) -> list[list[int | Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def mul(self, other: "QMatrix") -> "QMatrix":
@@ -226,10 +245,7 @@ class QMatrix:
             left = self.row(i)
             for j in range(other.cols):
                 out.append(
-                    sum(
-                        (left[k] * other.entry(k, j) for k in range(self.cols)),
-                        Fraction(0),
-                    )
+                    sum(left[k] * other.entry(k, j) for k in range(self.cols))
                 )
         return QMatrix(self.rows, other.cols, tuple(out))
 
@@ -255,7 +271,7 @@ class QMatrix:
         )
 
     def scale(self, value) -> "QMatrix":
-        value = _as_rational(value)
+        value = as_exact(value)
         return QMatrix(
             self.rows, self.cols, tuple(e * value for e in self.entries)
         )
@@ -271,28 +287,26 @@ class QMatrix:
             ),
         )
 
-    def trace(self) -> Fraction:
+    def trace(self) -> int | Fraction:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        return sum(
-            (self.entries[i * self.cols + i] for i in range(self.rows)),
-            Fraction(0),
+        return as_exact(
+            sum(self.entries[i * self.cols + i] for i in range(self.rows))
         )
 
-    def apply(self, vector: Sequence) -> tuple[Fraction, ...]:
-        vec = [_as_rational(v) for v in vector]
+    def apply(self, vector: Sequence) -> tuple[int | Fraction, ...]:
+        vec = as_exact_tuple(vector)
         if len(vec) != self.cols:
             raise ValueError("vector length does not match columns")
-        return tuple(
-            sum(
-                (self.entry(i, j) * vec[j] for j in range(self.cols)),
-                Fraction(0),
-            )
+        return as_exact_tuple(
+            sum(self.entry(i, j) * vec[j] for j in range(self.cols))
             for i in range(self.rows)
         )
 
 
-def _eliminate(matrix: QMatrix) -> tuple[list[list[Fraction]], list[int]]:
+def _eliminate(
+    matrix: QMatrix,
+) -> tuple[list[list[int | Fraction]], list[int]]:
     # Forward phase of Gauss-Jordan; returns reduced rows and pivot columns.
     rows = matrix.to_rows()
     pivots: list[int] = []
@@ -307,7 +321,7 @@ def _eliminate(matrix: QMatrix) -> tuple[list[list[Fraction]], list[int]]:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         lead = rows[r][col]
-        rows[r] = [e / lead for e in rows[r]]
+        rows[r] = [exact_div(e, lead) for e in rows[r]]
         for i in range(matrix.rows):
             if i != r and rows[i][col] != 0:
                 factor = rows[i][col]
@@ -329,7 +343,7 @@ def rank(matrix: QMatrix) -> int:
     return len(pivots)
 
 
-def kernel_basis(matrix: QMatrix) -> list[tuple[Fraction, ...]]:
+def kernel_basis(matrix: QMatrix) -> list[tuple[int | Fraction, ...]]:
     """Basis of the null space, one vector per free column, ascending."""
     rows, pivots = _eliminate(matrix)
     pivot_set = set(pivots)
@@ -337,20 +351,20 @@ def kernel_basis(matrix: QMatrix) -> list[tuple[Fraction, ...]]:
     for free in range(matrix.cols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * matrix.cols
-        vec[free] = Fraction(1)
+        vec = [0] * matrix.cols
+        vec[free] = 1
         for r, pc in enumerate(pivots):
             vec[pc] = -rows[r][free]
-        basis.append(tuple(vec))
+        basis.append(as_exact_tuple(vec))
     return basis
 
 
-def det(matrix: QMatrix) -> Fraction:
+def det(matrix: QMatrix) -> int | Fraction:
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")
     n = matrix.rows
     rows = matrix.to_rows()
-    result = Fraction(1)
+    result = 1
     for col in range(n):
         pivot_row = None
         for i in range(col, n):
@@ -358,7 +372,7 @@ def det(matrix: QMatrix) -> Fraction:
                 pivot_row = i
                 break
         if pivot_row is None:
-            return Fraction(0)
+            return 0
         if pivot_row != col:
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
             result = -result
@@ -366,11 +380,11 @@ def det(matrix: QMatrix) -> Fraction:
         result *= lead
         for i in range(col + 1, n):
             if rows[i][col] != 0:
-                factor = rows[i][col] / lead
+                factor = exact_div(rows[i][col], lead)
                 rows[i] = [
                     a - factor * b for a, b in zip(rows[i], rows[col])
                 ]
-    return result
+    return as_exact(result)
 
 
 def inverse(matrix: QMatrix) -> QMatrix:
@@ -379,8 +393,7 @@ def inverse(matrix: QMatrix) -> QMatrix:
     n = matrix.rows
     augmented = QMatrix.from_rows(
         [
-            list(matrix.row(i))
-            + [Fraction(1) if j == i else Fraction(0) for j in range(n)]
+            list(matrix.row(i)) + [1 if j == i else 0 for j in range(n)]
             for i in range(n)
         ]
     )
@@ -404,7 +417,7 @@ def char_matrix_poly(matrix: QMatrix, sign: int = 1) -> RationalPolynomial:
     n = matrix.rows
     if n == 0:
         return RationalPolynomial.one()
-    nodes = [Fraction(t) for t in range(n + 1)]
+    nodes = range(n + 1)
     values = []
     for t in nodes:
         shifted = QMatrix.identity(n).add(matrix.scale(sign * t))
@@ -413,15 +426,13 @@ def char_matrix_poly(matrix: QMatrix, sign: int = 1) -> RationalPolynomial:
     coeffs = list(values)
     for level in range(1, n + 1):
         for i in range(n, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (
-                nodes[i] - nodes[i - level]
+            coeffs[i] = exact_div(
+                coeffs[i] - coeffs[i - 1], nodes[i] - nodes[i - level]
             )
     poly = RationalPolynomial.zero()
     basis = RationalPolynomial.one()
     for i in range(n + 1):
         poly = poly + basis.scale(coeffs[i])
-        basis = basis * RationalPolynomial(
-            (Fraction(-nodes[i]), Fraction(1))
-        )
+        basis = basis * RationalPolynomial((-nodes[i], 1))
     return poly
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact import QMatrix, inverse, rank, rref
+from .exact import QMatrix, as_exact_tuple, inverse, rank, rref
 
 _TOKEN = re.compile(r"^([^\s^]+)(?:\^(-?\d+))?$")
 
@@ -71,7 +71,7 @@ def abelianized_matrix(
     for name in generators:
         if name not in images:
             raise MalformedWord(f"no image given for generator {name!r}")
-        vec = [Fraction(0)] * n
+        vec = [0] * n
         for idx, exp in parse_word(images[name], generators):
             vec[idx] += exp
         columns.append(vec)
@@ -82,12 +82,12 @@ def abelianized_matrix(
 
 def abelianized_relation_rows(
     generators: Sequence[str], relators: Sequence[str]
-) -> list[tuple[Fraction, ...]]:
+) -> list[tuple[int, ...]]:
     """Exponent vectors of relator words; the rows killed in first homology."""
     rows = []
     n = len(generators)
     for relator in relators:
-        vec = [Fraction(0)] * n
+        vec = [0] * n
         for idx, exp in parse_word(relator, generators):
             vec[idx] += exp
         rows.append(tuple(vec))
@@ -110,7 +110,7 @@ class CoordinateQuotient:
     """
 
     ambient_dim: int
-    relations: tuple[tuple[Fraction, ...], ...]
+    relations: tuple[tuple[int | Fraction, ...], ...]
     survivors: tuple[int, ...]
     projection: QMatrix
 
@@ -121,9 +121,9 @@ class CoordinateQuotient:
     def inclusion(self) -> QMatrix:
         rows = []
         for i in range(self.ambient_dim):
-            row = [Fraction(0)] * self.dim
+            row = [0] * self.dim
             if i in self.survivors:
-                row[self.survivors.index(i)] = Fraction(1)
+                row[self.survivors.index(i)] = 1
             rows.append(row)
         return QMatrix.from_rows(rows)
 
@@ -149,7 +149,7 @@ def coordinate_quotient(
 ) -> CoordinateQuotient:
     rel_rows = []
     for r in relations:
-        row = tuple(Fraction(x) for x in r)
+        row = as_exact_tuple(r)
         if len(row) != ambient_dim:
             raise ValueError("relation length does not match the ambient")
         rel_rows.append(row)
@@ -157,7 +157,7 @@ def coordinate_quotient(
         reduced = rref(QMatrix.from_rows([row[::-1] for row in rel_rows]))
     else:
         reduced = QMatrix.zero(0, ambient_dim)
-    expressions: dict[int, dict[int, Fraction]] = {}
+    expressions: dict[int, dict[int, int | Fraction]] = {}
     for i in range(reduced.rows):
         row = reduced.row(i)
         pivot_rev = next((j for j, x in enumerate(row) if x != 0), None)
@@ -173,10 +173,10 @@ def coordinate_quotient(
         i for i in range(ambient_dim) if i not in expressions
     )
     position = {coord: k for k, coord in enumerate(survivors)}
-    proj_rows = [[Fraction(0)] * ambient_dim for _ in survivors]
+    proj_rows = [[0] * ambient_dim for _ in survivors]
     for j in range(ambient_dim):
         if j in position:
-            proj_rows[position[j]][j] = Fraction(1)
+            proj_rows[position[j]][j] = 1
         else:
             for coord, coef in expressions[j].items():
                 proj_rows[position[coord]][j] = coef
@@ -249,9 +249,7 @@ def h1_f2(module: FreeGroupModule) -> H1FreeGroup:
     b_shift = b.sub(eye)
     relations = []
     for i in range(n):
-        basis_vec = tuple(
-            Fraction(1) if j == i else Fraction(0) for j in range(n)
-        )
+        basis_vec = tuple(1 if j == i else 0 for j in range(n))
         relations.append(a_shift.apply(basis_vec) + b_shift.apply(basis_vec))
     quotient = coordinate_quotient(2 * n, relations)
     induced = None
@@ -260,7 +258,7 @@ def h1_f2(module: FreeGroupModule) -> H1FreeGroup:
         # swap the two cocycle slots and apply alpha to each
         rows = []
         for i in range(2 * n):
-            row = [Fraction(0)] * (2 * n)
+            row = [0] * (2 * n)
             rows.append(row)
         for i in range(n):
             for j in range(n):

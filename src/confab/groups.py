@@ -7,7 +7,10 @@ form.  Every character in use is rational, so each class is its own inverse
 class and the class-function pairing needs no inverse map.  Published tables
 depend on class order only through class *values*, never through indices.
 
-Characters take values in ``Fraction`` and are stored per conjugacy class.
+Characters are stored per conjugacy class, each value an exact rational kept
+as an ``int`` when integral and as a ``Fraction`` only when it is not (the
+storage rule of ``confab.exact``).  Rational characters are integer valued,
+so in practice every value is an ``int``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 from typing import Hashable, Sequence
+
+from .exact import as_exact, as_exact_tuple, exact_div
 
 TRIVIAL_LABEL = "1"
 
@@ -53,25 +58,27 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class ClassFunction:
-    """A Fraction-valued function on the conjugacy classes of a group."""
+    """A rational-valued function on the conjugacy classes of a group.
+
+    Each value is an ``int`` when integral and a ``Fraction`` otherwise;
+    floats are rejected.
+    """
 
     group: FiniteGroup
-    values: tuple[Fraction, ...]
+    values: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if len(self.values) != len(self.group.classes):
             raise ValueError("one value per conjugacy class required")
-        object.__setattr__(
-            self, "values", tuple(Fraction(v) for v in self.values)
-        )
+        object.__setattr__(self, "values", as_exact_tuple(self.values))
 
     @classmethod
     def trivial(cls, group: FiniteGroup) -> "ClassFunction":
-        return cls(group, (Fraction(1),) * len(group.classes))
+        return cls(group, (1,) * len(group.classes))
 
     @classmethod
     def zero(cls, group: FiniteGroup) -> "ClassFunction":
-        return cls(group, (Fraction(0),) * len(group.classes))
+        return cls(group, (0,) * len(group.classes))
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         if self.group != other.group:
@@ -90,32 +97,32 @@ class ClassFunction:
         )
 
     def scale(self, value) -> "ClassFunction":
-        value = Fraction(value)
+        value = as_exact(value)
         return ClassFunction(self.group, tuple(v * value for v in self.values))
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
 
     @property
-    def dim(self) -> Fraction:
+    def dim(self) -> int | Fraction:
         # value at the identity class
         return self.values[0]
 
 
-def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
+def inner_product(f: ClassFunction, g: ClassFunction) -> int | Fraction:
     """Class-function pairing (1/|G|) sum over classes |C| f(C) g(C).
 
     Pairing f(C) with g(C) rather than g(C^-1) is exact for the rational
-    characters used throughout.
+    characters used throughout.  The sum is exact (an integer for integer
+    valued characters) and is divided by |G| once.
     """
     if f.group != g.group:
         raise GroupMismatch("inner product across different groups")
     group = f.group
     total = sum(
-        (size * a * b for size, a, b in zip(group.sizes, f.values, g.values)),
-        Fraction(0),
+        size * a * b for size, a, b in zip(group.sizes, f.values, g.values)
     )
-    return total / group.order
+    return exact_div(total, group.order)
 
 
 class IrreducibleCatalog:
@@ -143,7 +150,7 @@ class IrreducibleCatalog:
                 raise GroupMismatch("catalog characters over a foreign group")
         for i, a in enumerate(chars):
             for j, b in enumerate(chars):
-                expected = Fraction(1 if i == j else 0)
+                expected = 1 if i == j else 0
                 got = inner_product(a, b)
                 if got != expected:
                     raise ValueError(

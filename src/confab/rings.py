@@ -22,10 +22,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .exact import QMatrix, rank
+from .exact import QMatrix, as_exact, rank
 
 Monomial = tuple[int, ...]
-Element = dict[Monomial, Fraction]
+Element = dict[Monomial, int | Fraction]
 
 
 class NotInvolution(ValueError):
@@ -101,7 +101,7 @@ class RingPresentation:
 
 def normalize_product(
     pres: RingPresentation, factors: Sequence[int]
-) -> tuple[Fraction, Monomial] | None:
+) -> tuple[int, Monomial] | None:
     """Sort a product of generators into a basis monomial with its sign.
 
     Returns None when the product is zero: a repeated generator or a
@@ -126,7 +126,7 @@ def normalize_product(
     for a, b in combinations(seq, 2):
         if (a, b) in forbidden:
             return None
-    return Fraction(sign), tuple(seq)
+    return sign, tuple(seq)
 
 
 def monomial_basis(pres: RingPresentation) -> dict[int, tuple[Monomial, ...]]:
@@ -152,7 +152,7 @@ def hilbert_series(pres: RingPresentation) -> tuple[int, ...]:
 def add_elements(a: Element, b: Element) -> Element:
     out = dict(a)
     for mono, coef in b.items():
-        total = out.get(mono, Fraction(0)) + coef
+        total = out.get(mono, 0) + coef
         if total:
             out[mono] = total
         else:
@@ -161,7 +161,7 @@ def add_elements(a: Element, b: Element) -> Element:
 
 
 def scale_element(a: Element, value) -> Element:
-    value = Fraction(value)
+    value = as_exact(value)
     if not value:
         return {}
     return {mono: coef * value for mono, coef in a.items()}
@@ -175,7 +175,7 @@ def element_product(pres: RingPresentation, a: Element, b: Element) -> Element:
             if normalized is None:
                 continue
             sign, mono = normalized
-            total = out.get(mono, Fraction(0)) + c1 * c2 * sign
+            total = out.get(mono, 0) + c1 * c2 * sign
             if total:
                 out[mono] = total
             else:
@@ -189,14 +189,14 @@ def element_from_terms(
     """Build an element from (coefficient, [labels in product order]) terms."""
     out: Element = {}
     for coef, labels in terms:
-        coef = Fraction(coef)
+        coef = as_exact(coef)
         normalized = normalize_product(
             pres, [pres.index_of(label) for label in labels]
         )
         if normalized is None:
             continue
         sign, mono = normalized
-        total = out.get(mono, Fraction(0)) + coef * sign
+        total = out.get(mono, 0) + coef * sign
         if total:
             out[mono] = total
         else:
@@ -222,14 +222,14 @@ class GeneratorAutomorphism:
     terms; generators without an entry map to themselves.
     """
 
-    images: tuple[tuple[str, tuple[tuple[Fraction, str], ...]], ...]
+    images: tuple[tuple[str, tuple[tuple[int | Fraction, str], ...]], ...]
 
     @classmethod
     def build(
         cls, images: Mapping[str, Sequence[tuple[object, str]]]
     ) -> "GeneratorAutomorphism":
         packed = tuple(
-            (source, tuple((Fraction(c), target) for c, target in terms))
+            (source, tuple((as_exact(c), target) for c, target in terms))
             for source, terms in images.items()
         )
         return cls(packed)
@@ -247,12 +247,12 @@ class GeneratorAutomorphism:
                         )
                     out = add_elements(out, {(idx,): coef})
                 return out
-        return {(pres.index_of(label),): Fraction(1)}
+        return {(pres.index_of(label),): 1}
 
     def apply(self, pres: RingPresentation, element: Element) -> Element:
         out: Element = {}
         for mono, coef in element.items():
-            image: Element = {(): Fraction(1)}
+            image: Element = {(): 1}
             for idx in mono:
                 image = element_product(
                     pres, image, self.image_of(pres, pres.generators[idx][0])
@@ -271,8 +271,8 @@ def action_matrices(
         position = {mono: i for i, mono in enumerate(monos)}
         columns = []
         for mono in monos:
-            image = auto.apply(pres, {mono: Fraction(1)})
-            col = [Fraction(0)] * len(monos)
+            image = auto.apply(pres, {mono: 1})
+            col = [0] * len(monos)
             for target, coef in image.items():
                 if target not in position:
                     raise ValueError(
@@ -309,7 +309,7 @@ def invariant_subring_dims(
             continue
         size = len(monos)
         eye = QMatrix.identity(size)
-        stacked_rows: list[list[Fraction]] = []
+        stacked_rows: list[list[int | Fraction]] = []
         for matrices in per_auto:
             m = matrices[degree]
             if m.mul(m) != eye:

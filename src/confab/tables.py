@@ -26,7 +26,6 @@ conventions stay available everywhere via ``convention=``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
@@ -540,11 +539,11 @@ def _u2_embedding_summary(convention: str) -> str:
     )
     # span of all products of the five expressions, degree by degree
     basis = monomial_basis(model)
-    by_degree: dict[int, list[Element]] = {0: [{(): Fraction(1)}]}
+    by_degree: dict[int, list[Element]] = {0: [{(): 1}]}
     names = tuple(expressions)
     for size in range(1, len(names) + 1):
         for combo in combinations(names, size):
-            product: Element = {(): Fraction(1)}
+            product: Element = {(): 1}
             for name in combo:
                 product = element_product(model, product, expressions[name])
             if not product:
@@ -560,7 +559,7 @@ def _u2_embedding_summary(convention: str) -> str:
             continue
         matrix = QMatrix.from_rows(
             [
-                [el.get(mono, Fraction(0)) for mono in monos]
+                [el.get(mono, 0) for mono in monos]
                 for el in elements
             ]
         )

@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 
 from .freegroup import (
     FreeGroupModule,
@@ -117,7 +115,7 @@ def conf2_torus_minus_point_rank2(d: WeylDatum) -> GradedCharacter:
         abelianized_matrix(BIRMAN_GENERATORS, ALPHA_BIRMAN)
     )
     h1 = ClassFunction(
-        group, (Fraction(quotient.dim), contragredient(alpha_h1).trace())
+        group, (quotient.dim, contragredient(alpha_h1).trace())
     )
 
     # degree 2: H^1 of the free group on the base loops with coefficients in
@@ -129,9 +127,7 @@ def conf2_torus_minus_point_rank2(d: WeylDatum) -> GradedCharacter:
         contragredient(a_h), contragredient(a_v), contragredient(alpha)
     )
     top = h1_f2(module)
-    h2 = ClassFunction(
-        group, (Fraction(top.dim), top.involution.trace())
-    )
+    h2 = ClassFunction(group, (top.dim, top.involution.trace()))
     return GradedCharacter(group, ((0, h0), (1, h1), (2, h2)))
 
 
@@ -169,25 +165,12 @@ def circle_conf(k: int) -> CircleConfSummary:
     if k > MAX_K:
         raise UnsupportedDatum(f"k must be at most {MAX_K}")
     components = math.factorial(k - 1)
-    if k <= 8:
-        # components are slot assignments: point i+1 sits at counterclockwise
-        # slot sigma(i) after point 1; inversion sends slot j to slot k - j
-        fixed = 0
-        seen = set()
-        orbits = 0
-        for sigma in permutations(range(1, k)):
-            mirror = tuple(k - s for s in sigma)
-            if mirror == sigma:
-                fixed += 1
-            key = min(sigma, mirror)
-            if key not in seen:
-                seen.add(key)
-                orbits += 1
-    else:
-        # reversal is free once k > 2: a fixed order would need 2s = k at
-        # every position, impossible for a bijection on more than one letter
-        fixed = 0
-        orbits = components // 2
+    # a component puts point i + 1 at counterclockwise slot s_i after point
+    # 1, and inversion sends slot s to slot k - s; a fixed component needs
+    # s_i = k / 2 for every i, which only k = 2 allows, so the single k = 2
+    # component is fixed and every other one pairs up with its mirror
+    fixed = 1 if k == 2 else 0
+    orbits = (components + fixed) // 2
     return CircleConfSummary(
         k, components, (components, components), fixed, orbits
     )

@@ -35,7 +35,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, prod
@@ -396,15 +395,15 @@ def torus_character(d: WeylDatum) -> GradedCharacter:
 
 def _factor_flag_values(
     factor: LieFactor, convention: str, has_noncircle: bool
-) -> dict[int, tuple[Fraction, ...]]:
+) -> dict[int, tuple[int, ...]]:
     """Cohomology of one factor's flag piece, per factor class, by degree."""
     if factor.kind == "circle":
         # the quotient of a circle by its maximal torus is a point; the
         # alternative convention treats the circle factor as carried along,
         # contributing a degree-1 class, but only in genuinely mixed products
-        values = {0: (Fraction(1),)}
+        values = {0: (1,)}
         if convention == "paper" and has_noncircle:
-            values[1] = (Fraction(1),)
+            values[1] = (1,)
         return values
     numerator = RationalPolynomial.one()
     for deg in factor.degrees:
@@ -435,15 +434,13 @@ def flag_character(d: WeylDatum, convention: str = "derived") -> GradedCharacter
     group = d.group
     n_classes = len(group.classes)
     has_noncircle = any(f.kind != "circle" for f in d.factors)
-    acc: dict[int, list[Fraction]] = {0: [Fraction(1)] * n_classes}
+    acc: dict[int, list[int]] = {0: [1] * n_classes}
     for fi, factor in enumerate(d.factors):
         factor_values = _factor_flag_values(factor, convention, has_noncircle)
-        new: dict[int, list[Fraction]] = {}
+        new: dict[int, list[int]] = {}
         for deg, values in acc.items():
             for fdeg, fvals in factor_values.items():
-                target = new.setdefault(
-                    deg + fdeg, [Fraction(0)] * n_classes
-                )
+                target = new.setdefault(deg + fdeg, [0] * n_classes)
                 for ci in range(n_classes):
                     fc = d.class_factor_classes[ci][fi]
                     target[ci] += values[ci] * fvals[fc]

@@ -270,6 +270,7 @@ def test_c09_component_combinatorics():
         assert on_su2.betti == tuple([on_su2.components] * 4)
     assert circle_conf(2).components == 1
     assert circle_conf(2).reflection_fixed == 1
+    assert circle_conf(2).reflection_orbits == 1
     assert su2_conf(2).betti == (1, 0, 0, 1)
 
 

@@ -11,8 +11,10 @@ from confab.exact import (
     QMatrix,
     RationalPolynomial,
     Singular,
+    as_exact,
     char_matrix_poly,
     det,
+    exact_div,
     inverse,
     kernel_basis,
     poly_div_exact,
@@ -76,6 +78,49 @@ def rect_matrices(max_size=5):
 small_polys = st.lists(entries, min_size=1, max_size=5).map(
     lambda c: RationalPolynomial(tuple(c))
 )
+
+
+def stored_exactly(value) -> bool:
+    """An int when integral, a Fraction when not, and never anything else."""
+    return type(value) is (int if value.denominator == 1 else Fraction)
+
+
+class TestExactDiv:
+    @given(a=st.integers(-60, 60), b=st.integers(-12, 12))
+    def test_integers(self, a, b):
+        if b == 0:
+            with pytest.raises(ZeroDivisionError):
+                exact_div(a, b)
+            return
+        quotient = exact_div(a, b)
+        assert quotient == Fraction(a, b)
+        assert (type(quotient) is int) == (a % b == 0)
+        assert stored_exactly(quotient)
+
+    @given(
+        a=st.fractions(min_value=-20, max_value=20, max_denominator=8),
+        b=st.fractions(min_value=-6, max_value=6, max_denominator=8),
+    )
+    def test_fractions(self, a, b):
+        if b == 0:
+            with pytest.raises(ZeroDivisionError):
+                exact_div(a, b)
+            return
+        quotient = exact_div(a, b)
+        assert quotient == Fraction(a, b)
+        assert (type(quotient) is int) == ((a / b).denominator == 1)
+        assert stored_exactly(quotient)
+
+    def test_floats_rejected(self):
+        for bad in ((1.5, 1), (3, 2.0)):
+            with pytest.raises(TypeError):
+                exact_div(*bad)
+        with pytest.raises(TypeError):
+            as_exact(0.5)
+        with pytest.raises(TypeError):
+            QMatrix.from_rows([[1.0]])
+        with pytest.raises(TypeError):
+            RationalPolynomial((0.25,))
 
 
 class TestPolynomials:
@@ -144,6 +189,7 @@ class TestElimination:
     @settings(deadline=None)
     def test_det_matches_cofactor_expansion(self, m):
         assert det(m) == cofactor_det(m)
+        assert stored_exactly(det(m))
 
     @given(a=square_matrices(3), b=square_matrices(3))
     @settings(deadline=None)
@@ -151,6 +197,15 @@ class TestElimination:
         if a.rows != b.rows:
             return
         assert det(a @ b) == det(a) * det(b)
+
+    @given(m=square_matrices())
+    @settings(deadline=None)
+    def test_integral_entries_stay_int(self, m):
+        results = [m.entries, rref(m).entries]
+        if det(m) != 0:
+            results.append(inverse(m).entries)
+        for values in results:
+            assert all(stored_exactly(v) for v in values)
 
     @given(m=square_matrices())
     @settings(deadline=None)

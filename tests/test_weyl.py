@@ -3,6 +3,7 @@
 import pytest
 
 from confab.groups import decompose, format_decomposition
+from confab.torusconf import conf2_torus
 from confab.weyl import (
     GradedCharacter,
     UnsupportedDatum,
@@ -19,6 +20,9 @@ from confab.weyl import (
 )
 
 TAGS = ("S1xS1", "U2", "S1xSU2", "SU3", "Sp2")
+LADDER = (
+    "S1", "U2", "U3", "U4", "U5", "SU2", "SU3", "SU4", "SU5", "Sp1", "Sp2", "Sp3",
+)
 
 
 def dec_by_degree(d, gc):
@@ -184,3 +188,18 @@ class TestInvariants:
         inv = invariant_dims(gc)
         assert inv[0] == 1
         assert all(inv[degree] == 0 for degree in inv if degree > 0)
+
+
+@pytest.mark.parametrize("tag", LADDER + ("U2xU2", "S1xSU2xSp1"))
+def test_character_values_are_ints(tag):
+    # integer-valued characters are stored as int, never Fraction or float
+    d = datum(tag)
+    characters = (
+        torus_character(d),
+        flag_character(d, "derived"),
+        flag_character(d, "paper"),
+        conf2_torus(d),
+    )
+    for gc in characters:
+        for _, cf in gc.support:
+            assert all(type(v) is int for v in cf.values), (tag, cf.values)
