@@ -22,7 +22,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .groups import decompose, format_decomposition
 from .rings import hilbert_series
@@ -41,8 +41,7 @@ from .torusconf import circle_conf, conf2_torus, su2_conf
 from .weyl import datum, flag_character
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """What one command prints, before it is put into a format."""
 
     payload: object
@@ -176,7 +175,7 @@ def _cmd_circle(args) -> Document:
     summary = circle_conf(args.k)
     row = [summary.k, summary.components, summary.reflection_orbits]
     return Document(
-        asdict(summary),
+        summary._asdict(),
         ["k", "components", "orbits", "b0", "b1"],
         [row + list(summary.betti)],
         f"components {summary.components}, "
@@ -188,7 +187,7 @@ def _cmd_su2(args) -> Document:
     """components and Betti numbers for commuting tuples in SU2"""
     summary = su2_conf(args.k)
     return Document(
-        asdict(summary),
+        summary._asdict(),
         ["k", "components", "b0", "b1", "b2", "b3"],
         [[summary.k, summary.components, *summary.betti]],
         f"components {summary.components}, betti {summary.betti}\n",
@@ -253,7 +252,7 @@ def _cmd_verify(args) -> Document:
         "pass": passed,
         "fail": failed,
         "warn": warned,
-        "checks": [asdict(check) for check in report.checks],
+        "checks": [check._asdict() for check in report.checks],
     }
     rows = [
         [check.status, check.name, check.expected, check.got]

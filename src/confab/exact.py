@@ -18,7 +18,6 @@ Matrices act on column vectors: ``m.apply(v)`` is ``m @ v``, and composition
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -64,7 +63,6 @@ def as_exact_tuple(values) -> tuple[int | Fraction, ...]:
     return tuple(v if type(v) is int else as_exact(v) for v in values)
 
 
-@dataclass(frozen=True)
 class RationalPolynomial:
     """Polynomial in one variable, coefficients low degree first.
 
@@ -72,13 +70,21 @@ class RationalPolynomial:
     zero coefficients are trimmed at construction so equality is structural.
     """
 
-    coeffs: tuple[int | Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        cleaned = list(as_exact_tuple(self.coeffs))
+    def __init__(self, coeffs: Sequence):
+        cleaned = list(as_exact_tuple(coeffs))
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
-        object.__setattr__(self, "coeffs", tuple(cleaned))
+        self.coeffs: tuple[int | Fraction, ...] = tuple(cleaned)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     @classmethod
     def zero(cls) -> "RationalPolynomial":
@@ -190,20 +196,31 @@ def poly_div_exact(
     return RationalPolynomial(tuple(quot))
 
 
-@dataclass(frozen=True)
 class QMatrix:
     """Dense matrix over the rationals, row-major entries."""
 
-    rows: int
-    cols: int
-    entries: tuple[int | Fraction, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: Sequence):
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
-        object.__setattr__(self, "entries", as_exact_tuple(self.entries))
+        self.rows = rows
+        self.cols = cols
+        self.entries: tuple[int | Fraction, ...] = as_exact_tuple(entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.rows == other.rows
+            and self.cols == other.cols
+            and self.entries == other.entries
+        )
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "QMatrix":

@@ -19,9 +19,8 @@ corresponding cohomology action (inverse transpose).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .exact import QMatrix, as_exact_tuple, inverse, rank, rref
 
@@ -99,8 +98,7 @@ def contragredient(m: QMatrix) -> QMatrix:
     return inverse(m).transpose()
 
 
-@dataclass(frozen=True)
-class CoordinateQuotient:
+class CoordinateQuotient(NamedTuple):
     """Q^ambient modulo the span of relation vectors, with a chosen basis.
 
     ``survivors`` are the coordinates kept as the quotient basis; every
@@ -190,7 +188,6 @@ def coordinate_quotient(
     )
 
 
-@dataclass(frozen=True)
 class FreeGroupModule:
     """An F_2-module: invertible actions of the two generators on Q^n.
 
@@ -199,35 +196,51 @@ class FreeGroupModule:
     involution on H^1.
     """
 
-    a_action: QMatrix
-    b_action: QMatrix
-    involution: QMatrix | None = None
+    __slots__ = ("a_action", "b_action", "involution")
 
-    def __post_init__(self):
-        n = self.a_action.rows
-        for name, m in (("A", self.a_action), ("B", self.b_action)):
+    def __init__(
+        self,
+        a_action: QMatrix,
+        b_action: QMatrix,
+        involution: QMatrix | None = None,
+    ):
+        n = a_action.rows
+        for name, m in (("A", a_action), ("B", b_action)):
             if m.rows != n or m.cols != n:
                 raise InvariantViolation("actions must be square, same size")
             if rank(m) != n:
                 raise InvariantViolation(f"generator action {name} is singular")
-        if self.involution is not None:
-            alpha = self.involution
-            if alpha.rows != n or alpha.cols != n:
+        if involution is not None:
+            if involution.rows != n or involution.cols != n:
                 raise InvariantViolation("involution size mismatch")
-            if alpha.mul(alpha) != QMatrix.identity(n):
+            if involution.mul(involution) != QMatrix.identity(n):
                 raise InvariantViolation("involution does not square to 1")
-            if alpha.mul(self.a_action) != self.b_action.mul(alpha):
+            if involution.mul(a_action) != b_action.mul(involution):
                 raise InvariantViolation(
                     "involution does not intertwine the generator actions"
                 )
+        self.a_action = a_action
+        self.b_action = b_action
+        self.involution = involution
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.a_action == other.a_action
+            and self.b_action == other.b_action
+            and self.involution == other.involution
+        )
+
+    def __hash__(self):
+        return hash((self.a_action, self.b_action, self.involution))
 
     @property
     def dim(self) -> int:
         return self.a_action.rows
 
 
-@dataclass(frozen=True)
-class H1FreeGroup:
+class H1FreeGroup(NamedTuple):
     """H^1(F_2; M) with its chosen coordinate basis.
 
     Coordinates 0..n-1 are the cocycle values on the first generator,

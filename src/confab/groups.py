@@ -15,7 +15,6 @@ so in practice every value is an ``int``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -34,7 +33,6 @@ class NotACharacter(ValueError):
     """A class function failed to decompose into nonnegative integer parts."""
 
 
-@dataclass(frozen=True)
 class FiniteGroup:
     """Conjugacy classes of a finite group, identity class first.
 
@@ -42,21 +40,29 @@ class FiniteGroup:
     of elements in each; the order is their sum.
     """
 
-    classes: tuple[Hashable, ...]
-    sizes: tuple[int, ...]
+    __slots__ = ("classes", "sizes")
 
-    def __post_init__(self):
-        if not self.classes or len(self.classes) != len(self.sizes):
+    def __init__(self, classes: tuple[Hashable, ...], sizes: tuple[int, ...]):
+        if not classes or len(classes) != len(sizes):
             raise ValueError("one size per conjugacy class required")
-        if self.sizes[0] != 1 or any(size < 1 for size in self.sizes):
+        if sizes[0] != 1 or any(size < 1 for size in sizes):
             raise ValueError("identity class first, every size positive")
+        self.classes = classes
+        self.sizes = sizes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.classes == other.classes and self.sizes == other.sizes
+
+    def __hash__(self):
+        return hash((self.classes, self.sizes))
 
     @property
     def order(self) -> int:
         return sum(self.sizes)
 
 
-@dataclass(frozen=True)
 class ClassFunction:
     """A rational-valued function on the conjugacy classes of a group.
 
@@ -64,13 +70,21 @@ class ClassFunction:
     floats are rejected.
     """
 
-    group: FiniteGroup
-    values: tuple[int | Fraction, ...]
+    __slots__ = ("group", "values")
 
-    def __post_init__(self):
-        if len(self.values) != len(self.group.classes):
+    def __init__(self, group: FiniteGroup, values: Sequence):
+        if len(values) != len(group.classes):
             raise ValueError("one value per conjugacy class required")
-        object.__setattr__(self, "values", as_exact_tuple(self.values))
+        self.group = group
+        self.values: tuple[int | Fraction, ...] = as_exact_tuple(values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.group == other.group and self.values == other.values
+
+    def __hash__(self):
+        return hash((self.group, self.values))
 
     @classmethod
     def trivial(cls, group: FiniteGroup) -> "ClassFunction":

@@ -17,10 +17,9 @@ matrices per degree drive fixed-subring dimension counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exact import QMatrix, as_exact, rank
 
@@ -32,27 +31,41 @@ class NotInvolution(ValueError):
     """An automorphism expected to square to the identity does not."""
 
 
-@dataclass(frozen=True)
 class RingPresentation:
     """Generators with degrees, plus index pairs whose product vanishes."""
 
-    generators: tuple[tuple[str, int], ...]
-    forbidden: tuple[tuple[int, int], ...]
+    __slots__ = ("generators", "forbidden")
 
-    def __post_init__(self):
-        labels = [label for label, _ in self.generators]
+    def __init__(
+        self,
+        generators: tuple[tuple[str, int], ...],
+        forbidden: Iterable[tuple[int, int]],
+    ):
+        labels = [label for label, _ in generators]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate generator labels: {labels}")
-        for label, degree in self.generators:
+        for label, degree in generators:
             if degree < 1:
                 raise ValueError(f"generator {label} needs positive degree")
-        n = len(self.generators)
+        n = len(generators)
         cleaned = []
-        for i, j in self.forbidden:
+        for i, j in forbidden:
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"bad forbidden pair ({i}, {j})")
             cleaned.append((min(i, j), max(i, j)))
-        object.__setattr__(self, "forbidden", tuple(sorted(set(cleaned))))
+        self.generators = generators
+        self.forbidden = tuple(sorted(set(cleaned)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.generators == other.generators
+            and self.forbidden == other.forbidden
+        )
+
+    def __hash__(self):
+        return hash((self.generators, self.forbidden))
 
     @classmethod
     def build(
@@ -214,8 +227,7 @@ def element_degree(pres: RingPresentation, element: Element) -> int | None:
     return degrees.pop()
 
 
-@dataclass(frozen=True)
-class GeneratorAutomorphism:
+class GeneratorAutomorphism(NamedTuple):
     """A ring map given by degree-preserving images of the generators.
 
     ``images`` maps a generator label to a tuple of (coefficient, label)

@@ -25,9 +25,9 @@ conventions stay available everywhere via ``convention=``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .exact import QMatrix, rank
 from .groups import decompose, format_decomposition
@@ -149,15 +149,13 @@ REFERENCE_UNORDERED = {
 }
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     degree: int
     dimension: int
     decomposition: tuple[tuple[str, int], ...] | None
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
+class CohomologyTable(NamedTuple):
     group: str
     k: int
     convention: str
@@ -263,23 +261,34 @@ def first_cohomology_dim(d: WeylDatum, k: int) -> int:
     return k * d.pi1_rank
 
 
-@dataclass(frozen=True)
 class StabilityQuery:
     """Which rank parameter makes a given degree independent of the rank."""
 
-    family: str
-    degree: int
-    k: int
+    __slots__ = ("family", "degree", "k")
 
-    def __post_init__(self):
-        family = self.family.lower()
+    def __init__(self, family: str, degree: int, k: int):
+        family = family.lower()
         if family not in ("u", "su", "sp"):
             raise ValueError("family must be one of u, su, sp")
-        object.__setattr__(self, "family", family)
-        if self.degree < 0:
+        if degree < 0:
             raise ValueError("degree must be nonnegative")
-        if self.k < 1:
+        if k < 1:
             raise ValueError("k must be at least 1")
+        self.family = family
+        self.degree = degree
+        self.k = k
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.family == other.family
+            and self.degree == other.degree
+            and self.k == other.k
+        )
+
+    def __hash__(self):
+        return hash((self.family, self.degree, self.k))
 
 
 def _ceil_half(value: int) -> int:
@@ -450,16 +459,14 @@ def unordered_conf2_dims(
 # verification
 
 
-@dataclass(frozen=True)
-class VerifyCheck:
+class VerifyCheck(NamedTuple):
     name: str
     status: str
     expected: str
     got: str
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     convention: str
     checks: tuple[VerifyCheck, ...]
 

@@ -23,8 +23,8 @@ cohomology stops matching the fundamental-group rank.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .freegroup import (
     FreeGroupModule,
@@ -137,8 +137,7 @@ def conf3_torus_rank2(d: WeylDatum) -> GradedCharacter:
     return kunneth(torus_character(d), conf2_torus_minus_point_rank2(d))
 
 
-@dataclass(frozen=True)
-class CircleConfSummary:
+class CircleConfSummary(NamedTuple):
     """Configurations of k distinct points on the circle.
 
     The space deformation retracts to (k-1)! disjoint circles, one per
@@ -176,8 +175,7 @@ def circle_conf(k: int) -> CircleConfSummary:
     )
 
 
-@dataclass(frozen=True)
-class SU2ConfSummary:
+class SU2ConfSummary(NamedTuple):
     """Commuting k-tuples of pairwise-distinct elements in the rank-1 group.
 
     Commuting tuples land in a common maximal circle, so components follow

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import factorial, prod
@@ -126,31 +125,49 @@ _NAMED_CHARACTERS = {
 }
 
 
-@dataclass(frozen=True)
 class LieFactor:
     """One factor of a supported product, with its Weyl group's classes.
 
-    Derived attributes, set at construction and excluded from eq/repr:
-    ``group`` (classes labelled by signed cycle type), ``torus_polys``
-    (det(1 + t w) per class), ``molien_denominators`` (det(1 - q w) per
-    class) and ``catalog`` (the named irreducibles of S1, S2, S3, B1 and
-    B2; None for larger Weyl groups).
+    Five values name a factor: ``kind``, ``tag``, ``rank``, ``degrees`` and
+    ``pi1_rank``; equality and hashing use those alone.  The constructor
+    derives the rest from them: ``group`` (classes labelled by signed cycle
+    type), ``torus_polys`` (det(1 + t w) per class), ``molien_denominators``
+    (det(1 - q w) per class) and ``catalog`` (the named irreducibles of S1,
+    S2, S3, B1 and B2; None for larger Weyl groups).
     """
 
-    kind: str
-    tag: str
-    rank: int
-    degrees: tuple[int, ...]
-    pi1_rank: int
+    __slots__ = (
+        "kind",
+        "tag",
+        "rank",
+        "degrees",
+        "pi1_rank",
+        "group",
+        "torus_polys",
+        "molien_denominators",
+        "catalog",
+    )
 
-    def __post_init__(self):
-        if self.kind == "circle" and self.degrees:
+    def __init__(
+        self,
+        kind: str,
+        tag: str,
+        rank: int,
+        degrees: tuple[int, ...],
+        pi1_rank: int,
+    ):
+        if kind == "circle" and degrees:
             raise UnsupportedDatum("a circle factor has no invariant degrees")
-        if self.kind != "circle" and len(self.degrees) != self.rank:
+        if kind != "circle" and len(degrees) != rank:
             raise UnsupportedDatum("one invariant degree per rank required")
-        signed = self.kind == "symplectic"
+        self.kind = kind
+        self.tag = tag
+        self.rank = rank
+        self.degrees = degrees
+        self.pi1_rank = pi1_rank
+        signed = kind == "symplectic"
         # the Weyl group is S_n or B_n; SU(n) acts on a rank n - 1 torus
-        n = self.rank + 1 if self.kind == "special_unitary" else self.rank
+        n = rank + 1 if kind == "special_unitary" else rank
         if signed:
             types = tuple(
                 (alpha, beta)
@@ -169,14 +186,14 @@ class LieFactor:
                 for a, b in types
             ),
         )
-        if self.kind != "circle" and prod(self.degrees) != group.order:
+        if kind != "circle" and prod(degrees) != group.order:
             raise UnsupportedDatum(
-                f"invariant degrees {self.degrees} do not multiply to the "
+                f"invariant degrees {degrees} do not multiply to the "
                 f"Weyl group order {group.order}"
             )
         torus = [_det_one_minus(t, -1) for t in types]
         molien = [_det_one_minus(t, 1) for t in types]
-        if self.kind == "special_unitary":
+        if kind == "special_unitary":
             # drop the trivial summand of the permutation representation
             one_plus_t = RationalPolynomial((1, 1))
             one_minus_q = RationalPolynomial((1, -1))
@@ -194,11 +211,26 @@ class LieFactor:
                     for f in named.values()
                 ),
             )
-        # not dataclass fields: derived, cached, excluded from eq/repr
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "torus_polys", tuple(torus))
-        object.__setattr__(self, "molien_denominators", tuple(molien))
-        object.__setattr__(self, "catalog", catalog)
+        self.group = group
+        self.torus_polys = tuple(torus)
+        self.molien_denominators = tuple(molien)
+        self.catalog = catalog
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.kind == other.kind
+            and self.tag == other.tag
+            and self.rank == other.rank
+            and self.degrees == other.degrees
+            and self.pi1_rank == other.pi1_rank
+        )
+
+    def __hash__(self):
+        return hash(
+            (self.kind, self.tag, self.rank, self.degrees, self.pi1_rank)
+        )
 
 
 def circle() -> LieFactor:
@@ -299,28 +331,38 @@ def datum(tag: str) -> WeylDatum:
     return WeylDatum(parse_tag(tag))
 
 
-@dataclass(frozen=True)
 class GradedCharacter:
     """A finitely supported sequence of class functions, one per degree."""
 
-    group: FiniteGroup
-    support: tuple[tuple[int, ClassFunction], ...]
+    __slots__ = ("group", "support")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        group: FiniteGroup,
+        support: Sequence[tuple[int, ClassFunction]],
+    ):
         merged: dict[int, ClassFunction] = {}
-        for degree, cf in self.support:
+        for degree, cf in support:
             if degree < 0 or degree != int(degree):
                 raise ValueError("degrees must be nonnegative integers")
-            if cf.group != self.group:
+            if cf.group != group:
                 raise GroupMismatch("graded piece over a foreign group")
             if degree in merged:
                 merged[degree] = merged[degree] + cf
             else:
                 merged[degree] = cf
-        cleaned = tuple(
+        self.group = group
+        self.support = tuple(
             (d, merged[d]) for d in sorted(merged) if not merged[d].is_zero()
         )
-        object.__setattr__(self, "support", cleaned)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.group == other.group and self.support == other.support
+
+    def __hash__(self):
+        return hash((self.group, self.support))
 
     @classmethod
     def unit(cls, group: FiniteGroup) -> "GradedCharacter":

@@ -1,7 +1,6 @@
 """Assembled tables, stability bounds, unordered pairs, verification."""
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -25,7 +24,7 @@ from confab.tables import (
     verify_all,
 )
 from confab.rings import hilbert_series, invariant_subring_dims
-from confab.weyl import UnsupportedDatum, WeylDatum, datum, symplectic
+from confab.weyl import LieFactor, UnsupportedDatum, WeylDatum, datum
 
 
 class TestTables:
@@ -188,7 +187,8 @@ class TestUnordered:
 
 def corrupt_symplectic_datum():
     """Degrees (1, 8) multiply to the group order but are not fundamental."""
-    return WeylDatum((replace(symplectic(2), degrees=(1, 8)),), tag="Sp2")
+    factor = LieFactor("symplectic", "Sp2", 2, (1, 8), 0)
+    return WeylDatum((factor,), tag="Sp2")
 
 
 class TestVerify:

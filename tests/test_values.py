@@ -1,0 +1,245 @@
+"""Value semantics of confab's records and validated types, and import cost.
+
+Records are ``NamedTuple``s; validated types are plain classes whose
+``__init__`` checks their input and whose equality and hash are taken over
+the values that name an instance.  The import guard keeps modules that
+confab does not need out of every cold ``confab`` process.
+"""
+
+import json
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from confab import StabilityQuery, conf_ab_table, datum, stable_bound
+from confab.cli import Document
+from confab.exact import QMatrix, RationalPolynomial
+from confab.freegroup import (
+    FreeGroupModule,
+    InvariantViolation,
+    coordinate_quotient,
+    h1_f2,
+)
+from confab.groups import ClassFunction, FiniteGroup, GroupMismatch
+from confab.rings import GeneratorAutomorphism, RingPresentation
+from confab.tables import CohomologyTable, TableRow, VerifyCheck, VerifyReport
+from confab.torusconf import circle_conf, su2_conf
+from confab.weyl import (
+    GradedCharacter,
+    LieFactor,
+    UnsupportedDatum,
+    symplectic,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def z2():
+    return FiniteGroup(("e", "s"), (1, 1))
+
+
+def swap_module():
+    eye = QMatrix.identity(2)
+    return FreeGroupModule(eye, eye, QMatrix.from_rows([[0, 1], [1, 0]]))
+
+
+def table_row():
+    return TableRow(2, 1, (("1", 1), ("σ", 1)))
+
+
+def verify_check():
+    return VerifyCheck("table2-U2", "PASS", "(1, 2)", "(1, 2)")
+
+
+# each factory returns a new instance with the same field values
+FACTORIES = {
+    "RationalPolynomial": lambda: RationalPolynomial((1, Fraction(1, 2), 0)),
+    "QMatrix": lambda: QMatrix(2, 2, (1, 0, Fraction(4, 2), 1)),
+    "FiniteGroup": z2,
+    "ClassFunction": lambda: ClassFunction(z2(), (1, -1)),
+    "LieFactor": lambda: symplectic(2),
+    "GradedCharacter": lambda: GradedCharacter(
+        z2(),
+        ((1, ClassFunction(z2(), (1, -1))), (0, ClassFunction.trivial(z2()))),
+    ),
+    "RingPresentation": lambda: RingPresentation(
+        (("a", 1), ("b", 2)), ((1, 0), (0, 1))
+    ),
+    "StabilityQuery": lambda: StabilityQuery("U", 2, 9),
+    "FreeGroupModule": swap_module,
+    "TableRow": table_row,
+    "CohomologyTable": lambda: CohomologyTable(
+        "U2", 2, "derived", (table_row(),)
+    ),
+    "VerifyCheck": verify_check,
+    "VerifyReport": lambda: VerifyReport("derived", (verify_check(),)),
+    "CircleConfSummary": lambda: circle_conf(4),
+    "SU2ConfSummary": lambda: su2_conf(3),
+    "Document": lambda: Document({"k": 3}, ["k"], [[3]], "3\n", 0),
+    "CoordinateQuotient": lambda: coordinate_quotient(3, [(1, 1, 1)]),
+    "H1FreeGroup": lambda: h1_f2(swap_module()),
+    "GeneratorAutomorphism": lambda: GeneratorAutomorphism.build(
+        {"a": [(1, "b")], "b": [(1, "a")]}
+    ),
+}
+
+
+# a document carries a dict payload and lists, so it is compared, never hashed
+UNHASHABLE = {"Document"}
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_equal_fields_are_equal_and_hash_alike(name):
+    first, second = FACTORIES[name](), FACTORIES[name]()
+    assert first is not second
+    assert type(first).__name__ == name
+    assert first == second
+    assert not first != second
+    if name not in UNHASHABLE:
+        assert hash(first) == hash(second)
+
+
+def test_different_fields_are_unequal():
+    assert RationalPolynomial((1, 2)) != RationalPolynomial((1, 3))
+    assert QMatrix(1, 2, (1, 2)) != QMatrix(2, 1, (1, 2))
+    assert StabilityQuery("u", 2, 9) != StabilityQuery("u", 2, 8)
+    assert symplectic(2) != symplectic(3)
+    assert RationalPolynomial((1,)) != (1,)
+
+
+def test_lie_factor_equality_ignores_derived_attributes():
+    stripped = symplectic(2)
+    stripped.group = z2()
+    stripped.torus_polys = ()
+    stripped.molien_denominators = ()
+    stripped.catalog = None
+    assert stripped == symplectic(2)
+    assert hash(stripped) == hash(symplectic(2))
+    assert LieFactor("symplectic", "Sp2'", 2, (2, 4), 0) != symplectic(2)
+
+
+def test_construction_normalises_fields():
+    assert RationalPolynomial((1, 0, 0)).coeffs == (1,)
+    assert QMatrix(1, 1, (Fraction(4, 2),)).entries == (2,)
+    assert type(QMatrix(1, 1, (Fraction(4, 2),)).entries[0]) is int
+    assert StabilityQuery("SP", 1, 1).family == "sp"
+    pres = RingPresentation((("a", 1), ("b", 1)), ((1, 0), (0, 1)))
+    assert pres.forbidden == ((0, 1),)
+    piece = ClassFunction(z2(), (1, 1))
+    graded = GradedCharacter(z2(), ((1, piece), (0, piece), (1, piece)))
+    assert graded.support == ((0, piece), (1, piece.scale(2)))
+
+
+EYE2 = QMatrix.identity(2)
+
+REJECTED = [
+    ("negative dimensions", lambda: QMatrix(-1, 0, ()), ValueError),
+    ("entry count", lambda: QMatrix(2, 2, (1, 2, 3)), ValueError),
+    ("float entry", lambda: QMatrix(1, 1, (0.5,)), TypeError),
+    ("float coefficient", lambda: RationalPolynomial((1, 0.5)), TypeError),
+    ("no classes", lambda: FiniteGroup((), ()), ValueError),
+    ("identity first", lambda: FiniteGroup(("s", "e"), (2, 1)), ValueError),
+    ("value count", lambda: ClassFunction(z2(), (1,)), ValueError),
+    ("float value", lambda: ClassFunction(z2(), (1, 0.5)), TypeError),
+    (
+        "circle degrees",
+        lambda: LieFactor("circle", "S1", 1, (1,), 1),
+        UnsupportedDatum,
+    ),
+    (
+        "degree count",
+        lambda: LieFactor("unitary", "U2", 2, (2,), 1),
+        UnsupportedDatum,
+    ),
+    (
+        "degree product",
+        lambda: LieFactor("unitary", "U2", 2, (1, 3), 1),
+        UnsupportedDatum,
+    ),
+    (
+        "negative degree",
+        lambda: GradedCharacter(
+            z2(), ((-1, ClassFunction.trivial(z2())),)
+        ),
+        ValueError,
+    ),
+    (
+        "foreign piece",
+        lambda: GradedCharacter(
+            z2(), ((0, ClassFunction.trivial(FiniteGroup(("e",), (1,)))),)
+        ),
+        GroupMismatch,
+    ),
+    (
+        "duplicate label",
+        lambda: RingPresentation((("a", 1), ("a", 2)), ()),
+        ValueError,
+    ),
+    ("degree zero", lambda: RingPresentation((("a", 0),), ()), ValueError),
+    (
+        "bad pair",
+        lambda: RingPresentation((("a", 1), ("b", 1)), ((0, 0),)),
+        ValueError,
+    ),
+    ("family", lambda: StabilityQuery("g2", 1, 2), ValueError),
+    ("degree", lambda: StabilityQuery("u", -1, 2), ValueError),
+    ("k", lambda: StabilityQuery("u", 1, 0), ValueError),
+    (
+        "action sizes",
+        lambda: FreeGroupModule(EYE2, QMatrix.identity(3)),
+        InvariantViolation,
+    ),
+    (
+        "singular action",
+        lambda: FreeGroupModule(EYE2, QMatrix.zero(2, 2)),
+        InvariantViolation,
+    ),
+    (
+        "involution square",
+        lambda: FreeGroupModule(
+            EYE2, EYE2, QMatrix.from_rows([[1, 1], [0, 1]])
+        ),
+        InvariantViolation,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [case[1:] for case in REJECTED],
+    ids=[case[0] for case in REJECTED],
+)
+def test_construction_checks_still_raise(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_readme_library_example():
+    table = conf_ab_table(datum("Sp2"), k=2)
+    assert table.dims() == (1, 0, 1, 2, 0, 1, 2, 2, 0, 1, 2)
+    assert repr(table.rows[2]) == (
+        "TableRow(degree=2, dimension=1, "
+        "decomposition=(('1', 1), ('a', 1), ('b', 1), ('c', 2), ('d', 1)))"
+    )
+    assert stable_bound(StabilityQuery("u", degree=2, k=9)) == 5
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # -S keeps site and .pth files from importing either module first
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import confab.cli\n"
+        "print(json.dumps([m for m in ('dataclasses', 'inspect') "
+        "if m in sys.modules]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(result.stdout) == []
