@@ -360,22 +360,6 @@ def rank(matrix: QMatrix) -> int:
     return len(pivots)
 
 
-def kernel_basis(matrix: QMatrix) -> list[tuple[int | Fraction, ...]]:
-    """Basis of the null space, one vector per free column, ascending."""
-    rows, pivots = _eliminate(matrix)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(matrix.cols):
-        if free in pivot_set:
-            continue
-        vec = [0] * matrix.cols
-        vec[free] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][free]
-        basis.append(as_exact_tuple(vec))
-    return basis
-
-
 def det(matrix: QMatrix) -> int | Fraction:
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")

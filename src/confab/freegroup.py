@@ -279,13 +279,3 @@ def h1_f2(module: FreeGroupModule) -> H1FreeGroup:
                 rows[n + i][j] = alpha.entry(i, j)
         induced = quotient.induced(QMatrix.from_rows(rows))
     return H1FreeGroup(quotient.dim, quotient.survivors, quotient, induced)
-
-
-def fixed_space_dim(module: FreeGroupModule) -> int:
-    """Dimension of the simultaneous fixed space of both generator actions."""
-    n = module.dim
-    eye = QMatrix.identity(n)
-    stacked = QMatrix.from_rows(
-        module.a_action.sub(eye).to_rows() + module.b_action.sub(eye).to_rows()
-    )
-    return n - rank(stacked)

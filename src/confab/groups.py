@@ -90,10 +90,6 @@ class ClassFunction:
     def trivial(cls, group: FiniteGroup) -> "ClassFunction":
         return cls(group, (1,) * len(group.classes))
 
-    @classmethod
-    def zero(cls, group: FiniteGroup) -> "ClassFunction":
-        return cls(group, (0,) * len(group.classes))
-
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         if self.group != other.group:
             raise GroupMismatch("class functions over different groups")

@@ -51,10 +51,10 @@ from .torusconf import (
     su2_conf,
 )
 from .weyl import (
-    CONVENTIONS,
     GradedCharacter,
     UnsupportedDatum,
     WeylDatum,
+    check_convention,
     datum,
     flag_character,
     invariant_dims,
@@ -318,16 +318,10 @@ def _ring_tag(tag: str) -> str:
     return canonical
 
 
-def _check_convention(convention: str) -> str:
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    return convention
-
-
 def conf2_ring(tag: str, convention: str = "derived") -> RingPresentation:
     """Presentation of the pair-configuration cohomology ring."""
     canonical = _ring_tag(tag)
-    convention = _check_convention(convention)
+    check_convention(convention)
     if canonical == "U2":
         return RingPresentation.build(
             (("b1", 1), ("c1", 1), ("d2", 2), ("e3", 3), ("f3", 3)),
@@ -359,7 +353,7 @@ def conf2_ring_involution(
 ) -> GeneratorAutomorphism:
     """The unordering involution (swap of the two points) on the pair ring."""
     canonical = _ring_tag(tag)
-    _check_convention(convention)
+    check_convention(convention)
     if canonical == "U2":
         return GeneratorAutomorphism.build(
             {
@@ -386,7 +380,7 @@ def unordered_conf2_ring(
 ) -> RingPresentation:
     """Closed-form presentation of the unordered-pair cohomology."""
     canonical = _ring_tag(tag)
-    convention = _check_convention(convention)
+    check_convention(convention)
     if canonical == "U2":
         return RingPresentation.build((("r1", 1), ("s3", 3)))
     if convention == "paper":
@@ -408,7 +402,7 @@ def _unordered_model(
     fixed subspace is the unordered cohomology.
     """
     canonical = _ring_tag(tag)
-    convention = _check_convention(convention)
+    check_convention(convention)
     torus_gens = (("x1", 1), ("y1", 1), ("z1", 1), ("w1", 1))
     swap_images = {
         "x1": ((1, "x1"), (1, "z1")),
@@ -611,7 +605,7 @@ def verify_all(convention: str = "derived", data=None) -> VerifyReport:
     datum, table, flag character and pair character is computed once; the
     cache belongs to this call, so an override never reaches another report.
     """
-    convention = _check_convention(convention)
+    check_convention(convention)
     overrides = data or {}
 
     @cache
@@ -633,7 +627,8 @@ def verify_all(convention: str = "derived", data=None) -> VerifyReport:
     def conf2_text(tag: str) -> str:
         catalog = get(tag).catalog
         return _conf2_text(
-            decompose(conf2(tag).piece(n), catalog) for n in range(4)
+            decompose(conf2(tag).piece(n), catalog)
+            for n in range(conf2(tag).top + 1)
         )
 
     def flag_text(tag: str) -> str:

@@ -26,6 +26,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
+from .exact import RationalPolynomial
 from .freegroup import (
     FreeGroupModule,
     abelianized_matrix,
@@ -34,7 +35,6 @@ from .freegroup import (
     coordinate_quotient,
     h1_f2,
 )
-from .groups import ClassFunction
 from .weyl import (
     GradedCharacter,
     UnsupportedDatum,
@@ -82,7 +82,7 @@ def conf2_torus(d: WeylDatum) -> GradedCharacter:
     full = torus_character(d)
     truncated = GradedCharacter(
         d.group,
-        tuple((deg, cf) for deg, cf in full.support if deg < d.rank),
+        tuple(RationalPolynomial(p.coeffs[: d.rank]) for p in full.traces),
     )
     return kunneth(full, truncated)
 
@@ -100,22 +100,18 @@ def _require_rank2_swap(d: WeylDatum) -> None:
 def conf2_torus_minus_point_rank2(d: WeylDatum) -> GradedCharacter:
     """Character of pairs of distinct points in the punctured rank-2 torus.
 
-    Values are (dimension, swap trace) per degree.  Requires the datum whose
-    Weyl element is the coordinate swap; the derivation of the monodromy
-    words is written in that basis.
+    The graded traces are 1 + dim H^1 t + dim H^2 t^2 on the identity class
+    and 1 + tr(alpha | H^1) t + tr(alpha | H^2) t^2 on the coordinate swap
+    alpha.  Requires the datum whose Weyl element is that swap; the
+    derivation of the monodromy words is written in that basis.
     """
     _require_rank2_swap(d)
-    group = d.group
-    h0 = ClassFunction.trivial(group)
 
     # degree 1: abelianized presentation; only the braiding generator dies
     rows = abelianized_relation_rows(BIRMAN_GENERATORS, BIRMAN_RELATORS)
     quotient = coordinate_quotient(len(BIRMAN_GENERATORS), rows)
     alpha_h1 = quotient.induced(
         abelianized_matrix(BIRMAN_GENERATORS, ALPHA_BIRMAN)
-    )
-    h1 = ClassFunction(
-        group, (quotient.dim, contragredient(alpha_h1).trace())
     )
 
     # degree 2: H^1 of the free group on the base loops with coefficients in
@@ -127,8 +123,15 @@ def conf2_torus_minus_point_rank2(d: WeylDatum) -> GradedCharacter:
         contragredient(a_h), contragredient(a_v), contragredient(alpha)
     )
     top = h1_f2(module)
-    h2 = ClassFunction(group, (top.dim, top.involution.trace()))
-    return GradedCharacter(group, ((0, h0), (1, h1), (2, h2)))
+    return GradedCharacter(
+        d.group,
+        (
+            RationalPolynomial((1, quotient.dim, top.dim)),
+            RationalPolynomial(
+                (1, contragredient(alpha_h1).trace(), top.involution.trace())
+            ),
+        ),
+    )
 
 
 def conf3_torus_rank2(d: WeylDatum) -> GradedCharacter:

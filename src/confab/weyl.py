@@ -22,12 +22,15 @@ contributes the factor 1 - e x^l to det(1 - x w) (Solomon, "Invariants of
 finite reflection groups", 1963), so both polynomials below come straight
 from the cycle type.
 
-Cohomology enters through two graded characters: the exterior algebra of the
-torus (coefficients of det(1 + t w), degree i in cohomological degree i) and
-the coinvariant algebra of the flag manifold (the Molien quotient
-prod(1 - q^d_i) / det(1 - q w), q^m in cohomological degree 2m).  The Molien
-division must be exact; a nonzero remainder means the degree list is corrupt
-and surfaces as NonZeroRemainder rather than silently wrong dimensions.
+Cohomology enters as graded characters, stored as one graded trace
+sum_n tr(w | H^n) t^n per conjugacy class.  The exterior algebra of the torus
+has trace det(1 + t w); the coinvariant algebra of the flag manifold has the
+Molien quotient prod(1 - q^d_i) / det(1 - q w) with q = t^2, so its
+cohomology sits in even degrees.  A product class's trace is the product of its factor
+classes' traces, and the Kunneth product multiplies traces class by class.
+The Molien division must be exact; a nonzero remainder means the degree list
+is corrupt and surfaces as NonZeroRemainder rather than silently wrong
+dimensions.
 """
 
 from __future__ import annotations
@@ -57,6 +60,12 @@ from .groups import (
 )
 
 CONVENTIONS = ("derived", "paper")
+
+
+def check_convention(convention: str) -> None:
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+
 
 # a signed cycle type: lengths of the positive cycles, of the negative cycles
 CycleType = tuple[tuple[int, ...], tuple[int, ...]]
@@ -332,66 +341,59 @@ def datum(tag: str) -> WeylDatum:
 
 
 class GradedCharacter:
-    """A finitely supported sequence of class functions, one per degree."""
+    """Graded traces of a group on a finite graded space, one per class.
 
-    __slots__ = ("group", "support")
+    ``traces`` holds, in the group's class order, the polynomial
+    sum_n tr(g | H^n) t^n for an element g of each class; the identity's
+    trace counts dimensions.  The degree-n piece is the class function of
+    the t^n coefficients.
+    """
+
+    __slots__ = ("group", "traces")
 
     def __init__(
-        self,
-        group: FiniteGroup,
-        support: Sequence[tuple[int, ClassFunction]],
+        self, group: FiniteGroup, traces: Sequence[RationalPolynomial]
     ):
-        merged: dict[int, ClassFunction] = {}
-        for degree, cf in support:
-            if degree < 0 or degree != int(degree):
-                raise ValueError("degrees must be nonnegative integers")
-            if cf.group != group:
-                raise GroupMismatch("graded piece over a foreign group")
-            if degree in merged:
-                merged[degree] = merged[degree] + cf
-            else:
-                merged[degree] = cf
+        traces = tuple(traces)
+        if len(traces) != len(group.classes):
+            raise ValueError("one graded trace per conjugacy class required")
         self.group = group
-        self.support = tuple(
-            (d, merged[d]) for d in sorted(merged) if not merged[d].is_zero()
-        )
+        self.traces = traces
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.group == other.group and self.support == other.support
+        return self.group == other.group and self.traces == other.traces
 
     def __hash__(self):
-        return hash((self.group, self.support))
+        return hash((self.group, self.traces))
 
     @classmethod
     def unit(cls, group: FiniteGroup) -> "GradedCharacter":
-        return cls(group, ((0, ClassFunction.trivial(group)),))
-
-    @classmethod
-    def from_dict(
-        cls, group: FiniteGroup, pieces: dict[int, ClassFunction]
-    ) -> "GradedCharacter":
-        return cls(group, tuple(pieces.items()))
+        return cls(group, (RationalPolynomial.one(),) * len(group.classes))
 
     @property
     def top(self) -> int:
-        return self.support[-1][0] if self.support else -1
+        return max(trace.degree for trace in self.traces)
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.support)
+        return tuple(
+            n
+            for n in range(self.top + 1)
+            if any(trace.coefficient(n) for trace in self.traces)
+        )
 
     def piece(self, degree: int) -> ClassFunction:
-        for d, cf in self.support:
-            if d == degree:
-                return cf
-        return ClassFunction.zero(self.group)
+        return ClassFunction(
+            self.group, tuple(trace.coefficient(degree) for trace in self.traces)
+        )
 
     def dims(self) -> dict[int, int]:
         """Total dimension per degree, 0..top inclusive."""
+        identity = self.traces[0]
         out = {}
         for degree in range(self.top + 1):
-            value = self.piece(degree).dim
+            value = identity.coefficient(degree)
             if value.denominator != 1:
                 raise NotACharacter(f"non-integral dimension in degree {degree}")
             out[degree] = int(value)
@@ -402,96 +404,83 @@ class GradedCharacter:
 
 
 def kunneth(a: GradedCharacter, b: GradedCharacter) -> GradedCharacter:
-    """Graded tensor product: degreewise convolution of class functions."""
+    """Graded tensor product: graded traces multiply class by class."""
     if a.group != b.group:
         raise GroupMismatch("tensor of graded characters over different groups")
-    pieces: list[tuple[int, ClassFunction]] = []
-    for d1, c1 in a.support:
-        for d2, c2 in b.support:
-            pieces.append((d1 + d2, c1 * c2))
-    return GradedCharacter(a.group, tuple(pieces))
+    return GradedCharacter(
+        a.group, tuple(p * q for p, q in zip(a.traces, b.traces))
+    )
 
 
-def torus_character(d: WeylDatum) -> GradedCharacter:
-    """Exterior algebra on degree-1 classes: coefficients of det(1 + t g)."""
-    group = d.group
-    polys = [
+def _product_traces(
+    d: WeylDatum, factor_traces: Sequence[Sequence[RationalPolynomial]]
+) -> tuple[RationalPolynomial, ...]:
+    # the trace of a product class is the product of its factor classes'
+    return tuple(
         prod(
-            (f.torus_polys[i] for f, i in zip(d.factors, cls)),
+            (traces[i] for traces, i in zip(factor_traces, cls)),
             start=RationalPolynomial.one(),
         )
         for cls in d.class_factor_classes
-    ]
-    pieces = []
-    for degree in range(d.rank + 1):
-        pieces.append(
-            (
-                degree,
-                ClassFunction(
-                    group, tuple(p.coefficient(degree) for p in polys)
-                ),
-            )
-        )
-    return GradedCharacter(group, tuple(pieces))
+    )
 
 
-def _factor_flag_values(
+def torus_character(d: WeylDatum) -> GradedCharacter:
+    """Exterior algebra on degree-1 classes: det(1 + t g) per class."""
+    return GradedCharacter(
+        d.group, _product_traces(d, [f.torus_polys for f in d.factors])
+    )
+
+
+def _factor_flag_traces(
     factor: LieFactor, convention: str, has_noncircle: bool
-) -> dict[int, tuple[int, ...]]:
-    """Cohomology of one factor's flag piece, per factor class, by degree."""
+) -> tuple[RationalPolynomial, ...]:
+    """Graded traces on one factor's flag cohomology, per factor class."""
     if factor.kind == "circle":
         # the quotient of a circle by its maximal torus is a point; the
         # alternative convention treats the circle factor as carried along,
         # contributing a degree-1 class, but only in genuinely mixed products
-        values = {0: (1,)}
         if convention == "paper" and has_noncircle:
-            values[1] = (1,)
-        return values
+            return (RationalPolynomial((1, 1)),)
+        return (RationalPolynomial.one(),)
     numerator = RationalPolynomial.one()
     for deg in factor.degrees:
         numerator = numerator * (
             RationalPolynomial.one()
             + RationalPolynomial.monomial(deg, -1)
         )
-    quotients = [
-        poly_div_exact(numerator, denominator)
+    # q^m sits in cohomological degree 2m: substitute q = t^2
+    return tuple(
+        RationalPolynomial(
+            tuple(
+                c
+                for coefficient in poly_div_exact(numerator, denominator).coeffs
+                for c in (coefficient, 0)
+            )
+        )
         for denominator in factor.molien_denominators
-    ]
-    top = max(q.degree for q in quotients)
-    return {
-        2 * m: tuple(q.coefficient(m) for q in quotients)
-        for m in range(top + 1)
-    }
+    )
 
 
 def flag_character(d: WeylDatum, convention: str = "derived") -> GradedCharacter:
     """Coinvariant-algebra character of the product flag manifold.
 
-    Molien quotient per factor class, assembled across factors by outer
-    tensor.  ``convention`` only affects circle factors inside mixed
-    products; see ``_factor_flag_values``.
+    Molien quotient per factor class, multiplied across factors.
+    ``convention`` only affects circle factors inside mixed products; see
+    ``_factor_flag_traces``.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    group = d.group
-    n_classes = len(group.classes)
+    check_convention(convention)
     has_noncircle = any(f.kind != "circle" for f in d.factors)
-    acc: dict[int, list[int]] = {0: [1] * n_classes}
-    for fi, factor in enumerate(d.factors):
-        factor_values = _factor_flag_values(factor, convention, has_noncircle)
-        new: dict[int, list[int]] = {}
-        for deg, values in acc.items():
-            for fdeg, fvals in factor_values.items():
-                target = new.setdefault(deg + fdeg, [0] * n_classes)
-                for ci in range(n_classes):
-                    fc = d.class_factor_classes[ci][fi]
-                    target[ci] += values[ci] * fvals[fc]
-        acc = new
-    pieces = tuple(
-        (deg, ClassFunction(group, tuple(vals)))
-        for deg, vals in sorted(acc.items())
+    return GradedCharacter(
+        d.group,
+        _product_traces(
+            d,
+            [
+                _factor_flag_traces(f, convention, has_noncircle)
+                for f in d.factors
+            ],
+        ),
     )
-    return GradedCharacter(group, pieces)
 
 
 def invariant_dims(gc: GradedCharacter) -> dict[int, int]:

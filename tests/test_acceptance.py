@@ -12,12 +12,11 @@ from math import factorial
 
 import pytest
 
-from confab.exact import QMatrix, kernel_basis, rank, rref
+from confab.exact import QMatrix, rank, rref
 from confab.freegroup import (
     FreeGroupModule,
     abelianized_matrix,
     contragredient,
-    fixed_space_dim,
     h1_f2,
 )
 from confab.groups import decompose, inner_product
@@ -55,6 +54,7 @@ from confab.weyl import (
     symplectic,
     unitary,
 )
+from oracles import fixed_space_dim, kernel_basis
 
 
 def multisets(d, gc):

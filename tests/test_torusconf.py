@@ -9,7 +9,6 @@ from confab.freegroup import (
     FreeGroupModule,
     abelianized_matrix,
     contragredient,
-    fixed_space_dim,
     h1_f2,
 )
 from confab.groups import decompose, format_decomposition
@@ -25,6 +24,7 @@ from confab.torusconf import (
     su2_conf,
 )
 from confab.weyl import UnsupportedDatum, datum
+from oracles import fixed_space_dim
 
 
 def dec_by_degree(d, gc):

@@ -23,7 +23,7 @@ from confab.freegroup import (
     coordinate_quotient,
     h1_f2,
 )
-from confab.groups import ClassFunction, FiniteGroup, GroupMismatch
+from confab.groups import ClassFunction, FiniteGroup
 from confab.rings import GeneratorAutomorphism, RingPresentation
 from confab.tables import CohomologyTable, TableRow, VerifyCheck, VerifyReport
 from confab.torusconf import circle_conf, su2_conf
@@ -62,8 +62,7 @@ FACTORIES = {
     "ClassFunction": lambda: ClassFunction(z2(), (1, -1)),
     "LieFactor": lambda: symplectic(2),
     "GradedCharacter": lambda: GradedCharacter(
-        z2(),
-        ((1, ClassFunction(z2(), (1, -1))), (0, ClassFunction.trivial(z2()))),
+        z2(), (RationalPolynomial((1, 1)), RationalPolynomial((1, -1)))
     ),
     "RingPresentation": lambda: RingPresentation(
         (("a", 1), ("b", 2)), ((1, 0), (0, 1))
@@ -128,9 +127,6 @@ def test_construction_normalises_fields():
     assert StabilityQuery("SP", 1, 1).family == "sp"
     pres = RingPresentation((("a", 1), ("b", 1)), ((1, 0), (0, 1)))
     assert pres.forbidden == ((0, 1),)
-    piece = ClassFunction(z2(), (1, 1))
-    graded = GradedCharacter(z2(), ((1, piece), (0, piece), (1, piece)))
-    assert graded.support == ((0, piece), (1, piece.scale(2)))
 
 
 EYE2 = QMatrix.identity(2)
@@ -160,18 +156,9 @@ REJECTED = [
         UnsupportedDatum,
     ),
     (
-        "negative degree",
-        lambda: GradedCharacter(
-            z2(), ((-1, ClassFunction.trivial(z2())),)
-        ),
+        "trace count",
+        lambda: GradedCharacter(z2(), (RationalPolynomial.one(),)),
         ValueError,
-    ),
-    (
-        "foreign piece",
-        lambda: GradedCharacter(
-            z2(), ((0, ClassFunction.trivial(FiniteGroup(("e",), (1,)))),)
-        ),
-        GroupMismatch,
     ),
     (
         "duplicate label",

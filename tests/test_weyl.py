@@ -168,6 +168,26 @@ class TestKunneth:
         assert dims[2] == 2 * 1 * 1 + 2 * 2
         assert square.total_dim() == 16
 
+    @pytest.mark.parametrize("tag", LADDER + ("U2xU2", "S1xSU2xSp1"))
+    def test_pieces_convolve(self, tag):
+        # the degree-n piece of a tensor product is the sum over i + j = n
+        # of the products of the degree-i and degree-j pieces
+        d = datum(tag)
+        flag, conf = flag_character(d), conf2_torus(d)
+        total = kunneth(flag, conf)
+        top = flag.top + conf.top
+        for n in range(top + 2):
+            expected = flag.piece(0) * conf.piece(n)
+            for i in range(1, n + 1):
+                expected = expected + flag.piece(i) * conf.piece(n - i)
+            assert total.piece(n) == expected, (tag, n)
+        # the flag character vanishes in odd degrees unless a circle is
+        # carried along, so its degrees have gaps
+        for gc in (flag, conf, total):
+            assert gc.degrees() == tuple(
+                n for n in range(top + 2) if not gc.piece(n).is_zero()
+            )
+
 
 class TestInvariants:
     def test_torus_invariants(self):
@@ -201,5 +221,5 @@ def test_character_values_are_ints(tag):
         conf2_torus(d),
     )
     for gc in characters:
-        for _, cf in gc.support:
-            assert all(type(v) is int for v in cf.values), (tag, cf.values)
+        for trace in gc.traces:
+            assert all(type(c) is int for c in trace.coeffs), (tag, trace)
