@@ -10,7 +10,8 @@ here is computed in exact rational arithmetic; ``verify_all`` (or the
 The package exports the API the README documents; every other name is
 imported from its submodule (``confab.exact``, ``confab.groups``,
 ``confab.weyl``, ``confab.freegroup``, ``confab.torusconf``, ``confab.rings``,
-``confab.tables``).
+``confab.tables``, ``confab.verify``).  ``confab.freegroup`` loads only for
+k = 3 tables and ``confab.verify`` only when ``verify_all`` first runs.
 """
 
 from .tables import (

@@ -17,10 +17,9 @@ verification, 2 usage or unsupported input.
 
 from __future__ import annotations
 
+# argparse stays a top-level import: every command parses its arguments
 import argparse
-import csv
 import io
-import json
 import sys
 from typing import NamedTuple
 
@@ -62,12 +61,18 @@ def _md_table(header, rows) -> str:
 
 
 def render(doc: Document, fmt: str) -> str:
+    # json and csv are imported in their own branches, so that a command
+    # pays for neither unless it writes that format
     if fmt == "json":
+        import json
+
         text = json.dumps(
             doc.payload, sort_keys=True, ensure_ascii=False, indent=2
         )
         return text + "\n"
     if fmt == "csv":
+        import csv
+
         sink = io.StringIO()
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerows([doc.header] + doc.rows)
@@ -354,7 +359,18 @@ def main(argv=None) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    sys.stdout.write(render(doc, args.format))
+    text = render(doc, args.format)
+    try:
+        # a text stream encodes the whole string before writing any of it,
+        # so a failure here leaves stdout empty
+        sys.stdout.write(text)
+    except UnicodeEncodeError as error:
+        print(
+            f"error: stdout encoding {sys.stdout.encoding!a} cannot write "
+            f"{error.object[error.start]!a}; set PYTHONIOENCODING=utf-8",
+            file=sys.stderr,
+        )
+        return 2
     return doc.code
 
 

@@ -27,14 +27,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .exact import RationalPolynomial
-from .freegroup import (
-    FreeGroupModule,
-    abelianized_matrix,
-    abelianized_relation_rows,
-    contragredient,
-    coordinate_quotient,
-    h1_f2,
-)
 from .weyl import (
     GradedCharacter,
     UnsupportedDatum,
@@ -106,6 +98,16 @@ def conf2_torus_minus_point_rank2(d: WeylDatum) -> GradedCharacter:
     derivation of the monodromy words is written in that basis.
     """
     _require_rank2_swap(d)
+    # imported on first use: only k = 3 needs the free-group layer, and the
+    # cache above runs this import once per process
+    from .freegroup import (
+        FreeGroupModule,
+        abelianized_matrix,
+        abelianized_relation_rows,
+        contragredient,
+        coordinate_quotient,
+        h1_f2,
+    )
 
     # degree 1: abelianized presentation; only the braiding generator dies
     rows = abelianized_relation_rows(BIRMAN_GENERATORS, BIRMAN_RELATORS)

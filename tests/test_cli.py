@@ -3,12 +3,18 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from confab.cli import main
-from confab.tables import VerifyCheck, VerifyReport
 from confab.torusconf import MAX_K
+from confab.verify import VerifyCheck, VerifyReport
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -196,6 +202,28 @@ class TestExitCodes:
         code, out, _ = run(capsys, "verify")
         assert code == 1
         assert "1 FAIL" in out
+
+    @pytest.mark.parametrize(
+        "command, code", (("table1", 2), ("verify", 2), ("table2", 0))
+    )
+    def test_stdout_encoding_without_the_symbols(self, command, code):
+        # cp1252 has no ⊕ or σ; table2 prints only ASCII
+        env = dict(os.environ, PYTHONIOENCODING="cp1252", PYTHONPATH=str(SRC))
+        result = subprocess.run(
+            [sys.executable, "-m", "confab.cli", command],
+            capture_output=True,
+            env=env,
+        )
+        assert result.returncode == code
+        if code == 0:
+            assert result.stdout.startswith(b"| n | S1xS1 |")
+            assert result.stderr == b""
+        else:
+            assert result.stdout == b""
+            assert result.stderr == (
+                b"error: stdout encoding 'cp1252' cannot write '\\u2295'; "
+                b"set PYTHONIOENCODING=utf-8\n"
+            )
 
     @pytest.mark.parametrize("command", ("circle", "su2"))
     def test_k_is_bounded(self, capsys, command):

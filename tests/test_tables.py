@@ -4,11 +4,8 @@ from collections import Counter
 
 import pytest
 
-from confab import tables
+from confab import tables, verify
 from confab.tables import (
-    REFERENCE_CONF3_U2,
-    REFERENCE_TABLE2,
-    REFERENCE_UNORDERED,
     TABLE1_TAGS,
     TABLE2_TAGS,
     RankTooSmall,
@@ -24,6 +21,11 @@ from confab.tables import (
     verify_all,
 )
 from confab.rings import hilbert_series, invariant_subring_dims
+from confab.verify import (
+    REFERENCE_CONF3_U2,
+    REFERENCE_TABLE2,
+    REFERENCE_UNORDERED,
+)
 from confab.weyl import LieFactor, UnsupportedDatum, WeylDatum, datum
 
 
@@ -236,18 +238,22 @@ class TestVerify:
 
     def test_each_table_and_character_is_built_once(self, monkeypatch):
         calls = Counter()
-        for name in (
-            "conf_ab_table",
-            "shortcut_dims",
-            "flag_character",
-            "conf2_torus",
+        # the suite's own calls go through confab.verify; the characters
+        # behind each table and shortcut are built through confab.tables
+        for module, name in (
+            (verify, "conf_ab_table"),
+            (verify, "shortcut_dims"),
+            (verify, "flag_character"),
+            (verify, "conf2_torus"),
+            (tables, "flag_character"),
+            (tables, "conf2_torus"),
         ):
 
-            def counted(d, *args, name=name, original=getattr(tables, name)):
+            def counted(d, *args, name=name, original=getattr(module, name)):
                 calls[name, d.tag, args] += 1
                 return original(d, *args)
 
-            monkeypatch.setattr(tables, name, counted)
+            monkeypatch.setattr(module, name, counted)
         assert verify_all("derived").ok
         totals = Counter()
         for (name, _, args), n in calls.items():

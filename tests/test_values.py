@@ -6,7 +6,7 @@ the values that name an instance.  The import guard keeps modules that
 confab does not need out of every cold ``confab`` process.
 """
 
-import json
+import ast
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,8 +25,9 @@ from confab.freegroup import (
 )
 from confab.groups import ClassFunction, FiniteGroup
 from confab.rings import GeneratorAutomorphism, RingPresentation
-from confab.tables import CohomologyTable, TableRow, VerifyCheck, VerifyReport
+from confab.tables import CohomologyTable, TableRow
 from confab.torusconf import circle_conf, su2_conf
+from confab.verify import VerifyCheck, VerifyReport
 from confab.weyl import (
     GradedCharacter,
     LieFactor,
@@ -214,19 +215,55 @@ def test_readme_library_example():
     assert stable_bound(StabilityQuery("u", degree=2, k=9)) == 5
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # -S keeps site and .pth files from importing either module first
-    code = (
-        "import json, sys\n"
+# code run in a fresh ``python -S``, the modules it must leave out and the
+# modules it must have loaded
+IMPORT_CASES = {
+    "cli-import": (
+        "import confab.cli\n",
+        (
+            "dataclasses",
+            "inspect",
+            "json",
+            "csv",
+            "confab.freegroup",
+            "confab.verify",
+        ),
+        (),
+    ),
+    "pair-tables": (
+        "from confab import conf_ab_table, datum\n"
+        "from confab.tables import shortcut_dims\n"
+        "for tag in ('U2', 'Sp2'):\n"
+        "    conf_ab_table(datum(tag), 2)\n"
+        "    shortcut_dims(datum(tag), 2)\n",
+        ("confab.freegroup", "confab.verify"),
+        (),
+    ),
+    "verify": (
+        "import confab\nassert confab.verify_all().ok\n",
+        (),
+        ("confab.verify",),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "code, absent, present", IMPORT_CASES.values(), ids=IMPORT_CASES
+)
+def test_cold_process_loads_only_what_it_runs(code, absent, present):
+    # -S keeps site and .pth files from importing a checked module first;
+    # the list is printed with repr because json is one of those modules
+    checked = absent + present
+    script = (
+        "import sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"
-        "import confab.cli\n"
-        "print(json.dumps([m for m in ('dataclasses', 'inspect') "
-        "if m in sys.modules]))\n"
+        + code
+        + f"print(repr([m for m in {checked!r} if m in sys.modules]))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-S", "-c", code],
+        [sys.executable, "-S", "-c", script],
         capture_output=True,
         text=True,
         check=True,
     )
-    assert json.loads(result.stdout) == []
+    assert ast.literal_eval(result.stdout) == list(present)
