@@ -5,10 +5,9 @@ freely determined by its values on the generators, so
 
     H^1(F_2; M)  =  (M + M) / { ((A - 1)m, (B - 1)m) : m in M },
 
-a plain coordinate quotient.  The quotient keeps a deterministic basis by
-eliminating, for each relation, its highest-index coordinate; the earliest
-listed generators therefore survive, which is what downstream fixtures and
-rendered bases rely on.
+a quotient of Q^2n by the span of relation vectors.  Only its dimension
+and the traces of operators on it are needed, and ``quotient_trace`` reads
+both off the reduced relation rows; no basis of a quotient is ever chosen.
 
 Monodromy actions arrive as words in named generators ("r~ h~ v~ h~^-1");
 ``abelianized_matrix`` turns word images into an integer matrix column by
@@ -22,7 +21,7 @@ import re
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .exact import QMatrix, as_exact_tuple, inverse, rank, rref
+from .exact import QMatrix, as_exact, as_exact_tuple, inverse, rank, rref
 
 _TOKEN = re.compile(r"^([^\s^]+)(?:\^(-?\d+))?$")
 
@@ -61,22 +60,16 @@ def abelianized_matrix(
     matrix acts on column vectors the same way the endomorphism acts on
     first homology.
     """
-    generators = list(generators)
     unknown = set(images) - set(generators)
     if unknown:
         raise MalformedWord(f"images given for unknown generators {unknown}")
-    n = len(generators)
-    columns = []
     for name in generators:
         if name not in images:
             raise MalformedWord(f"no image given for generator {name!r}")
-        vec = [0] * n
-        for idx, exp in parse_word(images[name], generators):
-            vec[idx] += exp
-        columns.append(vec)
-    return QMatrix.from_rows(
-        [[columns[j][i] for j in range(n)] for i in range(n)]
+    rows = abelianized_relation_rows(
+        generators, [images[name] for name in generators]
     )
+    return QMatrix.from_rows(rows).transpose()
 
 
 def abelianized_relation_rows(
@@ -98,94 +91,35 @@ def contragredient(m: QMatrix) -> QMatrix:
     return inverse(m).transpose()
 
 
-class CoordinateQuotient(NamedTuple):
-    """Q^ambient modulo the span of relation vectors, with a chosen basis.
+def quotient_trace(
+    relations: Sequence[Sequence], operator: QMatrix
+) -> tuple[int, int | Fraction]:
+    """Dimension of Q^n / span(relations) and the trace ``operator`` induces.
 
-    ``survivors`` are the coordinates kept as the quotient basis; every
-    eliminated coordinate is rewritten in surviving ones by ``projection``
-    (shape survivors x ambient).  Relations pivot on their highest-index
-    coordinate, so the earliest coordinates survive.
+    After reduction each relation row r_i has a pivot p_i where it alone is
+    nonzero, so a vector v of the span is sum_j v[p_j] r_j.  The operator
+    must map every r_i back into the span, or InvariantViolation is raised;
+    the trace on the span is then sum_i (operator r_i)[p_i], and the trace on
+    the quotient is what is left of the whole trace.
     """
-
-    ambient_dim: int
-    relations: tuple[tuple[int | Fraction, ...], ...]
-    survivors: tuple[int, ...]
-    projection: QMatrix
-
-    @property
-    def dim(self) -> int:
-        return len(self.survivors)
-
-    def inclusion(self) -> QMatrix:
-        rows = []
-        for i in range(self.ambient_dim):
-            row = [0] * self.dim
-            if i in self.survivors:
-                row[self.survivors.index(i)] = 1
-            rows.append(row)
-        return QMatrix.from_rows(rows)
-
-    def induced(self, operator: QMatrix) -> QMatrix:
-        """Matrix of an ambient operator on the quotient basis.
-
-        The operator must preserve the relation span; otherwise the quotient
-        action is not well defined and InvariantViolation is raised.
-        """
-        if operator.rows != self.ambient_dim or operator.cols != self.ambient_dim:
-            raise InvariantViolation("operator size does not match the ambient")
-        for r in self.relations:
-            image = operator.apply(r)
-            if any(v != 0 for v in self.projection.apply(image)):
-                raise InvariantViolation(
-                    "operator does not preserve the relation span"
-                )
-        return self.projection.mul(operator).mul(self.inclusion())
-
-
-def coordinate_quotient(
-    ambient_dim: int, relations: Sequence[Sequence]
-) -> CoordinateQuotient:
-    rel_rows = []
-    for r in relations:
-        row = as_exact_tuple(r)
-        if len(row) != ambient_dim:
-            raise ValueError("relation length does not match the ambient")
-        rel_rows.append(row)
-    if rel_rows:
-        reduced = rref(QMatrix.from_rows([row[::-1] for row in rel_rows]))
-    else:
-        reduced = QMatrix.zero(0, ambient_dim)
-    expressions: dict[int, dict[int, int | Fraction]] = {}
-    for i in range(reduced.rows):
-        row = reduced.row(i)
-        pivot_rev = next((j for j, x in enumerate(row) if x != 0), None)
-        if pivot_rev is None:
-            continue
-        pivot = ambient_dim - 1 - pivot_rev
-        expressions[pivot] = {
-            ambient_dim - 1 - j: -row[j]
-            for j in range(pivot_rev + 1, ambient_dim)
-            if row[j] != 0
-        }
-    survivors = tuple(
-        i for i in range(ambient_dim) if i not in expressions
-    )
-    position = {coord: k for k, coord in enumerate(survivors)}
-    proj_rows = [[0] * ambient_dim for _ in survivors]
-    for j in range(ambient_dim):
-        if j in position:
-            proj_rows[position[j]][j] = 1
-        else:
-            for coord, coef in expressions[j].items():
-                proj_rows[position[coord]][j] = coef
-    projection = (
-        QMatrix.from_rows(proj_rows)
-        if survivors
-        else QMatrix.zero(0, ambient_dim)
-    )
-    return CoordinateQuotient(
-        ambient_dim, tuple(rel_rows), survivors, projection
-    )
+    n = operator.rows
+    rows = [as_exact_tuple(r) for r in relations]
+    if any(len(r) != n for r in rows):
+        raise ValueError("relation length does not match the operator")
+    reduced = [r for r in rref(QMatrix.from_rows(rows)).to_rows() if any(r)]
+    pivots = [next(j for j, x in enumerate(r) if x) for r in reduced]
+    span_trace = 0
+    for r, p in zip(reduced, pivots):
+        image = operator.apply(r)
+        residue = image
+        for r_j, p_j in zip(reduced, pivots):
+            residue = [x - image[p_j] * y for x, y in zip(residue, r_j)]
+        if any(residue):
+            raise InvariantViolation(
+                "operator does not preserve the relation span"
+            )
+        span_trace += image[p]
+    return n - len(reduced), as_exact(operator.trace() - span_trace)
 
 
 class FreeGroupModule:
@@ -241,41 +175,34 @@ class FreeGroupModule:
 
 
 class H1FreeGroup(NamedTuple):
-    """H^1(F_2; M) with its chosen coordinate basis.
+    """Dimension of H^1(F_2; M) and the trace of the module's involution.
 
-    Coordinates 0..n-1 are the cocycle values on the first generator,
-    n..2n-1 those on the second; ``survivors`` indexes into that ambient.
+    ``involution_trace`` is None when the module carries no involution.
     """
 
     dim: int
-    survivors: tuple[int, ...]
-    quotient: CoordinateQuotient
-    involution: QMatrix | None
+    involution_trace: int | Fraction | None
 
 
 def h1_f2(module: FreeGroupModule) -> H1FreeGroup:
-    """Cohomology of the rank-2 free group with coefficients in ``module``."""
+    """Cohomology of the rank-2 free group with coefficients in ``module``.
+
+    A cocycle is a vector of Q^2n: its values on the first generator, then
+    on the second.  The coboundary of m is ((A - 1)m, (B - 1)m), so the
+    relations are the columns of A - 1 stacked over B - 1.
+    """
     n = module.dim
-    a, b = module.a_action, module.b_action
     eye = QMatrix.identity(n)
-    a_shift = a.sub(eye)
-    b_shift = b.sub(eye)
-    relations = []
-    for i in range(n):
-        basis_vec = tuple(1 if j == i else 0 for j in range(n))
-        relations.append(a_shift.apply(basis_vec) + b_shift.apply(basis_vec))
-    quotient = coordinate_quotient(2 * n, relations)
-    induced = None
-    if module.involution is not None:
-        alpha = module.involution
-        # swap the two cocycle slots and apply alpha to each
-        rows = []
-        for i in range(2 * n):
-            row = [0] * (2 * n)
-            rows.append(row)
-        for i in range(n):
-            for j in range(n):
-                rows[i][n + j] = alpha.entry(i, j)
-                rows[n + i][j] = alpha.entry(i, j)
-        induced = quotient.induced(QMatrix.from_rows(rows))
-    return H1FreeGroup(quotient.dim, quotient.survivors, quotient, induced)
+    shifts = QMatrix.from_rows(
+        module.a_action.sub(eye).to_rows() + module.b_action.sub(eye).to_rows()
+    )
+    alpha = module.involution
+    if alpha is None:
+        return H1FreeGroup(2 * n - rank(shifts), None)
+    # swap the two cocycle slots and apply alpha to each
+    zeros = [0] * n
+    swap = QMatrix.from_rows(
+        [zeros + list(alpha.row(i)) for i in range(n)]
+        + [list(alpha.row(i)) + zeros for i in range(n)]
+    )
+    return H1FreeGroup(*quotient_trace(shifts.transpose().to_rows(), swap))

@@ -231,7 +231,8 @@ class GeneratorAutomorphism(NamedTuple):
     """A ring map given by degree-preserving images of the generators.
 
     ``images`` maps a generator label to a tuple of (coefficient, label)
-    terms; generators without an entry map to themselves.
+    terms; generators without an entry map to themselves.  An image keyed
+    by a label that is not a generator of the presentation is an error.
     """
 
     images: tuple[tuple[str, tuple[tuple[int | Fraction, str], ...]], ...]
@@ -247,6 +248,9 @@ class GeneratorAutomorphism(NamedTuple):
         return cls(packed)
 
     def image_of(self, pres: RingPresentation, label: str) -> Element:
+        unknown = [s for s, _ in self.images if s not in pres.labels]
+        if unknown:
+            raise ValueError(f"image given for non-generator {unknown[0]!r}")
         for source, terms in self.images:
             if source == label:
                 degree = pres.generators[pres.index_of(label)][1]

@@ -26,7 +26,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exact import RationalPolynomial
+from .exact import RationalPolynomial, inverse
 from .weyl import (
     GradedCharacter,
     UnsupportedDatum,
@@ -105,16 +105,16 @@ def conf2_torus_minus_point_rank2(d: WeylDatum) -> GradedCharacter:
         abelianized_matrix,
         abelianized_relation_rows,
         contragredient,
-        coordinate_quotient,
         h1_f2,
+        quotient_trace,
     )
 
-    # degree 1: abelianized presentation; only the braiding generator dies
+    # degree 1: abelianized presentation; only the braiding generator dies.
+    # H^1 is dual to H_1, so the swap's trace on H^1 is the trace of alpha^-1
+    # on H_1, the quotient of Q^5 by the relation rows
     rows = abelianized_relation_rows(BIRMAN_GENERATORS, BIRMAN_RELATORS)
-    quotient = coordinate_quotient(len(BIRMAN_GENERATORS), rows)
-    alpha_h1 = quotient.induced(
-        abelianized_matrix(BIRMAN_GENERATORS, ALPHA_BIRMAN)
-    )
+    alpha_birman = abelianized_matrix(BIRMAN_GENERATORS, ALPHA_BIRMAN)
+    h1_dim, h1_trace = quotient_trace(rows, inverse(alpha_birman))
 
     # degree 2: H^1 of the free group on the base loops with coefficients in
     # the dual of fiber homology
@@ -128,10 +128,8 @@ def conf2_torus_minus_point_rank2(d: WeylDatum) -> GradedCharacter:
     return GradedCharacter(
         d.group,
         (
-            RationalPolynomial((1, quotient.dim, top.dim)),
-            RationalPolynomial(
-                (1, contragredient(alpha_h1).trace(), top.involution.trace())
-            ),
+            RationalPolynomial((1, h1_dim, top.dim)),
+            RationalPolynomial((1, h1_trace, top.involution_trace)),
         ),
     )
 

@@ -171,9 +171,9 @@ def _flag_text(parts_by_degree) -> str:
 
 
 def _pad(dims, length) -> tuple[int, ...]:
-    return tuple(
-        dims[i] if i < len(dims) else 0 for i in range(length)
-    )
+    # a shorter answer is padded with zeros; a longer one is kept whole, so
+    # an extra degree shows up as a mismatch
+    return tuple(dims) + (0,) * (length - len(dims))
 
 
 def _u2_embedding_summary(convention: str) -> str:

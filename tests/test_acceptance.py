@@ -157,7 +157,7 @@ def test_c04_free_group_cohomology():
     result = h1_f2(module)
     assert result.dim == 5
     # involution type 3 + 2 sign: trace 1 on a 5-dimensional space
-    assert result.involution.trace() == 1
+    assert result.involution_trace == 1
     # independent oracle: dim H^1 = dim M + dim M^{F_2}
     assert module.dim + fixed_space_dim(module) == 5
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confab.exact import QMatrix, det
+from confab.exact import QMatrix, det, inverse
 from confab.freegroup import (
     FreeGroupModule,
     InvariantViolation,
@@ -13,9 +13,9 @@ from confab.freegroup import (
     abelianized_matrix,
     abelianized_relation_rows,
     contragredient,
-    coordinate_quotient,
     h1_f2,
     parse_word,
+    quotient_trace,
 )
 from oracles import fixed_space_dim
 
@@ -49,27 +49,30 @@ class TestWords:
         assert rows == [(Fraction(0), Fraction(0))]
 
 
-class TestCoordinateQuotient:
-    def test_relations_eliminate_highest_coordinate(self):
-        # e2 = e0 kills coordinate 2, keeping the earliest coordinates
-        quotient = coordinate_quotient(3, [(1, 0, -1)])
-        assert quotient.dim == 2
-        assert quotient.survivors == (0, 1)
-        assert quotient.projection.apply((0, 0, 1)) == (
-            Fraction(1), Fraction(0),
-        )
+class TestQuotientTrace:
+    def test_one_relation_drops_one_dimension(self):
+        assert quotient_trace([(1, 0, -1)], QMatrix.identity(3)) == (2, 2)
 
-    def test_induced_operator(self):
-        quotient = coordinate_quotient(2, [(0, 1)])
+    def test_induced_trace(self):
         doubling = QMatrix.from_rows([[2, 0], [0, 3]])
-        induced = quotient.induced(doubling)
-        assert induced == QMatrix.from_rows([[2]])
+        assert quotient_trace([(0, 1)], doubling) == (1, 2)
 
-    def test_induced_requires_invariance(self):
-        quotient = coordinate_quotient(2, [(0, 1)])
+    def test_operator_must_preserve_the_span(self):
         rotate = QMatrix.from_rows([[0, -1], [1, 0]])
         with pytest.raises(InvariantViolation):
-            quotient.induced(rotate)
+            quotient_trace([(0, 1)], rotate)
+
+    def test_no_relations_keeps_the_whole_trace(self):
+        m = QMatrix.from_rows([[2, 1], [0, 3]])
+        assert quotient_trace([], m) == (2, 5)
+
+    def test_dependent_relations_count_once(self):
+        doubling = QMatrix.from_rows([[2, 0], [0, 3]])
+        assert quotient_trace([(0, 1), (0, -2)], doubling) == (1, 2)
+
+    def test_relation_length_must_match_the_operator(self):
+        with pytest.raises(ValueError):
+            quotient_trace([(1, 0, 0)], QMatrix.identity(2))
 
 
 class TestModules:
@@ -120,6 +123,47 @@ def test_euler_identity(data):
     a, b = data
     module = FreeGroupModule(a, b)
     assert h1_f2(module).dim == module.dim + fixed_space_dim(module)
+
+
+def grids(rows, cols):
+    return st.lists(
+        st.lists(entries, min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    )
+
+
+def block_triangular_data(n, m):
+    """An invertible P and the blocks X, Y, Z of T' = [[X, Y], [0, Z]]."""
+    return st.tuples(
+        invertible_matrices(n),
+        grids(m, m),
+        grids(m, n - m),
+        grids(n - m, n - m),
+    ).map(lambda drawn: (m,) + drawn)
+
+
+@given(
+    data=st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.integers(min_value=0, max_value=n).flatmap(
+            lambda m: block_triangular_data(n, m)
+        )
+    )
+)
+@settings(deadline=None, max_examples=60)
+def test_quotient_trace_matches_block_triangular_form(data):
+    # T = P T' P^-1 keeps the span of P's first m columns and acts on the
+    # quotient as Z does
+    m, p, x, y, z = data
+    n = p.rows
+    t_prime = QMatrix.from_rows(
+        [x_row + y_row for x_row, y_row in zip(x, y)]
+        + [[0] * m + z_row for z_row in z]
+    )
+    t = p.mul(t_prime).mul(inverse(p))
+    relations = p.transpose().to_rows()[:m]
+    z_trace = sum(z[k][k] for k in range(n - m))
+    assert quotient_trace(relations, t) == (n - m, z_trace)
 
 
 def test_contragredient_is_inverse_transpose():

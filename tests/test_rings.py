@@ -132,6 +132,14 @@ class TestAutomorphisms:
         with pytest.raises(ValueError):
             bad.image_of(pres, "g0")
 
+    def test_image_of_a_non_generator_rejected(self):
+        pres = RingPresentation.build((("x1", 1),))
+        typo = GeneratorAutomorphism.build(
+            {"x1": ((-1, "x1"),), "zz": ((1, "x1"),)}
+        )
+        with pytest.raises(ValueError, match="'zz'"):
+            invariant_subring_dims(pres, typo)
+
     def test_fixed_subring_of_pair_ring(self):
         dims = invariant_subring_dims(
             conf2_ring("U2"), conf2_ring_involution("U2")

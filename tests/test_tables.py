@@ -236,6 +236,20 @@ class TestVerify:
         assert not verify_all(data={"Sp2": corrupt_symplectic_datum()}).ok
         assert verify_all().ok
 
+    def test_an_extra_unordered_degree_fails(self, monkeypatch):
+        # an answer longer than the reference is a mismatch, not a prefix
+        original = verify.unordered_conf2_dims
+        monkeypatch.setattr(
+            verify,
+            "unordered_conf2_dims",
+            lambda *args: tuple(original(*args)) + (7,),
+        )
+        report = verify_all()
+        statuses = {check.name: check.status for check in report.checks}
+        assert statuses["unordered-model-U2"] == "FAIL"
+        assert statuses["unordered-model-S1xSU2"] == "FAIL"
+        assert statuses["unordered-fixed-subring-U2"] == "PASS"
+
     def test_each_table_and_character_is_built_once(self, monkeypatch):
         calls = Counter()
         # the suite's own calls go through confab.verify; the characters

@@ -58,7 +58,7 @@ class TestMonodromy:
         )
         result = h1_f2(module)
         assert result.dim == 5
-        assert result.involution.trace() == 1
+        assert result.involution_trace == 1
         # independent count: dim M + dim of the simultaneous fixed space
         assert fixed_space_dim(module) == 2
         assert result.dim == module.dim + fixed_space_dim(module)

@@ -17,12 +17,7 @@ import pytest
 from confab import StabilityQuery, conf_ab_table, datum, stable_bound
 from confab.cli import Document
 from confab.exact import QMatrix, RationalPolynomial
-from confab.freegroup import (
-    FreeGroupModule,
-    InvariantViolation,
-    coordinate_quotient,
-    h1_f2,
-)
+from confab.freegroup import FreeGroupModule, InvariantViolation, h1_f2
 from confab.groups import ClassFunction, FiniteGroup
 from confab.rings import GeneratorAutomorphism, RingPresentation
 from confab.tables import CohomologyTable, TableRow
@@ -79,7 +74,6 @@ FACTORIES = {
     "CircleConfSummary": lambda: circle_conf(4),
     "SU2ConfSummary": lambda: su2_conf(3),
     "Document": lambda: Document({"k": 3}, ["k"], [[3]], "3\n", 0),
-    "CoordinateQuotient": lambda: coordinate_quotient(3, [(1, 1, 1)]),
     "H1FreeGroup": lambda: h1_f2(swap_module()),
     "GeneratorAutomorphism": lambda: GeneratorAutomorphism.build(
         {"a": [(1, "b")], "b": [(1, "a")]}
