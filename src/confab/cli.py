@@ -26,6 +26,7 @@ from typing import NamedTuple
 from .groups import decompose, format_decomposition
 from .rings import hilbert_series
 from .tables import (
+    RING_TAGS,
     TABLE1_TAGS,
     TABLE2_TAGS,
     CohomologyTable,
@@ -203,7 +204,7 @@ def _cmd_su2(args) -> Document:
 # rings, bounds, verification
 
 
-_RING_GROUPS = {"u2": "U2", "s1xsu2": "S1xSU2"}
+_RING_GROUPS = {t.lower(): t for t in RING_TAGS}
 
 
 def _cmd_ring(args) -> Document:

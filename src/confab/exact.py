@@ -112,13 +112,6 @@ class RationalPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def evaluate(self, point) -> int | Fraction:
-        point = as_exact(point)
-        total = 0
-        for c in reversed(self.coeffs):
-            total = total * point + c
-        return as_exact(total)
-
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         n = max(len(self.coeffs), len(other.coeffs))
         return RationalPolynomial(
@@ -130,9 +123,6 @@ class RationalPolynomial:
         return RationalPolynomial(
             tuple(self.coefficient(i) - other.coefficient(i) for i in range(n))
         )
-
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         if self.is_zero() or other.is_zero():
@@ -240,10 +230,6 @@ class QMatrix:
             n,
             tuple(1 if i == j else 0 for i in range(n) for j in range(n)),
         )
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
 
     def entry(self, i: int, j: int) -> int | Fraction:
         return self.entries[i * self.cols + j]

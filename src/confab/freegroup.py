@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .exact import QMatrix, as_exact, as_exact_tuple, inverse, rank, rref
 
@@ -122,87 +122,42 @@ def quotient_trace(
     return n - len(reduced), as_exact(operator.trace() - span_trace)
 
 
-class FreeGroupModule:
-    """An F_2-module: invertible actions of the two generators on Q^n.
+def h1_f2(
+    a_action: QMatrix, b_action: QMatrix, involution: QMatrix | None = None
+) -> tuple[int, int | Fraction]:
+    """Dimension of H^1(F_2; M) and the trace ``involution`` induces on it.
 
-    ``involution``, when given, intertwines the generators (alpha A = B
-    alpha) and squares to the identity; it induces the coordinate-swap
-    involution on H^1.
+    M is Q^n with invertible generator actions A, B.  A cocycle is a vector
+    of Q^2n, its values on the two generators; the relations are the
+    coboundaries ((A - 1)m, (B - 1)m), the columns of A - 1 over B - 1.  An
+    involution squares to 1, intertwines (alpha A = B alpha) and acts by
+    swapping the two slots, applying alpha to each; without one the trace
+    is that of the identity, the dimension.
     """
-
-    __slots__ = ("a_action", "b_action", "involution")
-
-    def __init__(
-        self,
-        a_action: QMatrix,
-        b_action: QMatrix,
-        involution: QMatrix | None = None,
-    ):
-        n = a_action.rows
-        for name, m in (("A", a_action), ("B", b_action)):
-            if m.rows != n or m.cols != n:
-                raise InvariantViolation("actions must be square, same size")
-            if rank(m) != n:
-                raise InvariantViolation(f"generator action {name} is singular")
-        if involution is not None:
-            if involution.rows != n or involution.cols != n:
-                raise InvariantViolation("involution size mismatch")
-            if involution.mul(involution) != QMatrix.identity(n):
-                raise InvariantViolation("involution does not square to 1")
-            if involution.mul(a_action) != b_action.mul(involution):
-                raise InvariantViolation(
-                    "involution does not intertwine the generator actions"
-                )
-        self.a_action = a_action
-        self.b_action = b_action
-        self.involution = involution
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.a_action == other.a_action
-            and self.b_action == other.b_action
-            and self.involution == other.involution
-        )
-
-    def __hash__(self):
-        return hash((self.a_action, self.b_action, self.involution))
-
-    @property
-    def dim(self) -> int:
-        return self.a_action.rows
-
-
-class H1FreeGroup(NamedTuple):
-    """Dimension of H^1(F_2; M) and the trace of the module's involution.
-
-    ``involution_trace`` is None when the module carries no involution.
-    """
-
-    dim: int
-    involution_trace: int | Fraction | None
-
-
-def h1_f2(module: FreeGroupModule) -> H1FreeGroup:
-    """Cohomology of the rank-2 free group with coefficients in ``module``.
-
-    A cocycle is a vector of Q^2n: its values on the first generator, then
-    on the second.  The coboundary of m is ((A - 1)m, (B - 1)m), so the
-    relations are the columns of A - 1 stacked over B - 1.
-    """
-    n = module.dim
+    n = a_action.rows
+    for name, m in (("A", a_action), ("B", b_action)):
+        if m.rows != n or m.cols != n:
+            raise InvariantViolation("actions must be square, same size")
+        if rank(m) != n:
+            raise InvariantViolation(f"generator action {name} is singular")
     eye = QMatrix.identity(n)
     shifts = QMatrix.from_rows(
-        module.a_action.sub(eye).to_rows() + module.b_action.sub(eye).to_rows()
+        a_action.sub(eye).to_rows() + b_action.sub(eye).to_rows()
     )
-    alpha = module.involution
-    if alpha is None:
-        return H1FreeGroup(2 * n - rank(shifts), None)
-    # swap the two cocycle slots and apply alpha to each
-    zeros = [0] * n
-    swap = QMatrix.from_rows(
-        [zeros + list(alpha.row(i)) for i in range(n)]
-        + [list(alpha.row(i)) + zeros for i in range(n)]
-    )
-    return H1FreeGroup(*quotient_trace(shifts.transpose().to_rows(), swap))
+    if involution is None:
+        operator = QMatrix.identity(2 * n)
+    else:
+        if involution.rows != n or involution.cols != n:
+            raise InvariantViolation("involution size mismatch")
+        if involution.mul(involution) != eye:
+            raise InvariantViolation("involution does not square to 1")
+        if involution.mul(a_action) != b_action.mul(involution):
+            raise InvariantViolation(
+                "involution does not intertwine the generator actions"
+            )
+        zeros = [0] * n
+        operator = QMatrix.from_rows(
+            [zeros + list(involution.row(i)) for i in range(n)]
+            + [list(involution.row(i)) + zeros for i in range(n)]
+        )
+    return quotient_trace(shifts.transpose().to_rows(), operator)

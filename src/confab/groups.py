@@ -172,10 +172,6 @@ class IrreducibleCatalog:
         self.group = group
         self.labels = labels
         self.chars = chars
-        self.by_label = dict(zip(labels, chars))
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 def decompose(

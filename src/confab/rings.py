@@ -32,29 +32,39 @@ class NotInvolution(ValueError):
 
 
 class RingPresentation:
-    """Generators with degrees, plus index pairs whose product vanishes."""
+    """Generators with degrees, plus labelled pairs whose product vanishes.
 
-    __slots__ = ("generators", "forbidden")
+    ``forbidden`` names each vanishing pair by its two generator labels.
+    The pairs are kept as ascending index pairs in sorted order, so the
+    payload lists them the same way whatever order they were given in.
+    """
+
+    __slots__ = ("generators", "forbidden", "_index")
 
     def __init__(
         self,
-        generators: tuple[tuple[str, int], ...],
-        forbidden: Iterable[tuple[int, int]],
+        generators: Sequence[tuple[str, int]],
+        forbidden: Iterable[tuple[str, str]] = (),
     ):
-        labels = [label for label, _ in generators]
-        if len(set(labels)) != len(labels):
+        generators = tuple(generators)
+        index = {label: i for i, (label, _) in enumerate(generators)}
+        if len(index) != len(generators):
+            labels = [label for label, _ in generators]
             raise ValueError(f"duplicate generator labels: {labels}")
         for label, degree in generators:
             if degree < 1:
                 raise ValueError(f"generator {label} needs positive degree")
-        n = len(generators)
-        cleaned = []
-        for i, j in forbidden:
-            if not (0 <= i < n and 0 <= j < n) or i == j:
-                raise ValueError(f"bad forbidden pair ({i}, {j})")
-            cleaned.append((min(i, j), max(i, j)))
+        pairs = set()
+        for l1, l2 in forbidden:
+            if l1 not in index or l2 not in index:
+                raise ValueError(f"forbidden pair uses unknown label ({l1}, {l2})")
+            if l1 == l2:
+                raise ValueError(f"bad forbidden pair ({l1}, {l2})")
+            i, j = index[l1], index[l2]
+            pairs.add((min(i, j), max(i, j)))
         self.generators = generators
-        self.forbidden = tuple(sorted(set(cleaned)))
+        self.forbidden = tuple(sorted(pairs))
+        self._index = index
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -67,37 +77,15 @@ class RingPresentation:
     def __hash__(self):
         return hash((self.generators, self.forbidden))
 
-    @classmethod
-    def build(
-        cls,
-        generators: Sequence[tuple[str, int]],
-        forbidden_labels: Iterable[tuple[str, str]] = (),
-    ) -> "RingPresentation":
-        index = {label: i for i, (label, _) in enumerate(generators)}
-        pairs = []
-        for l1, l2 in forbidden_labels:
-            if l1 not in index or l2 not in index:
-                raise ValueError(f"forbidden pair uses unknown label ({l1}, {l2})")
-            pairs.append((index[l1], index[l2]))
-        return cls(tuple(generators), tuple(pairs))
-
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.generators)
 
     def index_of(self, label: str) -> int:
-        for i, (name, _) in enumerate(self.generators):
-            if name == label:
-                return i
-        raise KeyError(label)
+        return self._index[label]
 
     def degree_of(self, monomial: Monomial) -> int:
         return sum(self.generators[i][1] for i in monomial)
-
-    def monomial_label(self, monomial: Monomial) -> str:
-        if not monomial:
-            return "1"
-        return "".join(self.generators[i][0] for i in monomial)
 
     def to_payload(self) -> dict:
         return {
@@ -162,14 +150,19 @@ def hilbert_series(pres: RingPresentation) -> tuple[int, ...]:
     return tuple(len(buckets.get(d, ())) for d in range(top + 1))
 
 
+def _accumulate(out: Element, mono: Monomial, coef) -> None:
+    """Add ``coef`` to the coefficient of ``mono``, dropping a zero sum."""
+    total = out.get(mono, 0) + coef
+    if total:
+        out[mono] = total
+    else:
+        out.pop(mono, None)
+
+
 def add_elements(a: Element, b: Element) -> Element:
     out = dict(a)
     for mono, coef in b.items():
-        total = out.get(mono, 0) + coef
-        if total:
-            out[mono] = total
-        else:
-            out.pop(mono, None)
+        _accumulate(out, mono, coef)
     return out
 
 
@@ -185,14 +178,9 @@ def element_product(pres: RingPresentation, a: Element, b: Element) -> Element:
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             normalized = normalize_product(pres, m1 + m2)
-            if normalized is None:
-                continue
-            sign, mono = normalized
-            total = out.get(mono, 0) + c1 * c2 * sign
-            if total:
-                out[mono] = total
-            else:
-                out.pop(mono, None)
+            if normalized is not None:
+                sign, mono = normalized
+                _accumulate(out, mono, c1 * c2 * sign)
     return out
 
 
@@ -206,14 +194,9 @@ def element_from_terms(
         normalized = normalize_product(
             pres, [pres.index_of(label) for label in labels]
         )
-        if normalized is None:
-            continue
-        sign, mono = normalized
-        total = out.get(mono, 0) + coef * sign
-        if total:
-            out[mono] = total
-        else:
-            out.pop(mono, None)
+        if normalized is not None:
+            sign, mono = normalized
+            _accumulate(out, mono, coef * sign)
     return out
 
 
@@ -248,7 +231,7 @@ class GeneratorAutomorphism(NamedTuple):
         return cls(packed)
 
     def image_of(self, pres: RingPresentation, label: str) -> Element:
-        unknown = [s for s, _ in self.images if s not in pres.labels]
+        unknown = [s for s, _ in self.images if s not in pres._index]
         if unknown:
             raise ValueError(f"image given for non-generator {unknown[0]!r}")
         for source, terms in self.images:
@@ -296,15 +279,13 @@ def action_matrices(
                     )
                 col[position[target]] = coef
             columns.append(col)
-        out[degree] = QMatrix.from_rows(
-            [[columns[j][i] for j in range(len(monos))] for i in range(len(monos))]
-        )
+        out[degree] = QMatrix.from_rows(columns).transpose()
     return out
 
 
 def invariant_subring_dims(
     pres: RingPresentation,
-    autos: GeneratorAutomorphism | Sequence[GeneratorAutomorphism],
+    autos: Sequence[GeneratorAutomorphism],
 ) -> tuple[int, ...]:
     """Dimension per degree of the simultaneous fixed subspace.
 
@@ -312,8 +293,6 @@ def invariant_subring_dims(
     identity in every degree); the fixed space is the joint kernel of the
     shifted actions, which covers the group they generate.
     """
-    if isinstance(autos, GeneratorAutomorphism):
-        autos = (autos,)
     per_auto = [action_matrices(pres, auto) for auto in autos]
     buckets = monomial_basis(pres)
     top = max(buckets)
@@ -333,8 +312,5 @@ def invariant_subring_dims(
                     f"automorphism does not square to 1 in degree {degree}"
                 )
             stacked_rows.extend(m.sub(eye).to_rows())
-        if stacked_rows:
-            dims.append(size - rank(QMatrix.from_rows(stacked_rows)))
-        else:
-            dims.append(size)
+        dims.append(size - rank(QMatrix.from_rows(stacked_rows)))
     return tuple(dims)

@@ -211,11 +211,15 @@ def stable_bound(query: StabilityQuery) -> int:
 # explicit ring presentations for the two fully computed pair cases
 
 
+RING_TAGS = ("U2", "S1xSU2")
+
+
 def _ring_tag(tag: str) -> str:
     canonical = datum(tag).tag
-    if canonical not in ("U2", "S1xSU2"):
+    if canonical not in RING_TAGS:
         raise UnsupportedDatum(
-            f"ring presentations cover U2 and S1xSU2, not {canonical}"
+            f"ring presentations cover {' and '.join(RING_TAGS)}, "
+            f"not {canonical}"
         )
     return canonical
 
@@ -225,7 +229,7 @@ def conf2_ring(tag: str, convention: str = "derived") -> RingPresentation:
     canonical = _ring_tag(tag)
     check_convention(convention)
     if canonical == "U2":
-        return RingPresentation.build(
+        return RingPresentation(
             (("b1", 1), ("c1", 1), ("d2", 2), ("e3", 3), ("f3", 3)),
             (
                 ("c1", "d2"),
@@ -238,8 +242,8 @@ def conf2_ring(tag: str, convention: str = "derived") -> RingPresentation:
     generators = [("x1", 1), ("z1", 1), ("c2", 2), ("d3", 3), ("e3", 3)]
     if convention == "paper":
         generators.insert(0, ("a1", 1))
-    return RingPresentation.build(
-        tuple(generators),
+    return RingPresentation(
+        generators,
         (
             ("z1", "c2"),
             ("z1", "e3"),
@@ -284,12 +288,10 @@ def unordered_conf2_ring(
     canonical = _ring_tag(tag)
     check_convention(convention)
     if canonical == "U2":
-        return RingPresentation.build((("r1", 1), ("s3", 3)))
+        return RingPresentation((("r1", 1), ("s3", 3)))
     if convention == "paper":
-        return RingPresentation.build(
-            (("a1", 1), ("u1", 1), ("v3", 3))
-        )
-    return RingPresentation.build((("u1", 1), ("v3", 3)))
+        return RingPresentation((("a1", 1), ("u1", 1), ("v3", 3)))
+    return RingPresentation((("u1", 1), ("v3", 3)))
 
 
 def _unordered_model(
@@ -331,7 +333,7 @@ def _unordered_model(
             "y1": ((-1, "y1"),),
             "w1": ((-1, "w1"),),
         }
-    presentation = RingPresentation.build(generators, (("z1", "w1"),))
+    presentation = RingPresentation(generators, (("z1", "w1"),))
     return (
         presentation,
         GeneratorAutomorphism.build(weyl_images),

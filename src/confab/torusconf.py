@@ -101,7 +101,6 @@ def conf2_torus_minus_point_rank2(d: WeylDatum) -> GradedCharacter:
     # imported on first use: only k = 3 needs the free-group layer, and the
     # cache above runs this import once per process
     from .freegroup import (
-        FreeGroupModule,
         abelianized_matrix,
         abelianized_relation_rows,
         contragredient,
@@ -121,15 +120,14 @@ def conf2_torus_minus_point_rank2(d: WeylDatum) -> GradedCharacter:
     a_h = abelianized_matrix(FIBER_GENERATORS, MONODROMY_H)
     a_v = abelianized_matrix(FIBER_GENERATORS, MONODROMY_V)
     alpha = abelianized_matrix(FIBER_GENERATORS, ALPHA_FIBER)
-    module = FreeGroupModule(
+    top_dim, top_trace = h1_f2(
         contragredient(a_h), contragredient(a_v), contragredient(alpha)
     )
-    top = h1_f2(module)
     return GradedCharacter(
         d.group,
         (
-            RationalPolynomial((1, h1_dim, top.dim)),
-            RationalPolynomial((1, h1_trace, top.involution_trace)),
+            RationalPolynomial((1, h1_dim, top_dim)),
+            RationalPolynomial((1, h1_trace, top_trace)),
         ),
     )
 

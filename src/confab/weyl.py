@@ -368,10 +368,6 @@ class GradedCharacter:
     def __hash__(self):
         return hash((self.group, self.traces))
 
-    @classmethod
-    def unit(cls, group: FiniteGroup) -> "GradedCharacter":
-        return cls(group, (RationalPolynomial.one(),) * len(group.classes))
-
     @property
     def top(self) -> int:
         return max(trace.degree for trace in self.traces)

@@ -6,7 +6,6 @@ code it never calls.
 """
 
 from confab.exact import QMatrix, rank, rref
-from confab.freegroup import FreeGroupModule
 
 
 def kernel_basis(matrix: QMatrix) -> list[tuple]:
@@ -25,11 +24,9 @@ def kernel_basis(matrix: QMatrix) -> list[tuple]:
     return basis
 
 
-def fixed_space_dim(module: FreeGroupModule) -> int:
-    """Dimension of the simultaneous fixed space of both generator actions."""
-    n = module.dim
+def fixed_space_dim(a: QMatrix, b: QMatrix) -> int:
+    """Dimension of the simultaneous fixed space of two actions on Q^n."""
+    n = a.rows
     eye = QMatrix.identity(n)
-    stacked = QMatrix.from_rows(
-        module.a_action.sub(eye).to_rows() + module.b_action.sub(eye).to_rows()
-    )
+    stacked = QMatrix.from_rows(a.sub(eye).to_rows() + b.sub(eye).to_rows())
     return n - rank(stacked)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from confab.exact import QMatrix, det, inverse
 from confab.freegroup import (
-    FreeGroupModule,
     InvariantViolation,
     MalformedWord,
     abelianized_matrix,
@@ -80,27 +79,39 @@ class TestModules:
         eye = QMatrix.identity(2)
         shear = QMatrix.from_rows([[1, 1], [0, 1]])
         with pytest.raises(InvariantViolation):
-            FreeGroupModule(eye, eye, shear)
+            h1_f2(eye, eye, shear)
 
     def test_involution_must_intertwine(self):
         a = QMatrix.from_rows([[1, 1], [0, 1]])
         b = QMatrix.identity(2)
         swap = QMatrix.from_rows([[0, 1], [1, 0]])
         with pytest.raises(InvariantViolation):
-            FreeGroupModule(a, b, swap)
+            h1_f2(a, b, swap)
 
     def test_trivial_module(self):
         # trivial action: every map is a cocycle, none is a coboundary
         eye = QMatrix.identity(3)
-        module = FreeGroupModule(eye, eye)
-        result = h1_f2(module)
-        assert result.dim == 6
-        assert fixed_space_dim(module) == 3
+        assert h1_f2(eye, eye) == (6, 6)
+        assert fixed_space_dim(eye, eye) == 3
 
     def test_euler_identity_on_trivial_module(self):
         eye = QMatrix.identity(4)
-        module = FreeGroupModule(eye, eye)
-        assert h1_f2(module).dim == module.dim + fixed_space_dim(module)
+        dim, _ = h1_f2(eye, eye)
+        assert dim == eye.rows + fixed_space_dim(eye, eye)
+
+    def test_without_an_involution_the_trace_is_the_dimension(self):
+        # the identity preserves every span; a slot swap with alpha = 1
+        # would not preserve this one
+        a = QMatrix.from_rows([[1, 1], [0, 1]])
+        b = QMatrix.identity(2)
+        assert h1_f2(a, b) == (3, 3)
+
+    def test_swap_trace_on_a_swap_module(self):
+        # A = B = 1 and alpha the coordinate swap: H^1 = Q^2 + Q^2 and the
+        # slot swap twisted by alpha has trace tr(alpha) = 0
+        eye = QMatrix.identity(2)
+        swap = QMatrix.from_rows([[0, 1], [1, 0]])
+        assert h1_f2(eye, eye, swap) == (4, 0)
 
 
 entries = st.integers(min_value=-2, max_value=2).map(Fraction)
@@ -121,8 +132,9 @@ def invertible_matrices(n):
 def test_euler_identity(data):
     # dim H^1 = dim M + dim M^{F_2} for any module over the free group
     a, b = data
-    module = FreeGroupModule(a, b)
-    assert h1_f2(module).dim == module.dim + fixed_space_dim(module)
+    dim, trace = h1_f2(a, b)
+    assert dim == a.rows + fixed_space_dim(a, b)
+    assert trace == dim
 
 
 def grids(rows, cols):

@@ -21,7 +21,7 @@ from confab.tables import conf2_ring, conf2_ring_involution
 
 
 def exterior(*degrees):
-    return RingPresentation.build(
+    return RingPresentation(
         tuple((f"g{i}", d) for i, d in enumerate(degrees))
     )
 
@@ -42,7 +42,7 @@ class TestNormalization:
         assert (sign, mono) == (1, (0, 1))
 
     def test_forbidden_pair_vanishes(self):
-        pres = RingPresentation.build(
+        pres = RingPresentation(
             (("z", 1), ("w", 1)), (("z", "w"),)
         )
         assert normalize_product(pres, (0, 1)) is None
@@ -59,7 +59,9 @@ class TestSeries:
     def test_pair_ring_degree_four_basis(self):
         ring = conf2_ring("U2")
         basis = monomial_basis(ring)[4]
-        labels = {ring.monomial_label(mono) for mono in basis}
+        labels = {
+            "".join(ring.generators[i][0] for i in mono) for mono in basis
+        }
         assert labels == {"b1e3", "b1f3", "c1e3"}
 
     @given(
@@ -89,7 +91,7 @@ class TestSeries:
         shuffled = list(enumerate(degrees))
         seed.shuffle(shuffled)
         original = exterior(*degrees)
-        renamed = RingPresentation.build(
+        renamed = RingPresentation(
             tuple((f"g{i}", d) for i, d in shuffled)
         )
         assert hilbert_series(original) == hilbert_series(renamed)
@@ -133,16 +135,16 @@ class TestAutomorphisms:
             bad.image_of(pres, "g0")
 
     def test_image_of_a_non_generator_rejected(self):
-        pres = RingPresentation.build((("x1", 1),))
+        pres = RingPresentation((("x1", 1),))
         typo = GeneratorAutomorphism.build(
             {"x1": ((-1, "x1"),), "zz": ((1, "x1"),)}
         )
         with pytest.raises(ValueError, match="'zz'"):
-            invariant_subring_dims(pres, typo)
+            invariant_subring_dims(pres, (typo,))
 
     def test_fixed_subring_of_pair_ring(self):
         dims = invariant_subring_dims(
-            conf2_ring("U2"), conf2_ring_involution("U2")
+            conf2_ring("U2"), (conf2_ring_involution("U2"),)
         )
         assert dims == (1, 1, 0, 1, 1, 0)
 
@@ -159,12 +161,12 @@ class TestAutomorphisms:
         pres = exterior(1)
         doubling = GeneratorAutomorphism.build({"g0": ((2, "g0"),)})
         with pytest.raises(NotInvolution):
-            invariant_subring_dims(pres, doubling)
+            invariant_subring_dims(pres, (doubling,))
 
 
 class TestPayload:
     def test_payload_shape(self):
-        pres = RingPresentation.build(
+        pres = RingPresentation(
             (("z", 1), ("w", 1)), (("z", "w"),)
         )
         payload = pres.to_payload()

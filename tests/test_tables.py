@@ -158,7 +158,7 @@ class TestUnordered:
                 reference = REFERENCE_UNORDERED[tag][convention]
                 fixed = invariant_subring_dims(
                     conf2_ring(tag, convention),
-                    conf2_ring_involution(tag, convention),
+                    (conf2_ring_involution(tag, convention),),
                 )
                 model = unordered_conf2_dims(datum(tag), convention)
                 closed = hilbert_series(
@@ -218,6 +218,12 @@ class TestVerify:
         )
         assert flag_check.status == "FAIL"
         assert "NonZeroRemainder" in flag_check.got
+        # a computed expected value that raises is a FAIL line too
+        h1_check = next(
+            c for c in report.checks if c.name == "first-cohomology-Sp2"
+        )
+        assert (h1_check.status, h1_check.expected) == ("FAIL", "not computed")
+        assert "NonZeroRemainder" in h1_check.got
         # untouched columns still pass
         u2_check = next(c for c in report.checks if c.name == "table2-U2")
         assert u2_check.status == "PASS"
@@ -249,6 +255,23 @@ class TestVerify:
         assert statuses["unordered-model-U2"] == "FAIL"
         assert statuses["unordered-model-S1xSU2"] == "FAIL"
         assert statuses["unordered-fixed-subring-U2"] == "PASS"
+
+    def test_first_cohomology_is_checked_against_the_table(self):
+        # SU3's Weyl group with a circle's pi1 rank: the count says 2, the
+        # computed table has no first cohomology
+        fake = WeylDatum(
+            (LieFactor("special_unitary", "U2", 2, (2, 3), 1),), tag="U2"
+        )
+        for convention in ("derived", "paper"):
+            report = verify_all(convention, data={"U2": fake})
+            check = next(
+                c for c in report.checks if c.name == "first-cohomology-U2"
+            )
+            assert (check.status, check.expected, check.got) == (
+                "FAIL",
+                "0",
+                "2",
+            )
 
     def test_each_table_and_character_is_built_once(self, monkeypatch):
         calls = Counter()

@@ -17,7 +17,7 @@ import pytest
 from confab import StabilityQuery, conf_ab_table, datum, stable_bound
 from confab.cli import Document
 from confab.exact import QMatrix, RationalPolynomial
-from confab.freegroup import FreeGroupModule, InvariantViolation, h1_f2
+from confab.freegroup import InvariantViolation, h1_f2
 from confab.groups import ClassFunction, FiniteGroup
 from confab.rings import GeneratorAutomorphism, RingPresentation
 from confab.tables import CohomologyTable, TableRow
@@ -35,11 +35,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def z2():
     return FiniteGroup(("e", "s"), (1, 1))
-
-
-def swap_module():
-    eye = QMatrix.identity(2)
-    return FreeGroupModule(eye, eye, QMatrix.from_rows([[0, 1], [1, 0]]))
 
 
 def table_row():
@@ -61,10 +56,9 @@ FACTORIES = {
         z2(), (RationalPolynomial((1, 1)), RationalPolynomial((1, -1)))
     ),
     "RingPresentation": lambda: RingPresentation(
-        (("a", 1), ("b", 2)), ((1, 0), (0, 1))
+        (("a", 1), ("b", 2)), (("b", "a"), ("a", "b"))
     ),
     "StabilityQuery": lambda: StabilityQuery("U", 2, 9),
-    "FreeGroupModule": swap_module,
     "TableRow": table_row,
     "CohomologyTable": lambda: CohomologyTable(
         "U2", 2, "derived", (table_row(),)
@@ -74,7 +68,6 @@ FACTORIES = {
     "CircleConfSummary": lambda: circle_conf(4),
     "SU2ConfSummary": lambda: su2_conf(3),
     "Document": lambda: Document({"k": 3}, ["k"], [[3]], "3\n", 0),
-    "H1FreeGroup": lambda: h1_f2(swap_module()),
     "GeneratorAutomorphism": lambda: GeneratorAutomorphism.build(
         {"a": [(1, "b")], "b": [(1, "a")]}
     ),
@@ -120,8 +113,10 @@ def test_construction_normalises_fields():
     assert QMatrix(1, 1, (Fraction(4, 2),)).entries == (2,)
     assert type(QMatrix(1, 1, (Fraction(4, 2),)).entries[0]) is int
     assert StabilityQuery("SP", 1, 1).family == "sp"
-    pres = RingPresentation((("a", 1), ("b", 1)), ((1, 0), (0, 1)))
-    assert pres.forbidden == ((0, 1),)
+    pres = RingPresentation(
+        (("a", 1), ("b", 1), ("c", 1)), (("c", "a"), ("b", "a"), ("a", "b"))
+    )
+    assert pres.forbidden == ((0, 1), (0, 2))
 
 
 EYE2 = QMatrix.identity(2)
@@ -157,13 +152,18 @@ REJECTED = [
     ),
     (
         "duplicate label",
-        lambda: RingPresentation((("a", 1), ("a", 2)), ()),
+        lambda: RingPresentation((("a", 1), ("a", 2))),
         ValueError,
     ),
-    ("degree zero", lambda: RingPresentation((("a", 0),), ()), ValueError),
+    ("degree zero", lambda: RingPresentation((("a", 0),)), ValueError),
     (
         "bad pair",
-        lambda: RingPresentation((("a", 1), ("b", 1)), ((0, 0),)),
+        lambda: RingPresentation((("a", 1), ("b", 1)), (("a", "a"),)),
+        ValueError,
+    ),
+    (
+        "unknown label",
+        lambda: RingPresentation((("a", 1),), (("a", "b"),)),
         ValueError,
     ),
     ("family", lambda: StabilityQuery("g2", 1, 2), ValueError),
@@ -171,19 +171,22 @@ REJECTED = [
     ("k", lambda: StabilityQuery("u", 1, 0), ValueError),
     (
         "action sizes",
-        lambda: FreeGroupModule(EYE2, QMatrix.identity(3)),
+        lambda: h1_f2(EYE2, QMatrix.identity(3)),
         InvariantViolation,
     ),
     (
         "singular action",
-        lambda: FreeGroupModule(EYE2, QMatrix.zero(2, 2)),
+        lambda: h1_f2(EYE2, QMatrix(2, 2, (0,) * 4)),
+        InvariantViolation,
+    ),
+    (
+        "involution size",
+        lambda: h1_f2(EYE2, EYE2, QMatrix.identity(3)),
         InvariantViolation,
     ),
     (
         "involution square",
-        lambda: FreeGroupModule(
-            EYE2, EYE2, QMatrix.from_rows([[1, 1], [0, 1]])
-        ),
+        lambda: h1_f2(EYE2, EYE2, QMatrix.from_rows([[1, 1], [0, 1]])),
         InvariantViolation,
     ),
 ]
