@@ -39,7 +39,7 @@ class RingPresentation:
     payload lists them the same way whatever order they were given in.
     """
 
-    __slots__ = ("generators", "forbidden", "_index")
+    __slots__ = ("generators", "forbidden", "_index", "_vanishing")
 
     def __init__(
         self,
@@ -65,6 +65,7 @@ class RingPresentation:
         self.generators = generators
         self.forbidden = tuple(sorted(pairs))
         self._index = index
+        self._vanishing = frozenset(pairs)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -123,9 +124,8 @@ def normalize_product(
     for a, b in zip(seq, seq[1:]):
         if a == b:
             return None
-    forbidden = set(pres.forbidden)
-    for a, b in combinations(seq, 2):
-        if (a, b) in forbidden:
+    for pair in combinations(seq, 2):
+        if pair in pres._vanishing:
             return None
     return sign, tuple(seq)
 
@@ -133,11 +133,10 @@ def normalize_product(
 def monomial_basis(pres: RingPresentation) -> dict[int, tuple[Monomial, ...]]:
     """All basis monomials bucketed by degree; degree 0 holds the empty one."""
     n = len(pres.generators)
-    forbidden = set(pres.forbidden)
     buckets: dict[int, list[Monomial]] = {0: [()]}
     for size in range(1, n + 1):
         for combo in combinations(range(n), size):
-            if any(pair in forbidden for pair in combinations(combo, 2)):
+            if any(pair in pres._vanishing for pair in combinations(combo, 2)):
                 continue
             buckets.setdefault(pres.degree_of(combo), []).append(combo)
     return {deg: tuple(sorted(monos)) for deg, monos in sorted(buckets.items())}
@@ -164,13 +163,6 @@ def add_elements(a: Element, b: Element) -> Element:
     for mono, coef in b.items():
         _accumulate(out, mono, coef)
     return out
-
-
-def scale_element(a: Element, value) -> Element:
-    value = as_exact(value)
-    if not value:
-        return {}
-    return {mono: coef * value for mono, coef in a.items()}
 
 
 def element_product(pres: RingPresentation, a: Element, b: Element) -> Element:
@@ -230,49 +222,54 @@ class GeneratorAutomorphism(NamedTuple):
         )
         return cls(packed)
 
-    def image_of(self, pres: RingPresentation, label: str) -> Element:
-        unknown = [s for s, _ in self.images if s not in pres._index]
+    def generator_images(self, pres: RingPresentation) -> list[Element]:
+        """Each generator's image in generator order, checked once."""
+        images = dict(self.images)
+        unknown = [s for s in images if s not in pres._index]
         if unknown:
             raise ValueError(f"image given for non-generator {unknown[0]!r}")
-        for source, terms in self.images:
-            if source == label:
-                degree = pres.generators[pres.index_of(label)][1]
-                out: Element = {}
-                for coef, target in terms:
-                    idx = pres.index_of(target)
-                    if pres.generators[idx][1] != degree:
-                        raise ValueError(
-                            f"image of {label} is not degree-preserving"
-                        )
-                    out = add_elements(out, {(idx,): coef})
-                return out
-        return {(pres.index_of(label),): 1}
+        out = []
+        for label, degree in pres.generators:
+            image: Element = {}
+            for coef, target in images.get(label, ((1, label),)):
+                idx = pres.index_of(target)
+                if pres.generators[idx][1] != degree:
+                    raise ValueError(
+                        f"image of {label} is not degree-preserving"
+                    )
+                _accumulate(image, (idx,), coef)
+            out.append(image)
+        return out
 
     def apply(self, pres: RingPresentation, element: Element) -> Element:
-        out: Element = {}
-        for mono, coef in element.items():
-            image: Element = {(): 1}
-            for idx in mono:
-                image = element_product(
-                    pres, image, self.image_of(pres, pres.generators[idx][0])
-                )
-            out = add_elements(out, scale_element(image, coef))
-        return out
+        return _apply_images(pres, self.generator_images(pres), element)
+
+
+def _apply_images(
+    pres: RingPresentation, images: Sequence[Element], element: Element
+) -> Element:
+    """Extend generator images multiplicatively over ``element``."""
+    out: Element = {}
+    for mono, coef in element.items():
+        image: Element = {(): coef}
+        for idx in mono:
+            image = element_product(pres, image, images[idx])
+        out = add_elements(out, image)
+    return out
 
 
 def action_matrices(
     pres: RingPresentation, auto: GeneratorAutomorphism
 ) -> dict[int, QMatrix]:
     """Matrix of the automorphism on each degree's monomial basis."""
-    buckets = monomial_basis(pres)
+    images = auto.generator_images(pres)
     out = {}
-    for degree, monos in buckets.items():
+    for degree, monos in monomial_basis(pres).items():
         position = {mono: i for i, mono in enumerate(monos)}
         columns = []
         for mono in monos:
-            image = auto.apply(pres, {mono: 1})
             col = [0] * len(monos)
-            for target, coef in image.items():
+            for target, coef in _apply_images(pres, images, {mono: 1}).items():
                 if target not in position:
                     raise ValueError(
                         "automorphism image left the degree's basis"

@@ -22,14 +22,12 @@ from .exact import QMatrix, rank
 from .groups import decompose, format_decomposition
 from .rings import (
     Element,
-    add_elements,
     element_degree,
     element_from_terms,
     element_product,
     hilbert_series,
     invariant_subring_dims,
     monomial_basis,
-    scale_element,
 )
 from .tables import (
     RING_TAGS,
@@ -177,61 +175,76 @@ def _pad(dims, length) -> tuple[int, ...]:
     return tuple(dims) + (0,) * (length - len(dims))
 
 
-def _u2_embedding_summary(convention: str) -> str:
+# each pair-ring generator written inside the pre-invariant model ring as
+# (coefficient, labels in product order) terms; a1 is the paper
+# convention's carried circle class
+_EMBEDDINGS = {
+    "U2": {
+        "b1": ((1, ("x1",)), (1, ("y1",))),
+        "c1": ((1, ("z1",)), (1, ("w1",))),
+        "d2": (
+            (1, ("x1", "z1")),
+            (-1, ("x1", "w1")),
+            (-1, ("y1", "z1")),
+            (1, ("y1", "w1")),
+        ),
+        "e3": ((1, ("a2", "x1")), (-1, ("a2", "y1"))),
+        "f3": ((1, ("a2", "z1")), (-1, ("a2", "w1"))),
+    },
+    "S1xSU2": {
+        "a1": ((1, ("a1",)),),
+        "x1": ((1, ("x1",)),),
+        "z1": ((1, ("z1",)),),
+        "c2": ((1, ("y1", "w1")),),
+        "d3": ((1, ("b2", "y1")),),
+        "e3": ((1, ("b2", "w1")),),
+    },
+}
+
+
+def _embedding_summary(tag: str, convention: str) -> str:
     """Check the pair-ring presentation against the model from scratch.
 
-    The five presentation generators are written out inside the model ring;
+    The presentation's generators are written out inside the model ring;
     they must be Weyl invariant, transform under the point swap exactly as
-    the catalog involution says, satisfy every ideal relation, and span a
-    subring with the presentation's Hilbert series.
+    the catalog involution says, satisfy every relation of the presentation
+    (each vanishing pair and each generator's square), and span a subring
+    with the presentation's Hilbert series.
     """
-    model, weyl, swap = _unordered_model("U2", convention)
-    x_minus_y = element_from_terms(model, ((1, ("x1",)), (-1, ("y1",))))
-    z_minus_w = element_from_terms(model, ((1, ("z1",)), (-1, ("w1",))))
-    a2 = element_from_terms(model, ((1, ("a2",)),))
-    expressions = {
-        "b1": element_from_terms(model, ((1, ("x1",)), (1, ("y1",)))),
-        "c1": element_from_terms(model, ((1, ("z1",)), (1, ("w1",)))),
-        "d2": element_product(model, x_minus_y, z_minus_w),
-        "e3": element_product(model, a2, x_minus_y),
-        "f3": element_product(model, a2, z_minus_w),
-    }
-    invariant = all(
-        weyl.apply(model, expr) == expr for expr in expressions.values()
+    model, weyl, swap = _unordered_model(tag, convention)
+    ring = conf2_ring(tag, convention)
+    terms = _EMBEDDINGS[tag]
+    expressions = [
+        element_from_terms(model, terms[label]) for label in ring.labels
+    ]
+    invariant = all(weyl.apply(model, expr) == expr for expr in expressions)
+    # the stated image of each generator, rewritten inside the model
+    stated = conf2_ring_involution(tag, convention).generator_images(ring)
+    swap_matches = all(
+        swap.apply(model, expr)
+        == element_from_terms(
+            model,
+            [
+                (coef * c, labels)
+                for (target,), coef in image.items()
+                for c, labels in terms[ring.labels[target]]
+            ],
+        )
+        for expr, image in zip(expressions, stated)
     )
-    involution = conf2_ring_involution("U2", convention)
-    ring = conf2_ring("U2", convention)
-    swap_matches = True
-    for label, expr in expressions.items():
-        image = swap.apply(model, expr)
-        stated = involution.image_of(ring, label)
-        rebuilt: Element = {}
-        for mono, coef in stated.items():
-            target = expressions[ring.generators[mono[0]][0]]
-            rebuilt = add_elements(rebuilt, scale_element(target, coef))
-        if image != rebuilt:
-            swap_matches = False
-    relation_pairs = (
-        ("d2", "d2"),
-        ("c1", "d2"),
-        ("c1", "f3"),
-        ("d2", "e3"),
-        ("d2", "f3"),
-        ("e3", "f3"),
-    )
+    squares = tuple((i, i) for i in range(len(expressions)))
     relations_vanish = all(
-        element_product(model, expressions[a], expressions[b]) == {}
-        for a, b in relation_pairs
+        element_product(model, expressions[i], expressions[j]) == {}
+        for i, j in ring.forbidden + squares
     )
-    # span of all products of the five expressions, degree by degree
+    # span of all products of the expressions, degree by degree
     basis = monomial_basis(model)
     by_degree: dict[int, list[Element]] = {0: [{(): 1}]}
-    names = tuple(expressions)
-    for size in range(1, len(names) + 1):
-        for combo in combinations(names, size):
+    for size in range(1, len(expressions) + 1):
+        for combo in combinations(expressions, size):
             product: Element = {(): 1}
-            for name in combo:
-                product = element_product(model, product, expressions[name])
+            for expr in combo:
+                product = element_product(model, product, expr)
             if not product:
                 continue
             degree = element_degree(model, product)
@@ -243,13 +256,8 @@ def _u2_embedding_summary(convention: str) -> str:
         if not elements or not monos:
             span.append(0)
             continue
-        matrix = QMatrix.from_rows(
-            [
-                [el.get(mono, 0) for mono in monos]
-                for el in elements
-            ]
-        )
-        span.append(rank(matrix))
+        rows = [[el.get(mono, 0) for mono in monos] for el in elements]
+        span.append(rank(QMatrix.from_rows(rows)))
     return (
         f"invariant={invariant}; swap-action={swap_matches}; "
         f"relations-zero={relations_vanish}; span={tuple(span)}"
@@ -420,13 +428,16 @@ def report(convention: str, data=None) -> VerifyReport:
                 ),
             ),
         ]
+    for tag in RING_TAGS:
+        checks.append(
+            (
+                f"ring-embedding-{tag}",
+                "invariant=True; swap-action=True; relations-zero=True; "
+                f"span={REFERENCE_TABLE2[tag][convention]}",
+                lambda tag=tag: _embedding_summary(tag, convention),
+            )
+        )
     checks += [
-        (
-            "ring-embedding-U2",
-            "invariant=True; swap-action=True; relations-zero=True; "
-            f"span={REFERENCE_TABLE2['U2'][convention]}",
-            lambda: _u2_embedding_summary(convention),
-        ),
         # bundle route (invariants over the maximal torus) against the
         # direct component counts for the two rank-1 groups
         (

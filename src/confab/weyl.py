@@ -1,12 +1,13 @@
 """Weyl group data for the supported compact-group families.
 
-Supported factors: the circle, U(n), SU(n), Sp(n); a datum is a finite
-product of factors named by a tag like "S1xSU2".  Each factor's Weyl group is
-given by its conjugacy classes in closed form (Macdonald, *Symmetric
-Functions*, ch. I), never by enumerating elements:
+A factor is its reflection datum: the classes of its Weyl group with their
+sizes, det(1 - x w) for each class, its invariant degrees and the rank of
+its fundamental group.  Supported factors are U(n), SU(n), Sp(n) and the
+circle, which is U(1) under the tag S1; a datum is a finite product of
+factors named by a tag like "S1xSU2".  Each Weyl group is given by its
+conjugacy classes in closed form (Macdonald, *Symmetric Functions*, ch. I),
+never by enumerating elements:
 
-- circle: the trivial group acting on Q^1, no invariant degrees,
-  fundamental-group rank 1
 - U(n): the symmetric group S_n permuting Q^n; classes are partitions
   lambda of n, of size n!/z_lambda; degrees 1..n
 - SU(n): the same S_n on its (n-1)-dimensional reflection representation,
@@ -19,18 +20,19 @@ Functions*, ch. I), never by enumerating elements:
 A product datum takes tuples of factor classes; sizes and characteristic
 polynomials multiply across factors.  A cycle of length l and sign e
 contributes the factor 1 - e x^l to det(1 - x w) (Solomon, "Invariants of
-finite reflection groups", 1963), so both polynomials below come straight
-from the cycle type.
+finite reflection groups", 1963), so the polynomial comes straight from the
+cycle type.
 
 Cohomology enters as graded characters, stored as one graded trace
 sum_n tr(w | H^n) t^n per conjugacy class.  The exterior algebra of the torus
-has trace det(1 + t w); the coinvariant algebra of the flag manifold has the
-Molien quotient prod(1 - q^d_i) / det(1 - q w) with q = t^2, so its
-cohomology sits in even degrees.  A product class's trace is the product of its factor
-classes' traces, and the Kunneth product multiplies traces class by class.
-The Molien division must be exact; a nonzero remainder means the degree list
-is corrupt and surfaces as NonZeroRemainder rather than silently wrong
-dimensions.
+has trace det(1 + t w), the characteristic polynomial at x = -t; the
+coinvariant algebra of the flag manifold has the Molien quotient
+prod(1 - q^d_i) / det(1 - q w) with q = t^2, so its cohomology sits in even
+degrees.  A product class's trace is the product of its factor classes'
+traces, and the Kunneth product multiplies traces class by class.  The
+Molien division is made factor by factor and must be exact; a nonzero
+remainder means the degree list is corrupt and surfaces as NonZeroRemainder
+rather than silently wrong dimensions.
 """
 
 from __future__ import annotations
@@ -93,17 +95,26 @@ def _centralizer(lengths: tuple[int, ...], weight: int) -> int:
     )
 
 
-def _det_one_minus(cycle_type: CycleType, s: int) -> RationalPolynomial:
-    """det(1 - s x w) as a polynomial in x, from the signed cycle type."""
+def _det_one_minus(cycle_type: CycleType) -> RationalPolynomial:
+    """det(1 - x w) as a polynomial in x, from the signed cycle type."""
     alpha, beta = cycle_type
-    poly = RationalPolynomial.one()
-    for lengths, sign in ((alpha, 1), (beta, -1)):
-        for length in lengths:
-            poly = poly * (
-                RationalPolynomial.one()
-                - RationalPolynomial.monomial(length, sign * s**length)
-            )
-    return poly
+    one = RationalPolynomial.one()
+    return prod(
+        (
+            one - RationalPolynomial.monomial(length, sign)
+            for lengths, sign in ((alpha, 1), (beta, -1))
+            for length in lengths
+        ),
+        start=one,
+    )
+
+
+def _substitute(poly: RationalPolynomial, sign: int, power: int):
+    """poly(sign * t^power) as a polynomial in t."""
+    coeffs = [0] * (power * poly.degree + 1)
+    for i, c in enumerate(poly.coeffs):
+        coeffs[power * i] = sign**i * c
+    return RationalPolynomial(coeffs)
 
 
 def _perm_sign(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
@@ -134,84 +145,70 @@ _NAMED_CHARACTERS = {
 }
 
 
-class LieFactor:
-    """One factor of a supported product, with its Weyl group's classes.
+def _weyl_classes(
+    n: int, signed: bool
+) -> tuple[FiniteGroup, tuple[RationalPolynomial, ...]]:
+    """S_n or B_n on Q^n by signed cycle type, with det(1 - x w) per class."""
+    types = tuple(
+        (alpha, beta)
+        for m in (range(n, -1, -1) if signed else (n,))
+        for alpha in _partitions(m)
+        for beta in _partitions(n - m)
+    )
+    weight = 2 if signed else 1
+    order = factorial(n) * weight**n
+    group = FiniteGroup(
+        types,
+        tuple(
+            order // (_centralizer(a, weight) * _centralizer(b, weight))
+            for a, b in types
+        ),
+    )
+    return group, tuple(_det_one_minus(t) for t in types)
 
-    Five values name a factor: ``kind``, ``tag``, ``rank``, ``degrees`` and
-    ``pi1_rank``; equality and hashing use those alone.  The constructor
-    derives the rest from them: ``group`` (classes labelled by signed cycle
-    type), ``torus_polys`` (det(1 + t w) per class), ``molien_denominators``
-    (det(1 - q w) per class) and ``catalog`` (the named irreducibles of S1,
-    S2, S3, B1 and B2; None for larger Weyl groups).
+
+class LieFactor:
+    """One factor of a supported product, as its reflection datum.
+
+    Five values make a factor: ``tag``; ``degrees``, the invariant degrees,
+    whose number is the ``rank``; ``pi1_rank``, the rank of the fundamental
+    group; ``group``, the Weyl group's classes labelled by signed cycle type
+    with their sizes; and ``charpolys``, det(1 - x w) per class.  Equality
+    and hashing use those five.  ``catalog`` is derived from the group: the
+    named irreducibles of S1, S2, S3, B1 and B2, None for larger Weyl groups.
+    The builders below are the way to make one.
     """
 
-    __slots__ = (
-        "kind",
-        "tag",
-        "rank",
-        "degrees",
-        "pi1_rank",
-        "group",
-        "torus_polys",
-        "molien_denominators",
-        "catalog",
-    )
+    __slots__ = ("tag", "degrees", "pi1_rank", "group", "charpolys", "catalog")
 
     def __init__(
         self,
-        kind: str,
         tag: str,
-        rank: int,
         degrees: tuple[int, ...],
         pi1_rank: int,
+        group: FiniteGroup,
+        charpolys: tuple[RationalPolynomial, ...],
     ):
-        if kind == "circle" and degrees:
-            raise UnsupportedDatum("a circle factor has no invariant degrees")
-        if kind != "circle" and len(degrees) != rank:
+        if charpolys[0].degree != len(degrees):
             raise UnsupportedDatum("one invariant degree per rank required")
-        self.kind = kind
-        self.tag = tag
-        self.rank = rank
-        self.degrees = degrees
-        self.pi1_rank = pi1_rank
-        signed = kind == "symplectic"
-        # the Weyl group is S_n or B_n; SU(n) acts on a rank n - 1 torus
-        n = rank + 1 if kind == "special_unitary" else rank
-        if signed:
-            types = tuple(
-                (alpha, beta)
-                for m in range(n, -1, -1)
-                for alpha in _partitions(m)
-                for beta in _partitions(n - m)
-            )
-        else:
-            types = tuple((alpha, ()) for alpha in _partitions(n))
-        weight = 2 if signed else 1
-        order = factorial(n) * weight**n
-        group = FiniteGroup(
-            types,
-            tuple(
-                order // (_centralizer(a, weight) * _centralizer(b, weight))
-                for a, b in types
-            ),
-        )
-        if kind != "circle" and prod(degrees) != group.order:
+        if prod(degrees) != group.order:
             raise UnsupportedDatum(
                 f"invariant degrees {degrees} do not multiply to the "
                 f"Weyl group order {group.order}"
             )
-        torus = [_det_one_minus(t, -1) for t in types]
-        molien = [_det_one_minus(t, 1) for t in types]
-        if kind == "special_unitary":
-            # drop the trivial summand of the permutation representation
-            one_plus_t = RationalPolynomial((1, 1))
-            one_minus_q = RationalPolynomial((1, -1))
-            torus = [poly_div_exact(p, one_plus_t) for p in torus]
-            molien = [poly_div_exact(p, one_minus_q) for p in molien]
-        named = _NAMED_CHARACTERS.get((signed, n))
-        catalog = None
+        self.tag = tag
+        self.degrees = degrees
+        self.pi1_rank = pi1_rank
+        self.group = group
+        self.charpolys = charpolys
+        types = group.classes
+        # keyed by (signed, n): the identity has n positive 1-cycles
+        named = _NAMED_CHARACTERS.get(
+            (any(beta for _, beta in types), len(types[0][0]))
+        )
+        self.catalog = None
         if named is not None:
-            catalog = IrreducibleCatalog(
+            self.catalog = IrreducibleCatalog(
                 group,
                 (TRIVIAL_LABEL, *named),
                 (ClassFunction.trivial(group),)
@@ -220,43 +217,50 @@ class LieFactor:
                     for f in named.values()
                 ),
             )
-        self.group = group
-        self.torus_polys = tuple(torus)
-        self.molien_denominators = tuple(molien)
-        self.catalog = catalog
+
+    @property
+    def rank(self) -> int:
+        return len(self.degrees)
+
+    def _key(self) -> tuple:
+        return (
+            self.tag, self.degrees, self.pi1_rank, self.group, self.charpolys
+        )
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.tag == other.tag
-            and self.rank == other.rank
-            and self.degrees == other.degrees
-            and self.pi1_rank == other.pi1_rank
-        )
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash(
-            (self.kind, self.tag, self.rank, self.degrees, self.pi1_rank)
-        )
-
-
-def circle() -> LieFactor:
-    return LieFactor("circle", "S1", 1, (), 1)
+        return hash(self._key())
 
 
 def unitary(n: int) -> LieFactor:
     if n < 1:
         raise UnsupportedDatum("U(n) needs n >= 1")
-    return LieFactor("unitary", f"U{n}", n, tuple(range(1, n + 1)), 1)
+    return LieFactor(
+        f"U{n}", tuple(range(1, n + 1)), 1, *_weyl_classes(n, False)
+    )
+
+
+def circle() -> LieFactor:
+    """U(1) under the tag S1."""
+    return LieFactor("S1", (1,), 1, *_weyl_classes(1, False))
 
 
 def special_unitary(n: int) -> LieFactor:
     if n < 2:
         raise UnsupportedDatum("SU(n) needs n >= 2")
+    group, charpolys = _weyl_classes(n, False)
+    # drop the trivial summand of the permutation representation
+    one_minus_x = RationalPolynomial((1, -1))
     return LieFactor(
-        "special_unitary", f"SU{n}", n - 1, tuple(range(2, n + 1)), 0
+        f"SU{n}",
+        tuple(range(2, n + 1)),
+        0,
+        group,
+        tuple(poly_div_exact(p, one_minus_x) for p in charpolys),
     )
 
 
@@ -264,15 +268,12 @@ def symplectic(n: int) -> LieFactor:
     if n < 1:
         raise UnsupportedDatum("Sp(n) needs n >= 1")
     return LieFactor(
-        "symplectic",
-        f"Sp{n}",
-        n,
-        tuple(2 * i for i in range(1, n + 1)),
-        0,
+        f"Sp{n}", tuple(range(2, 2 * n + 1, 2)), 0, *_weyl_classes(n, True)
     )
 
 
-_PART_PATTERN = re.compile(r"^(S1|SU(\d+)|SP(\d+)|U(\d+))$")
+_PART_PATTERN = re.compile(r"^(?:S1|(SU|SP|U)(\d+))$")
+_BUILDERS = {"SU": special_unitary, "SP": symplectic, "U": unitary}
 
 
 def parse_tag(tag: str) -> tuple[LieFactor, ...]:
@@ -283,16 +284,7 @@ def parse_tag(tag: str) -> tuple[LieFactor, ...]:
         m = _PART_PATTERN.match(part.strip().upper())
         if not m:
             raise UnsupportedDatum(f"unrecognized factor {part!r} in {tag!r}")
-        if m.group(2):
-            factors.append(special_unitary(int(m.group(2))))
-        elif m.group(3):
-            factors.append(symplectic(int(m.group(3))))
-        elif m.group(4):
-            factors.append(unitary(int(m.group(4))))
-        else:
-            factors.append(circle())
-    if not factors:
-        raise UnsupportedDatum(f"empty tag {tag!r}")
+        factors.append(_BUILDERS[m[1]](int(m[2])) if m[1] else circle())
     return tuple(factors)
 
 
@@ -424,55 +416,50 @@ def _product_traces(
 def torus_character(d: WeylDatum) -> GradedCharacter:
     """Exterior algebra on degree-1 classes: det(1 + t g) per class."""
     return GradedCharacter(
-        d.group, _product_traces(d, [f.torus_polys for f in d.factors])
+        d.group,
+        _product_traces(
+            d,
+            [
+                tuple(_substitute(p, -1, 1) for p in f.charpolys)
+                for f in d.factors
+            ],
+        ),
     )
 
 
 def _factor_flag_traces(
-    factor: LieFactor, convention: str, has_noncircle: bool
+    factor: LieFactor, carried: bool
 ) -> tuple[RationalPolynomial, ...]:
     """Graded traces on one factor's flag cohomology, per factor class."""
-    if factor.kind == "circle":
-        # the quotient of a circle by its maximal torus is a point; the
-        # alternative convention treats the circle factor as carried along,
-        # contributing a degree-1 class, but only in genuinely mixed products
-        if convention == "paper" and has_noncircle:
-            return (RationalPolynomial((1, 1)),)
-        return (RationalPolynomial.one(),)
-    numerator = RationalPolynomial.one()
-    for deg in factor.degrees:
-        numerator = numerator * (
-            RationalPolynomial.one()
-            + RationalPolynomial.monomial(deg, -1)
-        )
+    if carried:
+        return (RationalPolynomial((1, 1)),)
+    one = RationalPolynomial.one()
+    numerator = prod(
+        (one - RationalPolynomial.monomial(d) for d in factor.degrees), start=one
+    )
     # q^m sits in cohomological degree 2m: substitute q = t^2
     return tuple(
-        RationalPolynomial(
-            tuple(
-                c
-                for coefficient in poly_div_exact(numerator, denominator).coeffs
-                for c in (coefficient, 0)
-            )
-        )
-        for denominator in factor.molien_denominators
+        _substitute(poly_div_exact(numerator, p), 1, 2)
+        for p in factor.charpolys
     )
 
 
 def flag_character(d: WeylDatum, convention: str = "derived") -> GradedCharacter:
     """Coinvariant-algebra character of the product flag manifold.
 
-    Molien quotient per factor class, multiplied across factors.
-    ``convention`` only affects circle factors inside mixed products; see
-    ``_factor_flag_traces``.
+    Molien quotient per factor class, multiplied across factors.  A factor
+    with a trivial Weyl group has a point as its flag manifold; the paper
+    convention instead carries a degree-1 class for it, but only in a product
+    that also has a factor with a non-trivial Weyl group.
     """
     check_convention(convention)
-    has_noncircle = any(f.kind != "circle" for f in d.factors)
+    carry = convention == "paper" and any(f.group.order > 1 for f in d.factors)
     return GradedCharacter(
         d.group,
         _product_traces(
             d,
             [
-                _factor_flag_traces(f, convention, has_noncircle)
+                _factor_flag_traces(f, carry and f.group.order == 1)
                 for f in d.factors
             ],
         ),

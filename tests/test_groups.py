@@ -3,6 +3,7 @@ against a brute-force matrix-group oracle."""
 
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -16,7 +17,15 @@ from confab.groups import (
     format_decomposition,
     inner_product,
 )
-from confab.weyl import datum, parse_tag
+from confab.weyl import (
+    WeylDatum,
+    circle,
+    datum,
+    special_unitary,
+    symplectic,
+    torus_character,
+    unitary,
+)
 
 SWAP = QMatrix.from_rows([[0, 1], [1, 0]])
 FLIP = QMatrix.from_rows([[1, 0], [0, -1]])
@@ -96,41 +105,53 @@ def last_sign_flip(n):
     return QMatrix.from_rows(rows)
 
 
-def oracle_group(factor):
-    """The factor's Weyl group in its reflection representation."""
-    n = factor.rank
-    if factor.kind == "circle":
-        generators = []
-    elif factor.kind == "special_unitary":
-        generators = [root_reflection(n, i) for i in range(n)]
-    else:
-        generators = [perm_transposition(n, i) for i in range(n - 1)]
-        if factor.kind == "symplectic":
-            generators.append(last_sign_flip(n))
-    return close_group(generators, n)
+def permutations(n):
+    return [perm_transposition(n, i) for i in range(n - 1)]
 
 
-ORACLE_TAGS = (
-    "S1", "U1", "U2", "U3", "U4", "SU2", "SU3", "SU4", "Sp1", "Sp2", "Sp3",
-)
-
-
-@pytest.mark.parametrize("tag", ORACLE_TAGS)
-def test_cycle_types_match_the_matrix_oracle(tag):
-    (factor,) = parse_tag(tag)
-    elements = oracle_group(factor)
-    oracle = Counter(
-        (
-            len(members),
-            char_matrix_poly(elements[members[0]], 1),
-            char_matrix_poly(elements[members[0]], -1),
+# each builder with its Weyl group's generators as matrices on Q^rank
+ORACLES = {
+    "S1": (circle, permutations(1)),
+    **{f"U{n}": (partial(unitary, n), permutations(n)) for n in (1, 2, 3, 4)},
+    **{
+        f"SU{n}": (
+            partial(special_unitary, n),
+            [root_reflection(n - 1, i) for i in range(n - 1)],
         )
+        for n in (2, 3, 4)
+    },
+    **{
+        f"Sp{n}": (
+            partial(symplectic, n),
+            permutations(n) + [last_sign_flip(n)],
+        )
+        for n in (1, 2, 3)
+    },
+}
+
+
+def oracle_group(tag):
+    """The built factor and its Weyl group in its reflection representation."""
+    builder, generators = ORACLES[tag]
+    factor = builder()
+    return factor, close_group(generators, factor.rank)
+
+
+@pytest.mark.parametrize("tag", ORACLES)
+def test_cycle_types_match_the_matrix_oracle(tag):
+    factor, elements = oracle_group(tag)
+    representatives = [
+        (len(members), elements[members[0]])
         for members in conjugacy_classes(elements)
+    ]
+    # (size, det(1 - x w)) per class, then det(1 + t w) through the torus
+    assert Counter(zip(factor.group.sizes, factor.charpolys)) == Counter(
+        (size, char_matrix_poly(g, -1)) for size, g in representatives
     )
-    cycle_types = Counter(
-        zip(factor.group.sizes, factor.torus_polys, factor.molien_denominators)
+    torus = torus_character(WeylDatum((factor,)))
+    assert Counter(zip(factor.group.sizes, torus.traces)) == Counter(
+        (size, char_matrix_poly(g, 1)) for size, g in representatives
     )
-    assert cycle_types == oracle
     assert factor.group.order == len(elements)
 
 
@@ -155,11 +176,11 @@ def test_d8_characters_match_elementwise_definitions():
     # a: sign of the underlying permutation, b: product of the nonzero
     # entries, c: determinant, d: trace, all evaluated on each matrix and
     # compared with the catalog at the matrix's signed cycle type
-    factor = parse_tag("Sp2")[0]
+    factor, elements = oracle_group("Sp2")
     catalog = factor.catalog
     assert catalog.labels == ("1", "a", "b", "c", "d")
     by_label = dict(zip(catalog.labels, catalog.chars))
-    for g in oracle_group(factor):
+    for g in elements:
         unsigned = QMatrix(g.rows, g.cols, tuple(abs(e) for e in g.entries))
         entries = Fraction(1)
         for e in g.entries:

@@ -132,7 +132,7 @@ class TestAutomorphisms:
         pres = exterior(1, 2)
         bad = GeneratorAutomorphism.build({"g0": ((1, "g1"),)})
         with pytest.raises(ValueError):
-            bad.image_of(pres, "g0")
+            bad.generator_images(pres)
 
     def test_image_of_a_non_generator_rejected(self):
         pres = RingPresentation((("x1", 1),))

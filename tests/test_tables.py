@@ -1,6 +1,8 @@
 """Assembled tables, stability bounds, unordered pairs, verification."""
 
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +28,14 @@ from confab.verify import (
     REFERENCE_TABLE2,
     REFERENCE_UNORDERED,
 )
-from confab.weyl import LieFactor, UnsupportedDatum, WeylDatum, datum
+from confab.weyl import (
+    LieFactor,
+    UnsupportedDatum,
+    WeylDatum,
+    datum,
+    special_unitary,
+    symplectic,
+)
 
 
 class TestTables:
@@ -187,9 +196,23 @@ class TestUnordered:
             unordered_conf2_dims(datum("SU3"))
 
 
+# the benchmark's oracle tables, read here without being changed
+BENCHMARK_TABLES = json.loads(
+    (Path(__file__).parent.parent / "perfbench" / "golden.json").read_text(
+        encoding="utf-8"
+    )
+)["tables"]
+
+
+@pytest.mark.parametrize("tag", sorted(BENCHMARK_TABLES))
+def test_benchmark_golden_tables(tag):
+    assert list(conf_ab_table(datum(tag), 2).dims()) == BENCHMARK_TABLES[tag]
+
+
 def corrupt_symplectic_datum():
     """Degrees (1, 8) multiply to the group order but are not fundamental."""
-    factor = LieFactor("symplectic", "Sp2", 2, (1, 8), 0)
+    sp2 = symplectic(2)
+    factor = LieFactor("Sp2", (1, 8), 0, sp2.group, sp2.charpolys)
     return WeylDatum((factor,), tag="Sp2")
 
 
@@ -256,11 +279,29 @@ class TestVerify:
         assert statuses["unordered-model-S1xSU2"] == "FAIL"
         assert statuses["unordered-fixed-subring-U2"] == "PASS"
 
+    def test_embedding_lines_check_the_written_generators(self, monkeypatch):
+        # c2 = x1 w1 is not Weyl invariant (w1 changes sign) and its
+        # product with d3 = b2 y1 does not vanish
+        table = dict(verify._EMBEDDINGS["S1xSU2"])
+        table["c2"] = ((1, ("x1", "w1")),)
+        monkeypatch.setitem(verify._EMBEDDINGS, "S1xSU2", table)
+        for convention in ("derived", "paper"):
+            statuses = {
+                check.name: (check.status, check.got)
+                for check in verify_all(convention).checks
+            }
+            status, got = statuses["ring-embedding-S1xSU2"]
+            assert status == "FAIL"
+            assert got.startswith("invariant=False;")
+            assert "relations-zero=False" in got
+            assert statuses["ring-embedding-U2"][0] == "PASS"
+
     def test_first_cohomology_is_checked_against_the_table(self):
         # SU3's Weyl group with a circle's pi1 rank: the count says 2, the
         # computed table has no first cohomology
+        su3 = special_unitary(3)
         fake = WeylDatum(
-            (LieFactor("special_unitary", "U2", 2, (2, 3), 1),), tag="U2"
+            (LieFactor("U2", (2, 3), 1, su3.group, su3.charpolys),), tag="U2"
         )
         for convention in ("derived", "paper"):
             report = verify_all(convention, data={"U2": fake})

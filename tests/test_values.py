@@ -27,7 +27,9 @@ from confab.weyl import (
     GradedCharacter,
     LieFactor,
     UnsupportedDatum,
+    circle,
     symplectic,
+    unitary,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -97,15 +99,21 @@ def test_different_fields_are_unequal():
     assert RationalPolynomial((1,)) != (1,)
 
 
+def with_datum(factor, tag, degrees, pi1_rank):
+    """A factor with ``factor``'s Weyl group and characteristic polynomials."""
+    return LieFactor(tag, degrees, pi1_rank, factor.group, factor.charpolys)
+
+
 def test_lie_factor_equality_ignores_derived_attributes():
     stripped = symplectic(2)
-    stripped.group = z2()
-    stripped.torus_polys = ()
-    stripped.molien_denominators = ()
     stripped.catalog = None
     assert stripped == symplectic(2)
     assert hash(stripped) == hash(symplectic(2))
-    assert LieFactor("symplectic", "Sp2'", 2, (2, 4), 0) != symplectic(2)
+    assert with_datum(symplectic(2), "Sp2", (2, 4), 0) == symplectic(2)
+    assert with_datum(symplectic(2), "Sp2'", (2, 4), 0) != symplectic(2)
+    # the circle is U(1) under its own tag
+    assert with_datum(unitary(1), "S1", (1,), 1) == circle()
+    assert circle() != unitary(1)
 
 
 def test_construction_normalises_fields():
@@ -131,18 +139,13 @@ REJECTED = [
     ("value count", lambda: ClassFunction(z2(), (1,)), ValueError),
     ("float value", lambda: ClassFunction(z2(), (1, 0.5)), TypeError),
     (
-        "circle degrees",
-        lambda: LieFactor("circle", "S1", 1, (1,), 1),
-        UnsupportedDatum,
-    ),
-    (
         "degree count",
-        lambda: LieFactor("unitary", "U2", 2, (2,), 1),
+        lambda: with_datum(unitary(2), "U2", (2,), 1),
         UnsupportedDatum,
     ),
     (
         "degree product",
-        lambda: LieFactor("unitary", "U2", 2, (1, 3), 1),
+        lambda: with_datum(unitary(2), "U2", (1, 3), 1),
         UnsupportedDatum,
     ),
     (

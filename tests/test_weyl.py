@@ -4,6 +4,7 @@ import pytest
 
 from confab.exact import RationalPolynomial
 from confab.groups import decompose, format_decomposition
+from confab.tables import conf_ab_table, shortcut_dims
 from confab.torusconf import conf2_torus
 from confab.weyl import (
     GradedCharacter,
@@ -59,7 +60,7 @@ class TestFactors:
 
     def test_parse_tag(self):
         factors = parse_tag("S1xSU2")
-        assert tuple(f.kind for f in factors) == ("circle", "special_unitary")
+        assert factors == (circle(), special_unitary(2))
         assert parse_tag("U2")[0].rank == 2
         with pytest.raises(UnsupportedDatum):
             parse_tag("E8")
@@ -230,3 +231,17 @@ def test_character_values_are_ints(tag):
     for gc in characters:
         for trace in gc.traces:
             assert all(type(c) is int for c in trace.coeffs), (tag, trace)
+
+
+@pytest.mark.parametrize("convention", ("derived", "paper"))
+@pytest.mark.parametrize("tag", ("S1xSU2", "S1xS1", "S1xU3", "S1xSU2xSp1"))
+def test_u1_in_place_of_s1_changes_no_table(tag, convention):
+    # the paper convention carries a degree-1 class for every factor with a
+    # trivial Weyl group, whichever tag names it
+    s1, u1 = datum(tag), datum(tag.replace("S1", "U1"))
+    assert conf_ab_table(u1, 2, convention).dims() == conf_ab_table(
+        s1, 2, convention
+    ).dims()
+    assert shortcut_dims(u1, 2, convention) == shortcut_dims(
+        s1, 2, convention
+    )
