@@ -6,11 +6,12 @@ dense coefficient-tuple polynomials over the rationals.  An exact rational is
 stored as an ``int`` when it is integral and as a ``fractions.Fraction`` only
 when it is not; every division goes through ``exact_div``, which keeps that
 rule.  Characters, Molien coefficients and integer matrices therefore stay in
-plain ``int`` arithmetic, and mixed ``int``/``Fraction`` arithmetic
-is exact either way (``int`` has ``numerator`` and ``denominator`` too).  No
-floats anywhere; a division that should be exact but is not raises
-``NonZeroRemainder`` instead of rounding, because a nonzero remainder always
-means an upstream datum is corrupt rather than a numerical artifact.
+plain ``int`` arithmetic; ``as_exact_tuple`` hands a tuple of ints back
+unchanged after one scan of the value types.  Mixed ``int``/``Fraction``
+arithmetic is exact either way (``int`` has ``numerator`` and ``denominator``
+too).  No floats anywhere; a division that should be exact but is not
+raises ``NonZeroRemainder`` instead of rounding, because a nonzero remainder
+always means an upstream datum is corrupt rather than a numerical artifact.
 
 Matrices act on column vectors: ``m.apply(v)`` is ``m @ v``, and composition
 ``a.mul(b)`` means "apply ``b`` first".
@@ -59,7 +60,10 @@ def exact_div(a, b) -> int | Fraction:
 
 
 def as_exact_tuple(values) -> tuple[int | Fraction, ...]:
-    """``as_exact`` on each value, skipping the ints that need no work."""
+    """``as_exact`` on each value; a tuple of plain ints comes back as is."""
+    values = tuple(values)
+    if set(map(type, values)) <= {int}:
+        return values
     return tuple(v if type(v) is int else as_exact(v) for v in values)
 
 
@@ -93,12 +97,6 @@ class RationalPolynomial:
     @classmethod
     def one(cls) -> "RationalPolynomial":
         return cls((1,))
-
-    @classmethod
-    def monomial(cls, degree: int, coefficient=1) -> "RationalPolynomial":
-        if degree < 0:
-            raise ValueError("monomial degree must be >= 0")
-        return cls((0,) * degree + (coefficient,))
 
     @property
     def degree(self) -> int:

@@ -10,7 +10,9 @@ depend on class order only through class *values*, never through indices.
 Characters are stored per conjugacy class, each value an exact rational kept
 as an ``int`` when integral and as a ``Fraction`` only when it is not (the
 storage rule of ``confab.exact``).  Rational characters are integer valued,
-so in practice every value is an ``int``.
+so in practice every value is an ``int``.  ``decompose`` pairs f with each
+irreducible and subtracts the parts from a plain list of values, which must
+reach zero.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import prod
+from operator import mul
 from typing import Hashable, Sequence
 
-from .exact import as_exact, as_exact_tuple, exact_div
+from .exact import as_exact_tuple, exact_div
 
 TRIVIAL_LABEL = "1"
 
@@ -106,13 +109,6 @@ class ClassFunction:
             tuple(a * b for a, b in zip(self.values, other.values)),
         )
 
-    def scale(self, value) -> "ClassFunction":
-        value = as_exact(value)
-        return ClassFunction(self.group, tuple(v * value for v in self.values))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
-
     @property
     def dim(self) -> int | Fraction:
         # value at the identity class
@@ -184,18 +180,21 @@ def decompose(
     """
     if f.group != catalog.group:
         raise GroupMismatch("decomposing against a foreign catalog")
+    sizes, order = f.group.sizes, f.group.order
+    weighted = [size * a for size, a in zip(sizes, f.values)]
     out = []
-    remainder = f
+    remainder = list(f.values)
     for label, char in zip(catalog.labels, catalog.chars):
-        mult = inner_product(f, char)
+        mult = exact_div(sum(map(mul, weighted, char.values)), order)
         if mult.denominator != 1 or mult < 0:
             raise NotACharacter(
                 f"multiplicity of {label} is {mult}, not a nonnegative integer"
             )
         if mult:
-            out.append((label, int(mult)))
-            remainder = remainder + char.scale(-mult)
-    if not remainder.is_zero():
+            out.append((label, mult))
+            for i, value in enumerate(char.values):
+                remainder[i] -= mult * value
+    if any(remainder):
         raise NotACharacter("class function is not in the catalog's span")
     return tuple(out)
 

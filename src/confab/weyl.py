@@ -21,7 +21,9 @@ A product datum takes tuples of factor classes; sizes and characteristic
 polynomials multiply across factors.  A cycle of length l and sign e
 contributes the factor 1 - e x^l to det(1 - x w) (Solomon, "Invariants of
 finite reflection groups", 1963), so the polynomial comes straight from the
-cycle type.
+cycle type; the binomials are multiplied into one coefficient list.
+``datum`` keeps one datum per group, keyed by the canonical tag, the factor
+tags joined by "x", so every spelling of a tag shares it.
 
 Cohomology enters as graded characters, stored as one graded trace
 sum_n tr(w | H^n) t^n per conjugacy class.  The exterior algebra of the torus
@@ -32,12 +34,13 @@ degrees.  A product class's trace is the product of its factor classes'
 traces, and the Kunneth product multiplies traces class by class.  The
 Molien division is made factor by factor and must be exact; a nonzero
 remainder means the degree list is corrupt and surfaces as NonZeroRemainder
-rather than silently wrong dimensions.
+rather than silently wrong dimensions.  Invariant dimensions are the Molien
+average (1/|W|) sum_C |C| tr_C(t), taken in one pass over the classes; a
+non-integral or negative coefficient raises NotACharacter.
 """
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from functools import lru_cache
 from itertools import product
@@ -48,6 +51,7 @@ from .exact import (
     RationalPolynomial,
     # unused: kept bound because perfbench's traced run counts calls to it
     char_matrix_poly,  # noqa: F401
+    exact_div,
     poly_div_exact,
 )
 from .groups import (
@@ -57,7 +61,6 @@ from .groups import (
     GroupMismatch,
     IrreducibleCatalog,
     NotACharacter,
-    inner_product,
     product_catalog,
 )
 
@@ -98,15 +101,14 @@ def _centralizer(lengths: tuple[int, ...], weight: int) -> int:
 def _det_one_minus(cycle_type: CycleType) -> RationalPolynomial:
     """det(1 - x w) as a polynomial in x, from the signed cycle type."""
     alpha, beta = cycle_type
-    one = RationalPolynomial.one()
-    return prod(
-        (
-            one - RationalPolynomial.monomial(length, sign)
-            for lengths, sign in ((alpha, 1), (beta, -1))
-            for length in lengths
-        ),
-        start=one,
-    )
+    coeffs = [1]
+    for lengths, sign in ((alpha, 1), (beta, -1)):
+        for length in lengths:
+            # multiply by 1 - sign x^length, top coefficient first
+            coeffs += [0] * length
+            for i in range(len(coeffs) - 1, length - 1, -1):
+                coeffs[i] -= sign * coeffs[i - length]
+    return RationalPolynomial(coeffs)
 
 
 def _substitute(poly: RationalPolynomial, sign: int, power: int):
@@ -272,20 +274,34 @@ def symplectic(n: int) -> LieFactor:
     )
 
 
-_PART_PATTERN = re.compile(r"^(?:S1|(SU|SP|U)(\d+))$")
-_BUILDERS = {"SU": special_unitary, "SP": symplectic, "U": unitary}
+# the prefix of each factor tag with its builder; "S1" is the circle alone
+_BUILDERS = {"SU": special_unitary, "Sp": symplectic, "U": unitary}
+
+
+def _split_tag(tag: str) -> tuple[tuple[str, int], ...]:
+    """(prefix, n) per factor of a tag like "S1xSU2", the circle ("S", 1).
+
+    A factor is S1 or a prefix and Unicode decimal digits, in any case.
+    """
+    out = []
+    for part in tag.strip().replace("X", "x").split("x"):
+        name = part.strip().upper()
+        prefix = next((p for p in _BUILDERS if name.startswith(p.upper())), "")
+        digits = name[len(prefix) :]
+        if name == "S1":
+            prefix, digits = "S", "1"
+        elif not (prefix and digits.isdecimal()):
+            raise UnsupportedDatum(f"unrecognized factor {part!r} in {tag!r}")
+        out.append((prefix, int(digits)))
+    return tuple(out)
 
 
 def parse_tag(tag: str) -> tuple[LieFactor, ...]:
     """Split a tag like "S1xSU2" into factors; case-insensitive."""
-    parts = re.split(r"[xX]", tag.strip())
-    factors = []
-    for part in parts:
-        m = _PART_PATTERN.match(part.strip().upper())
-        if not m:
-            raise UnsupportedDatum(f"unrecognized factor {part!r} in {tag!r}")
-        factors.append(_BUILDERS[m[1]](int(m[2])) if m[1] else circle())
-    return tuple(factors)
+    return tuple(
+        circle() if prefix == "S" else _BUILDERS[prefix](n)
+        for prefix, n in _split_tag(tag)
+    )
 
 
 class WeylDatum:
@@ -327,9 +343,14 @@ class WeylDatum:
         return f"WeylDatum({self.tag!r}, rank={self.rank})"
 
 
-@lru_cache(maxsize=None)
 def datum(tag: str) -> WeylDatum:
-    return WeylDatum(parse_tag(tag))
+    """The datum of a tag, one object per group however the tag is spelt."""
+    return _datum("x".join(f"{p}{n}" for p, n in _split_tag(tag)))
+
+
+@lru_cache(maxsize=None)
+def _datum(canonical: str) -> WeylDatum:
+    return WeylDatum(parse_tag(canonical))
 
 
 class GradedCharacter:
@@ -404,6 +425,8 @@ def _product_traces(
     d: WeylDatum, factor_traces: Sequence[Sequence[RationalPolynomial]]
 ) -> tuple[RationalPolynomial, ...]:
     # the trace of a product class is the product of its factor classes'
+    if len(factor_traces) == 1:
+        return tuple(factor_traces[0])
     return tuple(
         prod(
             (traces[i] for traces, i in zip(factor_traces, cls)),
@@ -433,10 +456,8 @@ def _factor_flag_traces(
     """Graded traces on one factor's flag cohomology, per factor class."""
     if carried:
         return (RationalPolynomial((1, 1)),)
-    one = RationalPolynomial.one()
-    numerator = prod(
-        (one - RationalPolynomial.monomial(d) for d in factor.degrees), start=one
-    )
+    # prod(1 - q^d) is det(1 - q w) of a cycle type with cycle lengths d
+    numerator = _det_one_minus((factor.degrees, ()))
     # q^m sits in cohomological degree 2m: substitute q = t^2
     return tuple(
         _substitute(poly_div_exact(numerator, p), 1, 2)
@@ -472,13 +493,18 @@ def invariant_dims(gc: GradedCharacter) -> dict[int, int]:
     Multiplicities of the trivial character; a non-integer or negative
     pairing means the input was not a genuine character.
     """
-    trivial = ClassFunction.trivial(gc.group)
+    # the Molien average: sum of |C| tr_C(t) over the classes, over |W|
+    totals = [0] * (gc.top + 1)
+    for size, trace in zip(gc.group.sizes, gc.traces):
+        for degree, value in enumerate(trace.coeffs):
+            totals[degree] += size * value
+    order = gc.group.order
     out = {}
-    for degree in range(gc.top + 1):
-        mult = inner_product(gc.piece(degree), trivial)
+    for degree, total in enumerate(totals):
+        mult = exact_div(total, order)
         if mult.denominator != 1 or mult < 0:
             raise NotACharacter(
                 f"invariant multiplicity {mult} in degree {degree}"
             )
-        out[degree] = int(mult)
+        out[degree] = mult
     return out

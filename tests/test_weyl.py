@@ -68,7 +68,10 @@ class TestFactors:
             parse_tag("")
 
     def test_datum_is_cached(self):
-        assert datum("U2") is datum("U2")
+        # one object per group, however the tag is spelt
+        assert datum("u2") is datum(" U2 ") is datum("U2")
+        assert datum("s1 X sp02") is datum("S1xSp2")
+        assert datum("s1 X sp02").tag == "S1xSp2"
 
     def test_datum_rank_and_pi1(self):
         ranks = {tag: datum(tag).rank for tag in TAGS}
@@ -193,7 +196,7 @@ class TestKunneth:
         # carried along, so its degrees have gaps
         for gc in (flag, conf, total):
             assert gc.degrees() == tuple(
-                n for n in range(top + 2) if not gc.piece(n).is_zero()
+                n for n in range(top + 2) if any(gc.piece(n).values)
             )
 
 
