@@ -13,6 +13,11 @@ too).  No floats anywhere; a division that should be exact but is not
 raises ``NonZeroRemainder`` instead of rounding, because a nonzero remainder
 always means an upstream datum is corrupt rather than a numerical artifact.
 
+``poly_mul`` and ``poly_div``, the one convolution and the one exact
+division, work on plain coefficient sequences, the form of graded traces;
+``RationalPolynomial`` wraps them.  Dividing by a leading coefficient of 1
+or -1, as every Molien divisor has, skips ``exact_div``.
+
 Matrices act on column vectors: ``m.apply(v)`` is ``m @ v``, and composition
 ``a.mul(b)`` means "apply ``b`` first".
 """
@@ -67,6 +72,15 @@ def as_exact_tuple(values) -> tuple[int | Fraction, ...]:
     return tuple(v if type(v) is int else as_exact(v) for v in values)
 
 
+def as_trimmed_tuple(values) -> tuple[int | Fraction, ...]:
+    """``as_exact_tuple`` without trailing zeros: polynomial coefficients."""
+    values = as_exact_tuple(values)
+    end = len(values)
+    while end and values[end - 1] == 0:
+        end -= 1
+    return values[:end]
+
+
 class RationalPolynomial:
     """Polynomial in one variable, coefficients low degree first.
 
@@ -77,10 +91,7 @@ class RationalPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence):
-        cleaned = list(as_exact_tuple(coeffs))
-        while cleaned and cleaned[-1] == 0:
-            cleaned.pop()
-        self.coeffs: tuple[int | Fraction, ...] = tuple(cleaned)
+        self.coeffs: tuple[int | Fraction, ...] = as_trimmed_tuple(coeffs)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -91,10 +102,6 @@ class RationalPolynomial:
         return hash(self.coeffs)
 
     @classmethod
-    def zero(cls) -> "RationalPolynomial":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "RationalPolynomial":
         return cls((1,))
 
@@ -102,44 +109,10 @@ class RationalPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, degree: int) -> int | Fraction:
-        if 0 <= degree < len(self.coeffs):
-            return self.coeffs[degree]
-        return 0
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RationalPolynomial(
-            tuple(self.coefficient(i) + other.coefficient(i) for i in range(n))
-        )
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RationalPolynomial(
-            tuple(self.coefficient(i) - other.coefficient(i) for i in range(n))
-        )
-
     def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if self.is_zero() or other.is_zero():
-            return RationalPolynomial.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalPolynomial(tuple(out))
-
-    def scale(self, value) -> "RationalPolynomial":
-        value = as_exact(value)
-        return RationalPolynomial(tuple(c * value for c in self.coeffs))
+        return RationalPolynomial(poly_mul(self.coeffs, other.coeffs))
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
             if c == 0:
@@ -150,38 +123,57 @@ class RationalPolynomial:
                 parts.append(f"{c}*q" if c != 1 else "q")
             else:
                 parts.append(f"{c}*q^{i}" if c != 1 else f"q^{i}")
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
 
-def poly_div_exact(
-    numerator: RationalPolynomial, denominator: RationalPolynomial
-) -> RationalPolynomial:
-    """Divide, insisting the remainder vanish.
+def poly_mul(a: Sequence, b: Sequence) -> list:
+    """Coefficients of a product, low degree first; trimmed if a and b are."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def poly_div(numerator: Sequence, denominator: Sequence) -> list:
+    """Exact quotient of coefficient sequences; the denominator is trimmed.
 
     A nonzero remainder is a data error (corrupt Weyl degrees, a character
     that is not actually a character), so it raises instead of returning a
-    (quotient, remainder) pair nobody would check.
+    (quotient, remainder) pair nobody would check.  A leading coefficient of
+    the ``int`` 1 or -1 is its own inverse and needs no ``exact_div``.
     """
-    if denominator.is_zero():
+    if not denominator:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(numerator.coeffs)
-    den = denominator.coeffs
-    lead = den[-1]
-    dd = len(den) - 1
+    rem = list(numerator)
+    lead = denominator[-1]
+    unit = type(lead) is int and (lead == 1 or lead == -1)
+    dd = len(denominator) - 1
     quot = [0] * max(len(rem) - dd, 0)
     for i in range(len(rem) - 1, dd - 1, -1):
         c = rem[i]
         if c == 0:
             continue
-        factor = exact_div(c, lead)
+        factor = c * lead if unit else exact_div(c, lead)
         quot[i - dd] = factor
-        for j in range(dd + 1):
-            rem[i - dd + j] -= factor * den[j]
-    if any(c != 0 for c in rem):
+        for j, d in enumerate(denominator, i - dd):
+            rem[j] -= factor * d
+    if any(rem):
         raise NonZeroRemainder(
-            f"division of {numerator} by {denominator} leaves a remainder"
+            f"division of {RationalPolynomial(numerator)} by "
+            f"{RationalPolynomial(denominator)} leaves a remainder"
         )
-    return RationalPolynomial(tuple(quot))
+    return quot
+
+
+def poly_div_exact(
+    numerator: RationalPolynomial, denominator: RationalPolynomial
+) -> RationalPolynomial:
+    """``poly_div`` on polynomials: the exact quotient, or NonZeroRemainder."""
+    return RationalPolynomial(poly_div(numerator.coeffs, denominator.coeffs))
 
 
 class QMatrix:
@@ -414,10 +406,10 @@ def char_matrix_poly(matrix: QMatrix, sign: int = 1) -> RationalPolynomial:
             coeffs[i] = exact_div(
                 coeffs[i] - coeffs[i - 1], nodes[i] - nodes[i - level]
             )
-    poly = RationalPolynomial.zero()
-    basis = RationalPolynomial.one()
+    poly, basis = [0] * (n + 1), [1]
     for i in range(n + 1):
-        poly = poly + basis.scale(coeffs[i])
-        basis = basis * RationalPolynomial((-nodes[i], 1))
-    return poly
+        for j, b in enumerate(basis):
+            poly[j] += coeffs[i] * b
+        basis = poly_mul(basis, (-nodes[i], 1))
+    return RationalPolynomial(poly)
 

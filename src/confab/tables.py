@@ -33,8 +33,8 @@ from .weyl import (
     GradedCharacter,
     UnsupportedDatum,
     WeylDatum,
+    canonical_tag,
     check_convention,
-    datum,
     flag_character,
     invariant_dims,
     kunneth,
@@ -215,7 +215,7 @@ RING_TAGS = ("U2", "S1xSU2")
 
 
 def _ring_tag(tag: str) -> str:
-    canonical = datum(tag).tag
+    canonical = canonical_tag(tag)
     if canonical not in RING_TAGS:
         raise UnsupportedDatum(
             f"ring presentations cover {' and '.join(RING_TAGS)}, "

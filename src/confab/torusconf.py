@@ -26,7 +26,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exact import RationalPolynomial, inverse
+from .exact import inverse
 from .weyl import (
     GradedCharacter,
     UnsupportedDatum,
@@ -73,8 +73,7 @@ def conf2_torus(d: WeylDatum) -> GradedCharacter:
     """Character of ordered pairs of distinct points in the torus of ``d``."""
     full = torus_character(d)
     truncated = GradedCharacter(
-        d.group,
-        tuple(RationalPolynomial(p.coeffs[: d.rank]) for p in full.traces),
+        d.group, tuple(trace[: d.rank] for trace in full.traces)
     )
     return kunneth(full, truncated)
 
@@ -124,11 +123,7 @@ def conf2_torus_minus_point_rank2(d: WeylDatum) -> GradedCharacter:
         contragredient(a_h), contragredient(a_v), contragredient(alpha)
     )
     return GradedCharacter(
-        d.group,
-        (
-            RationalPolynomial((1, h1_dim, top_dim)),
-            RationalPolynomial((1, h1_trace, top_trace)),
-        ),
+        d.group, ((1, h1_dim, top_dim), (1, h1_trace, top_trace))
     )
 
 

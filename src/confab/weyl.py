@@ -26,12 +26,13 @@ cycle type; the binomials are multiplied into one coefficient list.
 tags joined by "x", so every spelling of a tag shares it.
 
 Cohomology enters as graded characters, stored as one graded trace
-sum_n tr(w | H^n) t^n per conjugacy class.  The exterior algebra of the torus
-has trace det(1 + t w), the characteristic polynomial at x = -t; the
+sum_n tr(w | H^n) t^n per conjugacy class: a tuple of exact coefficients,
+trailing zeros trimmed.  The exterior algebra of the torus has trace
+det(1 + t w), det(1 - x w) with its odd coefficients negated; the
 coinvariant algebra of the flag manifold has the Molien quotient
 prod(1 - q^d_i) / det(1 - q w) with q = t^2, so its cohomology sits in even
 degrees.  A product class's trace is the product of its factor classes'
-traces, and the Kunneth product multiplies traces class by class.  The
+traces, and the Kunneth product convolves traces class by class.  The
 Molien division is made factor by factor and must be exact; a nonzero
 remainder means the degree list is corrupt and surfaces as NonZeroRemainder
 rather than silently wrong dimensions.  Invariant dimensions are the Molien
@@ -41,18 +42,20 @@ non-integral or negative coefficient raises NotACharacter.
 
 from __future__ import annotations
 
-from collections import Counter
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, reduce
+from itertools import groupby, product
 from math import factorial, prod
 from typing import Iterator, Sequence
 
 from .exact import (
     RationalPolynomial,
+    as_trimmed_tuple,
     # unused: kept bound because perfbench's traced run counts calls to it
     char_matrix_poly,  # noqa: F401
     exact_div,
+    poly_div,
     poly_div_exact,
+    poly_mul,
 )
 from .groups import (
     TRIVIAL_LABEL,
@@ -91,15 +94,17 @@ def _partitions(n: int, largest: int = 0) -> Iterator[tuple[int, ...]]:
 
 
 def _centralizer(lengths: tuple[int, ...], weight: int) -> int:
-    # prod over cycle lengths l of multiplicity m of (weight * l)^m m!
-    return prod(
-        (weight * length) ** m * factorial(m)
-        for length, m in Counter(lengths).items()
-    )
+    # prod over cycle lengths l of multiplicity m of (weight * l)^m m!; a
+    # partition is non-increasing, so the m equal lengths form one run
+    out = 1
+    for length, run in groupby(lengths):
+        m = len(tuple(run))
+        out *= (weight * length) ** m * factorial(m)
+    return out
 
 
-def _det_one_minus(cycle_type: CycleType) -> RationalPolynomial:
-    """det(1 - x w) as a polynomial in x, from the signed cycle type."""
+def _det_one_minus(cycle_type: CycleType) -> list[int]:
+    """Coefficients of det(1 - x w) in x, from the signed cycle type."""
     alpha, beta = cycle_type
     coeffs = [1]
     for lengths, sign in ((alpha, 1), (beta, -1)):
@@ -108,15 +113,7 @@ def _det_one_minus(cycle_type: CycleType) -> RationalPolynomial:
             coeffs += [0] * length
             for i in range(len(coeffs) - 1, length - 1, -1):
                 coeffs[i] -= sign * coeffs[i - length]
-    return RationalPolynomial(coeffs)
-
-
-def _substitute(poly: RationalPolynomial, sign: int, power: int):
-    """poly(sign * t^power) as a polynomial in t."""
-    coeffs = [0] * (power * poly.degree + 1)
-    for i, c in enumerate(poly.coeffs):
-        coeffs[power * i] = sign**i * c
-    return RationalPolynomial(coeffs)
+    return coeffs
 
 
 def _perm_sign(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
@@ -166,7 +163,7 @@ def _weyl_classes(
             for a, b in types
         ),
     )
-    return group, tuple(_det_one_minus(t) for t in types)
+    return group, tuple(RationalPolynomial(_det_one_minus(t)) for t in types)
 
 
 class LieFactor:
@@ -309,9 +306,11 @@ class WeylDatum:
 
     Each class of the product group is the tuple of factor class indices it
     covers (``class_factor_classes``), identity first; class sizes multiply
-    across factors.  The catalog is the tensor catalog when every factor has
-    one; larger factors still support invariant dimensions, just not named
-    decompositions.
+    across factors.  A one-factor datum takes the factor's group and catalog
+    as they are, so its classes are the factor's cycle types while
+    ``class_factor_classes`` still holds the index tuples.  The catalog is
+    the tensor catalog when every factor has one; larger factors still
+    support invariant dimensions, just not named decompositions.
     """
 
     def __init__(self, factors: Sequence[LieFactor], tag: str | None = None):
@@ -325,6 +324,10 @@ class WeylDatum:
         self.class_factor_classes = tuple(
             product(*(range(len(f.group.classes)) for f in factors))
         )
+        if len(factors) == 1:
+            self.group = factors[0].group
+            self.catalog = factors[0].catalog
+            return
         self.group = FiniteGroup(
             self.class_factor_classes,
             tuple(
@@ -343,9 +346,14 @@ class WeylDatum:
         return f"WeylDatum({self.tag!r}, rank={self.rank})"
 
 
+def canonical_tag(tag: str) -> str:
+    """``tag`` as "S1xSp2" for "s1 X sp02", checked without building a class."""
+    return "x".join(f"{p}{n}" for p, n in _split_tag(tag))
+
+
 def datum(tag: str) -> WeylDatum:
     """The datum of a tag, one object per group however the tag is spelt."""
-    return _datum("x".join(f"{p}{n}" for p, n in _split_tag(tag)))
+    return _datum(canonical_tag(tag))
 
 
 @lru_cache(maxsize=None)
@@ -356,18 +364,17 @@ def _datum(canonical: str) -> WeylDatum:
 class GradedCharacter:
     """Graded traces of a group on a finite graded space, one per class.
 
-    ``traces`` holds, in the group's class order, the polynomial
-    sum_n tr(g | H^n) t^n for an element g of each class; the identity's
-    trace counts dimensions.  The degree-n piece is the class function of
-    the t^n coefficients.
+    ``traces`` holds, in the group's class order, the coefficients of
+    sum_n tr(g | H^n) t^n for an element g of each class: a tuple of exact
+    values, low degree first, trailing zeros trimmed.  The identity's trace
+    counts dimensions.  The degree-n piece is the class function of the t^n
+    coefficients.
     """
 
     __slots__ = ("group", "traces")
 
-    def __init__(
-        self, group: FiniteGroup, traces: Sequence[RationalPolynomial]
-    ):
-        traces = tuple(traces)
+    def __init__(self, group: FiniteGroup, traces: Sequence[Sequence]):
+        traces = tuple(map(as_trimmed_tuple, traces))
         if len(traces) != len(group.classes):
             raise ValueError("one graded trace per conjugacy class required")
         self.group = group
@@ -383,18 +390,22 @@ class GradedCharacter:
 
     @property
     def top(self) -> int:
-        return max(trace.degree for trace in self.traces)
+        return max(map(len, self.traces)) - 1
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(
             n
             for n in range(self.top + 1)
-            if any(trace.coefficient(n) for trace in self.traces)
+            if any(n < len(trace) and trace[n] for trace in self.traces)
         )
 
     def piece(self, degree: int) -> ClassFunction:
         return ClassFunction(
-            self.group, tuple(trace.coefficient(degree) for trace in self.traces)
+            self.group,
+            tuple(
+                trace[degree] if 0 <= degree < len(trace) else 0
+                for trace in self.traces
+            ),
         )
 
     def dims(self) -> dict[int, int]:
@@ -402,7 +413,7 @@ class GradedCharacter:
         identity = self.traces[0]
         out = {}
         for degree in range(self.top + 1):
-            value = identity.coefficient(degree)
+            value = identity[degree] if degree < len(identity) else 0
             if value.denominator != 1:
                 raise NotACharacter(f"non-integral dimension in degree {degree}")
             out[degree] = int(value)
@@ -416,21 +427,18 @@ def kunneth(a: GradedCharacter, b: GradedCharacter) -> GradedCharacter:
     """Graded tensor product: graded traces multiply class by class."""
     if a.group != b.group:
         raise GroupMismatch("tensor of graded characters over different groups")
-    return GradedCharacter(
-        a.group, tuple(p * q for p, q in zip(a.traces, b.traces))
-    )
+    return GradedCharacter(a.group, tuple(map(poly_mul, a.traces, b.traces)))
 
 
 def _product_traces(
-    d: WeylDatum, factor_traces: Sequence[Sequence[RationalPolynomial]]
-) -> tuple[RationalPolynomial, ...]:
+    d: WeylDatum, factor_traces: Sequence[Sequence[Sequence]]
+) -> tuple[Sequence, ...]:
     # the trace of a product class is the product of its factor classes'
     if len(factor_traces) == 1:
         return tuple(factor_traces[0])
     return tuple(
-        prod(
-            (traces[i] for traces, i in zip(factor_traces, cls)),
-            start=RationalPolynomial.one(),
+        reduce(
+            poly_mul, (traces[i] for traces, i in zip(factor_traces, cls)), (1,)
         )
         for cls in d.class_factor_classes
     )
@@ -438,31 +446,36 @@ def _product_traces(
 
 def torus_character(d: WeylDatum) -> GradedCharacter:
     """Exterior algebra on degree-1 classes: det(1 + t g) per class."""
+    # det(1 - x g) at x = -t: the odd coefficients change sign
     return GradedCharacter(
         d.group,
         _product_traces(
             d,
             [
-                tuple(_substitute(p, -1, 1) for p in f.charpolys)
+                tuple(
+                    [-c if i % 2 else c for i, c in enumerate(p.coeffs)]
+                    for p in f.charpolys
+                )
                 for f in d.factors
             ],
         ),
     )
 
 
-def _factor_flag_traces(
-    factor: LieFactor, carried: bool
-) -> tuple[RationalPolynomial, ...]:
+def _factor_flag_traces(factor: LieFactor, carried: bool) -> tuple[list, ...]:
     """Graded traces on one factor's flag cohomology, per factor class."""
     if carried:
-        return (RationalPolynomial((1, 1)),)
+        return ([1, 1],)
     # prod(1 - q^d) is det(1 - q w) of a cycle type with cycle lengths d
     numerator = _det_one_minus((factor.degrees, ()))
-    # q^m sits in cohomological degree 2m: substitute q = t^2
-    return tuple(
-        _substitute(poly_div_exact(numerator, p), 1, 2)
-        for p in factor.charpolys
-    )
+    traces = []
+    for p in factor.charpolys:
+        quotient = poly_div(numerator, p.coeffs)
+        # q^m sits in cohomological degree 2m
+        trace = [0] * (2 * len(quotient) - 1)
+        trace[::2] = quotient
+        traces.append(trace)
+    return tuple(traces)
 
 
 def flag_character(d: WeylDatum, convention: str = "derived") -> GradedCharacter:
@@ -496,7 +509,7 @@ def invariant_dims(gc: GradedCharacter) -> dict[int, int]:
     # the Molien average: sum of |C| tr_C(t) over the classes, over |W|
     totals = [0] * (gc.top + 1)
     for size, trace in zip(gc.group.sizes, gc.traces):
-        for degree, value in enumerate(trace.coeffs):
+        for degree, value in enumerate(trace):
             totals[degree] += size * value
     order = gc.group.order
     out = {}

@@ -3,9 +3,23 @@
 Each recomputes a quantity from confab's public routines along a second
 route (elimination, class-function pairings, polynomial products), so a
 test can check a result without the library carrying code it never calls.
+The graded traces are rebuilt as ``RationalPolynomial`` values by schoolbook
+multiplication and long division with ``exact_div`` on every coefficient,
+the route the coefficient-tuple kernels replaced.
 """
 
-from confab.exact import QMatrix, RationalPolynomial, rank, rref
+from collections import Counter
+from functools import reduce
+from math import factorial, prod
+
+from confab.exact import (
+    NonZeroRemainder,
+    QMatrix,
+    RationalPolynomial,
+    exact_div,
+    rank,
+    rref,
+)
 from confab.groups import ClassFunction, inner_product
 
 
@@ -50,3 +64,113 @@ def binomial_charpoly(cycle_type) -> RationalPolynomial:
         for length in lengths:
             out = out * RationalPolynomial((1,) + (0,) * (length - 1) + (-sign,))
     return out
+
+
+def poly_product(a: RationalPolynomial, b: RationalPolynomial):
+    """a * b, one coefficient product at a time."""
+    out = [0] * (len(a.coeffs) + len(b.coeffs))
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return RationalPolynomial(out)
+
+
+def poly_quotient(numerator: RationalPolynomial, denominator: RationalPolynomial):
+    """Long division with ``exact_div`` per coefficient; no remainder allowed."""
+    rem = list(numerator.coeffs)
+    den = denominator.coeffs
+    dd = len(den) - 1
+    quot = [0] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        factor = exact_div(rem[i], den[-1])
+        quot[i - dd] = factor
+        for j in range(dd + 1):
+            rem[i - dd + j] -= factor * den[j]
+    if any(rem):
+        raise NonZeroRemainder(
+            f"division of {numerator} by {denominator} leaves a remainder"
+        )
+    return RationalPolynomial(quot)
+
+
+def _substitute(poly: RationalPolynomial, sign: int, power: int):
+    """poly(sign * t^power) as a polynomial in t."""
+    coeffs = [0] * (power * max(poly.degree, 0) + 1)
+    for i, c in enumerate(poly.coeffs):
+        coeffs[power * i] = sign**i * c
+    return RationalPolynomial(coeffs)
+
+
+def _charpolys(factor) -> list:
+    # det(1 - x w) per class; SU(n) divides out the trivial summand's 1 - x
+    polys = [binomial_charpoly(t) for t in factor.group.classes]
+    if factor.tag.startswith("SU"):
+        polys = [poly_quotient(p, RationalPolynomial((1, -1))) for p in polys]
+    return polys
+
+
+def _product_traces(d, factor_traces) -> tuple:
+    return tuple(
+        reduce(
+            poly_product,
+            (traces[i] for traces, i in zip(factor_traces, cls)),
+            RationalPolynomial.one(),
+        )
+        for cls in d.class_factor_classes
+    )
+
+
+def torus_traces(d) -> tuple:
+    """det(1 + t w) per class of the datum."""
+    return _product_traces(
+        d,
+        [[_substitute(p, -1, 1) for p in _charpolys(f)] for f in d.factors],
+    )
+
+
+def flag_traces(d, convention: str) -> tuple:
+    """The Molien quotients prod(1 - q^d) / det(1 - q w) at q = t^2."""
+    carry = convention == "paper" and any(f.group.order > 1 for f in d.factors)
+    per_factor = []
+    for f in d.factors:
+        if carry and f.group.order == 1:
+            per_factor.append([RationalPolynomial((1, 1))])
+            continue
+        numerator = binomial_charpoly((f.degrees, ()))
+        per_factor.append(
+            [
+                _substitute(poly_quotient(numerator, p), 1, 2)
+                for p in _charpolys(f)
+            ]
+        )
+    return _product_traces(d, per_factor)
+
+
+def kunneth_traces(a, b) -> tuple:
+    return tuple(map(poly_product, a, b))
+
+
+def conf2_traces(d) -> tuple:
+    """The torus traces times their truncation below degree ``d.rank``."""
+    full = torus_traces(d)
+    truncated = [RationalPolynomial(p.coeffs[: d.rank]) for p in full]
+    return kunneth_traces(full, truncated)
+
+
+def counter_class_sizes(factor) -> tuple:
+    """|W| / |centralizer| per signed cycle type, multiplicities by Counter."""
+    alpha, beta = factor.group.classes[0]
+    n = len(alpha) + len(beta)
+    weight = 2 if any(b for _, b in factor.group.classes) else 1
+
+    def centralizer(lengths):
+        return prod(
+            (weight * length) ** m * factorial(m)
+            for length, m in Counter(lengths).items()
+        )
+
+    order = factorial(n) * weight**n
+    return tuple(
+        order // (centralizer(a) * centralizer(b))
+        for a, b in factor.group.classes
+    )

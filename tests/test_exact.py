@@ -147,7 +147,7 @@ class TestPolynomials:
     @given(a=small_polys, b=small_polys)
     @settings(deadline=None)
     def test_division_inverts_multiplication(self, a, b):
-        if b.is_zero():
+        if not b.coeffs:
             return
         assert poly_div_exact(a * b, b) == a
 
@@ -230,12 +230,12 @@ class TestCharMatrixPoly:
     @settings(deadline=None)
     def test_constant_term_one_and_value_at_one(self, m):
         p = char_matrix_poly(m)
-        assert p.coefficient(0) == 1
+        assert p.coeffs[0] == 1
         assert sum(p.coeffs) == det(
             QMatrix.identity(m.rows).add(m)
         )
 
     def test_top_coefficient_is_det(self):
         m = QMatrix.from_rows([[1, 2], [3, 4]])
-        assert char_matrix_poly(m).coefficient(2) == det(m)
+        assert char_matrix_poly(m).coeffs[2] == det(m)
 

@@ -1,18 +1,27 @@
 """The plain-int k = 2 kernels against the routes they replaced.
 
 Tag parsing is pinned spelling by spelling, with its exact messages; the
-one-pass invariants, the binomial products and the class-function
-decomposition are checked against the pairings and polynomial products in
-``oracles``.
+one-pass invariants, the binomial products, the coefficient-tuple traces,
+the convolution and division kernels, the class sizes and the
+class-function decomposition are checked against the pairings, polynomial
+products and ``Counter`` multiplicities in ``oracles``.
 """
 
 import json
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from confab.exact import RationalPolynomial, as_exact_tuple
+from confab.exact import (
+    NonZeroRemainder,
+    RationalPolynomial,
+    as_exact_tuple,
+    poly_div,
+    poly_mul,
+)
 from confab.groups import (
     ClassFunction,
     FiniteGroup,
@@ -21,7 +30,11 @@ from confab.groups import (
     decompose,
 )
 from confab.tables import conf_ab_table
-from confab.torusconf import conf2_torus, conf2_torus_minus_point_rank2
+from confab.torusconf import (
+    conf2_torus,
+    conf2_torus_minus_point_rank2,
+    conf3_torus_rank2,
+)
 from confab.weyl import (
     UnsupportedDatum,
     datum,
@@ -34,7 +47,17 @@ from confab.weyl import (
     torus_character,
     unitary,
 )
-from oracles import binomial_charpoly, pairing_invariant_dims
+from oracles import (
+    binomial_charpoly,
+    conf2_traces,
+    counter_class_sizes,
+    flag_traces,
+    kunneth_traces,
+    pairing_invariant_dims,
+    poly_product,
+    poly_quotient,
+    torus_traces,
+)
 
 GOLDEN_TAGS = sorted(
     json.loads(
@@ -153,3 +176,105 @@ def test_decompose_rejects_functions_outside_the_span():
     assert decompose(ClassFunction(group, (1, 1)), partial) == (("1", 1),)
     with pytest.raises(NotACharacter, match="not in the catalog's span"):
         decompose(ClassFunction(group, (2, 0)), partial)
+
+
+def coefficients(polys) -> tuple:
+    return tuple(p.coeffs for p in polys)
+
+
+@pytest.mark.parametrize("tag", GOLDEN_TAGS)
+def test_traces_equal_the_polynomial_route(tag):
+    d = datum(tag)
+    assert torus_character(d).traces == coefficients(torus_traces(d))
+    conf = conf2_torus(d)
+    assert conf.traces == coefficients(conf2_traces(d))
+    for convention in ("derived", "paper"):
+        flag = flag_character(d, convention)
+        expected = flag_traces(d, convention)
+        assert flag.traces == coefficients(expected), convention
+        assert kunneth(flag, conf).traces == coefficients(
+            kunneth_traces(expected, conf2_traces(d))
+        ), convention
+
+
+def test_conf3_traces_equal_the_polynomial_route():
+    d = datum("U2")
+    punctured = [
+        RationalPolynomial(trace)
+        for trace in conf2_torus_minus_point_rank2(d).traces
+    ]
+    assert conf3_torus_rank2(d).traces == coefficients(
+        kunneth_traces(torus_traces(d), punctured)
+    )
+
+
+exact_values = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(max_denominator=4).map(
+        lambda v: v.numerator if v.denominator == 1 else v
+    ),
+)
+coefficient_lists = st.lists(exact_values, max_size=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficient_lists, coefficient_lists)
+def test_convolution_matches_the_polynomial_product(a, b):
+    expected = poly_product(RationalPolynomial(a), RationalPolynomial(b))
+    assert RationalPolynomial(poly_mul(a, b)) == expected
+    trimmed = RationalPolynomial(a).coeffs, RationalPolynomial(b).coeffs
+    assert tuple(poly_mul(*trimmed)) == expected.coeffs
+
+
+LEADS = (1, -1, 2, -3, Fraction(1, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coefficient_lists,
+    coefficient_lists,
+    st.sampled_from(LEADS),
+    st.lists(exact_values, min_size=1, max_size=4),
+)
+def test_division_matches_long_division(quotient, body, lead, remainder):
+    divisor = RationalPolynomial((*body, lead))
+    exact = poly_product(RationalPolynomial(quotient), divisor)
+    got = poly_div(exact.coeffs, divisor.coeffs)
+    assert tuple(got) == RationalPolynomial(quotient).coeffs
+    assert tuple(got) == poly_quotient(exact, divisor).coeffs
+    if all(type(c) is int for c in (*quotient, *body)) and lead in (1, -1):
+        assert all(type(c) is int for c in got)
+    # a nonzero remainder below the divisor's degree is refused, by both
+    # routes and with the same message
+    remainder = RationalPolynomial(remainder[: len(body)]).coeffs
+    if not remainder:
+        return
+    coeffs = list(exact.coeffs) + [0] * len(remainder)
+    for i, c in enumerate(remainder):
+        coeffs[i] += c
+    inexact = RationalPolynomial(coeffs)
+    with pytest.raises(NonZeroRemainder) as caught:
+        poly_div(inexact.coeffs, divisor.coeffs)
+    with pytest.raises(NonZeroRemainder) as oracle:
+        poly_quotient(inexact, divisor)
+    assert str(caught.value) == str(oracle.value)
+    assert str(caught.value) == (
+        f"division of {inexact} by {divisor} leaves a remainder"
+    )
+
+
+def test_division_by_zero_is_refused():
+    with pytest.raises(ZeroDivisionError):
+        poly_div((1, 2), ())
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_class_sizes_sum_to_the_group_order(n):
+    factors = [unitary(n), symplectic(n)]
+    if n >= 2:
+        factors.append(special_unitary(n))
+    for factor in factors:
+        signed = factor.tag.startswith("Sp")
+        order = factorial(n) * (2**n if signed else 1)
+        assert sum(factor.group.sizes) == order, factor.tag
+        assert factor.group.sizes == counter_class_sizes(factor), factor.tag

@@ -17,7 +17,12 @@ from confab.rings import (
     monomial_basis,
     normalize_product,
 )
-from confab.tables import conf2_ring, conf2_ring_involution
+from confab.tables import (
+    conf2_ring,
+    conf2_ring_involution,
+    unordered_conf2_ring,
+)
+from confab.weyl import UnsupportedDatum, _datum
 
 
 def exterior(*degrees):
@@ -177,3 +182,28 @@ class TestPayload:
             ],
             "forbidden": [["z", "w"]],
         }
+
+
+class TestRingTags:
+    @pytest.mark.parametrize("tag", ["U60", "Sp20"])
+    def test_refused_before_any_weyl_class_is_built(self, tag):
+        # U60 alone has about a million classes; the spelling decides
+        cached = _datum.cache_info().currsize
+        with pytest.raises(UnsupportedDatum) as caught:
+            conf2_ring(tag)
+        assert str(caught.value) == (
+            f"ring presentations cover U2 and S1xSU2, not {tag}"
+        )
+        assert _datum.cache_info().currsize == cached
+
+    @pytest.mark.parametrize(
+        "tag, canonical", [(" u2 ", "U2"), ("s1 X su2", "S1xSU2")]
+    )
+    def test_any_spelling_of_a_ring_tag_is_accepted(self, tag, canonical):
+        for convention in ("derived", "paper"):
+            assert conf2_ring(tag, convention) == conf2_ring(
+                canonical, convention
+            )
+            assert unordered_conf2_ring(tag, convention) == (
+                unordered_conf2_ring(canonical, convention)
+            )

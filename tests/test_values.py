@@ -54,9 +54,7 @@ FACTORIES = {
     "FiniteGroup": z2,
     "ClassFunction": lambda: ClassFunction(z2(), (1, -1)),
     "LieFactor": lambda: symplectic(2),
-    "GradedCharacter": lambda: GradedCharacter(
-        z2(), (RationalPolynomial((1, 1)), RationalPolynomial((1, -1)))
-    ),
+    "GradedCharacter": lambda: GradedCharacter(z2(), ((1, 1), (1, -1))),
     "RingPresentation": lambda: RingPresentation(
         (("a", 1), ("b", 2)), (("b", "a"), ("a", "b"))
     ),
@@ -118,6 +116,9 @@ def test_lie_factor_equality_ignores_derived_attributes():
 
 def test_construction_normalises_fields():
     assert RationalPolynomial((1, 0, 0)).coeffs == (1,)
+    traces = GradedCharacter(z2(), ([1, 0, 0], (Fraction(4, 2), "1/2"))).traces
+    assert traces == ((1,), (2, Fraction(1, 2)))
+    assert [type(v) for v in traces[1]] == [int, Fraction]
     assert QMatrix(1, 1, (Fraction(4, 2),)).entries == (2,)
     assert type(QMatrix(1, 1, (Fraction(4, 2),)).entries[0]) is int
     assert StabilityQuery("SP", 1, 1).family == "sp"
@@ -150,8 +151,13 @@ REJECTED = [
     ),
     (
         "trace count",
-        lambda: GradedCharacter(z2(), (RationalPolynomial.one(),)),
+        lambda: GradedCharacter(z2(), ((1,),)),
         ValueError,
+    ),
+    (
+        "float trace",
+        lambda: GradedCharacter(z2(), ((1,), (1, 0.5))),
+        TypeError,
     ),
     (
         "duplicate label",
