@@ -1,21 +1,23 @@
 """Exact rational linear algebra and univariate polynomials.
 
 Everything downstream (character theory, Molien series, monodromy kernels)
-runs on these two types, so they stay deliberately small: dense matrices and
-dense coefficient-tuple polynomials over the rationals.  An exact rational is
-stored as an ``int`` when it is integral and as a ``fractions.Fraction`` only
-when it is not; every division goes through ``exact_div``, which keeps that
-rule.  Characters, Molien coefficients and integer matrices therefore stay in
-plain ``int`` arithmetic; ``as_exact_tuple`` hands a tuple of ints back
-unchanged after one scan of the value types.  Mixed ``int``/``Fraction``
-arithmetic is exact either way (``int`` has ``numerator`` and ``denominator``
-too).  No floats anywhere; a division that should be exact but is not
-raises ``NonZeroRemainder`` instead of rounding, because a nonzero remainder
-always means an upstream datum is corrupt rather than a numerical artifact.
+runs on two forms, kept deliberately small: dense matrices over the
+rationals, and polynomials as plain coefficient tuples, low degree first
+with trailing zeros trimmed (the empty tuple is zero).  An exact rational is
+stored as an ``int`` when it is integral and as a ``fractions.Fraction``
+only when it is not; every division goes through ``exact_div``, which keeps
+that rule.  Characters, Molien coefficients and integer matrices therefore
+stay in plain ``int`` arithmetic, and ``fractions`` (with ``decimal`` and
+``numbers``) is imported only on the first value that is not an ``int``;
+``as_exact_tuple`` hands a tuple of ints back unchanged after one scan of
+the value types.  Mixed ``int``/``Fraction`` arithmetic is exact either way
+(``int`` has ``numerator`` and ``denominator`` too).  No floats anywhere; a
+division that should be exact but is not raises ``NonZeroRemainder``
+instead of rounding, because a nonzero remainder always means an upstream
+datum is corrupt rather than a numerical artifact.
 
-``poly_mul`` and ``poly_div``, the one convolution and the one exact
-division, work on plain coefficient sequences, the form of graded traces;
-``RationalPolynomial`` wraps them.  Dividing by a leading coefficient of 1
+``poly_mul`` and ``poly_div`` are the one convolution and the one exact
+division of coefficient sequences.  Dividing by a leading coefficient of 1
 or -1, as every Molien divisor has, skips ``exact_div``.
 
 Matrices act on column vectors: ``m.apply(v)`` is ``m @ v``, and composition
@@ -24,8 +26,12 @@ Matrices act on column vectors: ``m.apply(v)`` is ``m @ v``, and composition
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+# fractions pulls in decimal and numbers, and no shipped command builds a
+# Fraction, so it is imported where a value turns out not to be an int
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class NonZeroRemainder(ArithmeticError):
@@ -44,6 +50,8 @@ def as_exact(value) -> int | Fraction:
     """
     if type(value) is int:
         return value
+    from fractions import Fraction
+
     if not isinstance(value, (int, Fraction, str)):
         raise TypeError(f"not an exact rational: {value!r}")
     value = Fraction(value)
@@ -60,7 +68,8 @@ def exact_div(a, b) -> int | Fraction:
         quotient, remainder = divmod(a, b)
         if not remainder:
             return quotient
-        return Fraction(a, b)
+    from fractions import Fraction
+
     return as_exact(Fraction(as_exact(a)) / as_exact(b))
 
 
@@ -79,51 +88,6 @@ def as_trimmed_tuple(values) -> tuple[int | Fraction, ...]:
     while end and values[end - 1] == 0:
         end -= 1
     return values[:end]
-
-
-class RationalPolynomial:
-    """Polynomial in one variable, coefficients low degree first.
-
-    The zero polynomial is the empty tuple and reports degree -1.  Trailing
-    zero coefficients are trimmed at construction so equality is structural.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence):
-        self.coeffs: tuple[int | Fraction, ...] = as_trimmed_tuple(coeffs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    @classmethod
-    def one(cls) -> "RationalPolynomial":
-        return cls((1,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return RationalPolynomial(poly_mul(self.coeffs, other.coeffs))
-
-    def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*q" if c != 1 else "q")
-            else:
-                parts.append(f"{c}*q^{i}" if c != 1 else f"q^{i}")
-        return " + ".join(parts) or "0"
 
 
 def poly_mul(a: Sequence, b: Sequence) -> list:
@@ -163,17 +127,25 @@ def poly_div(numerator: Sequence, denominator: Sequence) -> list:
             rem[j] -= factor * d
     if any(rem):
         raise NonZeroRemainder(
-            f"division of {RationalPolynomial(numerator)} by "
-            f"{RationalPolynomial(denominator)} leaves a remainder"
+            f"division of {_poly_text(numerator)} by "
+            f"{_poly_text(denominator)} leaves a remainder"
         )
     return quot
 
 
-def poly_div_exact(
-    numerator: RationalPolynomial, denominator: RationalPolynomial
-) -> RationalPolynomial:
-    """``poly_div`` on polynomials: the exact quotient, or NonZeroRemainder."""
-    return RationalPolynomial(poly_div(numerator.coeffs, denominator.coeffs))
+def _poly_text(coeffs: Sequence) -> str:
+    # "1 + 2*q + q^2"; the zero polynomial is "0"
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        elif i == 1:
+            parts.append(f"{c}*q" if c != 1 else "q")
+        else:
+            parts.append(f"{c}*q^{i}" if c != 1 else f"q^{i}")
+    return " + ".join(parts) or "0"
 
 
 class QMatrix:
@@ -245,15 +217,6 @@ class QMatrix:
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         return self.mul(other)
 
-    def add(self, other: "QMatrix") -> "QMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return QMatrix(
-            self.rows,
-            self.cols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-        )
-
     def sub(self, other: "QMatrix") -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
@@ -261,12 +224,6 @@ class QMatrix:
             self.rows,
             self.cols,
             tuple(a - b for a, b in zip(self.entries, other.entries)),
-        )
-
-    def scale(self, value) -> "QMatrix":
-        value = as_exact(value)
-        return QMatrix(
-            self.rows, self.cols, tuple(e * value for e in self.entries)
         )
 
     def transpose(self) -> "QMatrix":
@@ -380,8 +337,10 @@ def inverse(matrix: QMatrix) -> QMatrix:
     return QMatrix.from_rows([row[n:] for row in rows[:n]])
 
 
-def char_matrix_poly(matrix: QMatrix, sign: int = 1) -> RationalPolynomial:
-    """Coefficients of det(I + sign*t*g) as a polynomial in t.
+def char_matrix_poly(
+    matrix: QMatrix, sign: int = 1
+) -> tuple[int | Fraction, ...]:
+    """Coefficients of det(I + sign*t*g) in t, low degree first, trimmed.
 
     Evaluated exactly at t = 0..n and recovered by Newton interpolation,
     reusing the determinant kernel; degree is at most n so n+1 nodes pin the
@@ -393,12 +352,12 @@ def char_matrix_poly(matrix: QMatrix, sign: int = 1) -> RationalPolynomial:
         raise ValueError("sign must be +1 or -1")
     n = matrix.rows
     if n == 0:
-        return RationalPolynomial.one()
+        return (1,)
     nodes = range(n + 1)
-    values = []
+    eye, values = QMatrix.identity(n).entries, []
     for t in nodes:
-        shifted = QMatrix.identity(n).add(matrix.scale(sign * t))
-        values.append(det(shifted))
+        shifted = [e + sign * t * g for e, g in zip(eye, matrix.entries)]
+        values.append(det(QMatrix(n, n, shifted)))
     # Newton divided differences, then expansion into monomial coefficients.
     coeffs = list(values)
     for level in range(1, n + 1):
@@ -411,5 +370,5 @@ def char_matrix_poly(matrix: QMatrix, sign: int = 1) -> RationalPolynomial:
         for j, b in enumerate(basis):
             poly[j] += coeffs[i] * b
         basis = poly_mul(basis, (-nodes[i], 1))
-    return RationalPolynomial(poly)
+    return as_trimmed_tuple(poly)
 

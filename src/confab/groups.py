@@ -10,20 +10,23 @@ depend on class order only through class *values*, never through indices.
 Characters are stored per conjugacy class, each value an exact rational kept
 as an ``int`` when integral and as a ``Fraction`` only when it is not (the
 storage rule of ``confab.exact``).  Rational characters are integer valued,
-so in practice every value is an ``int``.  ``decompose`` pairs f with each
+so in practice every value is an ``int`` and ``fractions``, named here in
+annotations only, is never loaded.  ``decompose`` pairs f with each
 irreducible and subtracts the parts from a plain list of values, which must
 reach zero.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import prod
 from operator import mul
-from typing import Hashable, Sequence
+from typing import TYPE_CHECKING, Hashable, Sequence
 
 from .exact import as_exact_tuple, exact_div
+
+if TYPE_CHECKING:  # annotations only: fractions loads lazily, see exact
+    from fractions import Fraction
 
 TRIVIAL_LABEL = "1"
 

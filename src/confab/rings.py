@@ -17,14 +17,16 @@ matrices per degree drive fixed-subring dimension counts.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .exact import QMatrix, as_exact, rank
 
+if TYPE_CHECKING:  # annotations only: fractions loads lazily, see exact
+    from fractions import Fraction
+
 Monomial = tuple[int, ...]
-Element = dict[Monomial, int | Fraction]
+Element = dict[Monomial, "int | Fraction"]
 
 
 class NotInvolution(ValueError):

@@ -21,7 +21,10 @@ A product datum takes tuples of factor classes; sizes and characteristic
 polynomials multiply across factors.  A cycle of length l and sign e
 contributes the factor 1 - e x^l to det(1 - x w) (Solomon, "Invariants of
 finite reflection groups", 1963), so the polynomial comes straight from the
-cycle type; the binomials are multiplied into one coefficient list.
+cycle type; the binomials are multiplied into one tuple of int
+coefficients, low degree first.  The classes are counted before they are
+listed, p(n) for S_n and sum p(m) p(n - m) for B_n, and a factor or
+product with more than ``MAX_CLASSES`` of them is refused.
 ``datum`` keeps one datum per group, keyed by the canonical tag, the factor
 tags joined by "x", so every spelling of a tag shares it.
 
@@ -48,13 +51,11 @@ from math import factorial, prod
 from typing import Iterator, Sequence
 
 from .exact import (
-    RationalPolynomial,
     as_trimmed_tuple,
     # unused: kept bound because perfbench's traced run counts calls to it
     char_matrix_poly,  # noqa: F401
     exact_div,
     poly_div,
-    poly_div_exact,
     poly_mul,
 )
 from .groups import (
@@ -83,6 +84,11 @@ class UnsupportedDatum(ValueError):
     """A tag or datum outside the supported product family."""
 
 
+# the most classes a factor or product may have: U45 has 89 134 and builds,
+# U46 has 105 558; enumerating and scanning them grows with the count
+MAX_CLASSES = 100_000
+
+
 def _partitions(n: int, largest: int = 0) -> Iterator[tuple[int, ...]]:
     """Partitions of n as non-increasing tuples, all ones first."""
     if n == 0:
@@ -91,6 +97,23 @@ def _partitions(n: int, largest: int = 0) -> Iterator[tuple[int, ...]]:
     for first in range(1, min(n, largest or n) + 1):
         for rest in _partitions(n - first, first):
             yield (first, *rest)
+
+
+def _class_count(n: int, signed: bool) -> int:
+    """Classes of S_n, p(n), or of B_n, sum p(m) p(n - m); exact to n = 64."""
+    n = min(n, 64)  # p(64) alone is past MAX_CLASSES
+    p = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            p[m] += p[m - part]
+    return sum(p[m] * p[n - m] for m in range(n + 1)) if signed else p[n]
+
+
+def _check_class_count(count: int, name: str) -> None:
+    if count > MAX_CLASSES:
+        raise UnsupportedDatum(
+            f"{name} has more than {MAX_CLASSES} Weyl group classes"
+        )
 
 
 def _centralizer(lengths: tuple[int, ...], weight: int) -> int:
@@ -146,8 +169,9 @@ _NAMED_CHARACTERS = {
 
 def _weyl_classes(
     n: int, signed: bool
-) -> tuple[FiniteGroup, tuple[RationalPolynomial, ...]]:
+) -> tuple[FiniteGroup, tuple[tuple[int, ...], ...]]:
     """S_n or B_n on Q^n by signed cycle type, with det(1 - x w) per class."""
+    _check_class_count(_class_count(n, signed), f"{'B' if signed else 'S'}_{n}")
     types = tuple(
         (alpha, beta)
         for m in (range(n, -1, -1) if signed else (n,))
@@ -163,7 +187,7 @@ def _weyl_classes(
             for a, b in types
         ),
     )
-    return group, tuple(RationalPolynomial(_det_one_minus(t)) for t in types)
+    return group, tuple(tuple(_det_one_minus(t)) for t in types)
 
 
 class LieFactor:
@@ -172,7 +196,8 @@ class LieFactor:
     Five values make a factor: ``tag``; ``degrees``, the invariant degrees,
     whose number is the ``rank``; ``pi1_rank``, the rank of the fundamental
     group; ``group``, the Weyl group's classes labelled by signed cycle type
-    with their sizes; and ``charpolys``, det(1 - x w) per class.  Equality
+    with their sizes; and ``charpolys``, det(1 - x w) per class as a tuple
+    of int coefficients, low degree first.  Equality
     and hashing use those five.  ``catalog`` is derived from the group: the
     named irreducibles of S1, S2, S3, B1 and B2, None for larger Weyl groups.
     The builders below are the way to make one.
@@ -186,9 +211,9 @@ class LieFactor:
         degrees: tuple[int, ...],
         pi1_rank: int,
         group: FiniteGroup,
-        charpolys: tuple[RationalPolynomial, ...],
+        charpolys: tuple[tuple[int, ...], ...],
     ):
-        if charpolys[0].degree != len(degrees):
+        if len(charpolys[0]) - 1 != len(degrees):
             raise UnsupportedDatum("one invariant degree per rank required")
         if prod(degrees) != group.order:
             raise UnsupportedDatum(
@@ -238,9 +263,8 @@ class LieFactor:
 def unitary(n: int) -> LieFactor:
     if n < 1:
         raise UnsupportedDatum("U(n) needs n >= 1")
-    return LieFactor(
-        f"U{n}", tuple(range(1, n + 1)), 1, *_weyl_classes(n, False)
-    )
+    group, charpolys = _weyl_classes(n, False)  # refuses a huge n first
+    return LieFactor(f"U{n}", tuple(range(1, n + 1)), 1, group, charpolys)
 
 
 def circle() -> LieFactor:
@@ -252,22 +276,22 @@ def special_unitary(n: int) -> LieFactor:
     if n < 2:
         raise UnsupportedDatum("SU(n) needs n >= 2")
     group, charpolys = _weyl_classes(n, False)
-    # drop the trivial summand of the permutation representation
-    one_minus_x = RationalPolynomial((1, -1))
+    # drop the trivial summand of the permutation representation: 1 - x
     return LieFactor(
         f"SU{n}",
         tuple(range(2, n + 1)),
         0,
         group,
-        tuple(poly_div_exact(p, one_minus_x) for p in charpolys),
+        tuple(tuple(poly_div(p, (1, -1))) for p in charpolys),
     )
 
 
 def symplectic(n: int) -> LieFactor:
     if n < 1:
         raise UnsupportedDatum("Sp(n) needs n >= 1")
+    group, charpolys = _weyl_classes(n, True)
     return LieFactor(
-        f"Sp{n}", tuple(range(2, 2 * n + 1, 2)), 0, *_weyl_classes(n, True)
+        f"Sp{n}", tuple(range(2, 2 * n + 1, 2)), 0, group, charpolys
     )
 
 
@@ -295,9 +319,14 @@ def _split_tag(tag: str) -> tuple[tuple[str, int], ...]:
 
 def parse_tag(tag: str) -> tuple[LieFactor, ...]:
     """Split a tag like "S1xSU2" into factors; case-insensitive."""
+    split = _split_tag(tag)
+    # the product's class count is checked before any factor is built
+    _check_class_count(
+        prod(_class_count(n, prefix == "Sp") for prefix, n in split), repr(tag)
+    )
     return tuple(
         circle() if prefix == "S" else _BUILDERS[prefix](n)
-        for prefix, n in _split_tag(tag)
+        for prefix, n in split
     )
 
 
@@ -321,6 +350,9 @@ class WeylDatum:
         self.tag = tag or "x".join(f.tag for f in factors)
         self.rank = sum(f.rank for f in factors)
         self.pi1_rank = sum(f.pi1_rank for f in factors)
+        _check_class_count(
+            prod(len(f.group.classes) for f in factors), self.tag
+        )
         self.class_factor_classes = tuple(
             product(*(range(len(f.group.classes)) for f in factors))
         )
@@ -453,7 +485,7 @@ def torus_character(d: WeylDatum) -> GradedCharacter:
             d,
             [
                 tuple(
-                    [-c if i % 2 else c for i, c in enumerate(p.coeffs)]
+                    [-c if i % 2 else c for i, c in enumerate(p)]
                     for p in f.charpolys
                 )
                 for f in d.factors
@@ -470,7 +502,7 @@ def _factor_flag_traces(factor: LieFactor, carried: bool) -> tuple[list, ...]:
     numerator = _det_one_minus((factor.degrees, ()))
     traces = []
     for p in factor.charpolys:
-        quotient = poly_div(numerator, p.coeffs)
+        quotient = poly_div(numerator, p)
         # q^m sits in cohomological degree 2m
         trace = [0] * (2 * len(quotient) - 1)
         trace[::2] = quotient

@@ -3,9 +3,11 @@
 Each recomputes a quantity from confab's public routines along a second
 route (elimination, class-function pairings, polynomial products), so a
 test can check a result without the library carrying code it never calls.
-The graded traces are rebuilt as ``RationalPolynomial`` values by schoolbook
-multiplication and long division with ``exact_div`` on every coefficient,
-the route the coefficient-tuple kernels replaced.
+Polynomials are coefficient tuples, low degree first and trimmed, as in
+confab; the graded traces are rebuilt here by schoolbook multiplication and
+by long division with ``exact_div`` on every coefficient, without confab's
+``poly_mul`` and ``poly_div``, and ``poly_text`` writes a polynomial out as
+confab's ``NonZeroRemainder`` message does.
 """
 
 from collections import Counter
@@ -15,7 +17,6 @@ from math import factorial, prod
 from confab.exact import (
     NonZeroRemainder,
     QMatrix,
-    RationalPolynomial,
     exact_div,
     rank,
     rref,
@@ -56,29 +57,51 @@ def pairing_invariant_dims(gc) -> dict[int, int]:
     }
 
 
-def binomial_charpoly(cycle_type) -> RationalPolynomial:
+def trimmed(coeffs) -> tuple:
+    """Coefficients without trailing zeros, as a tuple."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def poly_text(coeffs) -> str:
+    """The polynomial written out in q, as "1 + 2*q + q^2"; zero is "0"."""
+    terms = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        power = "" if i == 0 else "q" if i == 1 else f"q^{i}"
+        if not power:
+            terms.append(str(c))
+        else:
+            terms.append(power if c == 1 else f"{c}*{power}")
+    return " + ".join(terms) or "0"
+
+
+def poly_product(a, b) -> tuple:
+    """a * b, one coefficient product at a time."""
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trimmed(out)
+
+
+def binomial_charpoly(cycle_type) -> tuple:
     """det(1 - x w) as the product of the binomials 1 - e x^l per cycle."""
     alpha, beta = cycle_type
-    out = RationalPolynomial.one()
+    out = (1,)
     for lengths, sign in ((alpha, 1), (beta, -1)):
         for length in lengths:
-            out = out * RationalPolynomial((1,) + (0,) * (length - 1) + (-sign,))
+            out = poly_product(out, (1,) + (0,) * (length - 1) + (-sign,))
     return out
 
 
-def poly_product(a: RationalPolynomial, b: RationalPolynomial):
-    """a * b, one coefficient product at a time."""
-    out = [0] * (len(a.coeffs) + len(b.coeffs))
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
-            out[i + j] += x * y
-    return RationalPolynomial(out)
-
-
-def poly_quotient(numerator: RationalPolynomial, denominator: RationalPolynomial):
+def poly_quotient(numerator, denominator) -> tuple:
     """Long division with ``exact_div`` per coefficient; no remainder allowed."""
-    rem = list(numerator.coeffs)
-    den = denominator.coeffs
+    rem = list(trimmed(numerator))
+    den = trimmed(denominator)
     dd = len(den) - 1
     quot = [0] * max(len(rem) - dd, 0)
     for i in range(len(rem) - 1, dd - 1, -1):
@@ -88,24 +111,25 @@ def poly_quotient(numerator: RationalPolynomial, denominator: RationalPolynomial
             rem[i - dd + j] -= factor * den[j]
     if any(rem):
         raise NonZeroRemainder(
-            f"division of {numerator} by {denominator} leaves a remainder"
+            f"division of {poly_text(numerator)} by {poly_text(denominator)} "
+            "leaves a remainder"
         )
-    return RationalPolynomial(quot)
+    return trimmed(quot)
 
 
-def _substitute(poly: RationalPolynomial, sign: int, power: int):
+def _substitute(poly, sign: int, power: int) -> tuple:
     """poly(sign * t^power) as a polynomial in t."""
-    coeffs = [0] * (power * max(poly.degree, 0) + 1)
-    for i, c in enumerate(poly.coeffs):
+    coeffs = [0] * (power * max(len(poly) - 1, 0) + 1)
+    for i, c in enumerate(poly):
         coeffs[power * i] = sign**i * c
-    return RationalPolynomial(coeffs)
+    return trimmed(coeffs)
 
 
 def _charpolys(factor) -> list:
     # det(1 - x w) per class; SU(n) divides out the trivial summand's 1 - x
     polys = [binomial_charpoly(t) for t in factor.group.classes]
     if factor.tag.startswith("SU"):
-        polys = [poly_quotient(p, RationalPolynomial((1, -1))) for p in polys]
+        polys = [poly_quotient(p, (1, -1)) for p in polys]
     return polys
 
 
@@ -114,7 +138,7 @@ def _product_traces(d, factor_traces) -> tuple:
         reduce(
             poly_product,
             (traces[i] for traces, i in zip(factor_traces, cls)),
-            RationalPolynomial.one(),
+            (1,),
         )
         for cls in d.class_factor_classes
     )
@@ -134,7 +158,7 @@ def flag_traces(d, convention: str) -> tuple:
     per_factor = []
     for f in d.factors:
         if carry and f.group.order == 1:
-            per_factor.append([RationalPolynomial((1, 1))])
+            per_factor.append([(1, 1)])
             continue
         numerator = binomial_charpoly((f.degrees, ()))
         per_factor.append(
@@ -153,7 +177,7 @@ def kunneth_traces(a, b) -> tuple:
 def conf2_traces(d) -> tuple:
     """The torus traces times their truncation below degree ``d.rank``."""
     full = torus_traces(d)
-    truncated = [RationalPolynomial(p.coeffs[: d.rank]) for p in full]
+    truncated = [trimmed(p[: d.rank]) for p in full]
     return kunneth_traces(full, truncated)
 
 

@@ -5,9 +5,14 @@ import pytest
 from confab.groups import decompose, format_decomposition
 from confab.tables import conf_ab_table, shortcut_dims
 from confab.torusconf import conf2_torus
+from confab import weyl
 from confab.weyl import (
+    MAX_CLASSES,
     GradedCharacter,
     UnsupportedDatum,
+    WeylDatum,
+    _class_count,
+    _datum,
     circle,
     datum,
     flag_character,
@@ -247,3 +252,67 @@ def test_u1_in_place_of_s1_changes_no_table(tag, convention):
     assert shortcut_dims(u1, 2, convention) == shortcut_dims(
         s1, 2, convention
     )
+
+
+class TestClassBound:
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_count_equals_the_enumeration_of_s_n(self, n):
+        factors = [unitary(n)] + ([special_unitary(n)] if n >= 2 else [])
+        for factor in factors:
+            assert _class_count(n, False) == len(factor.group.classes)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_count_equals_the_enumeration_of_b_n(self, n):
+        assert _class_count(n, True) == len(symplectic(n).group.classes)
+
+    def test_bound_sits_between_u45_and_u46(self):
+        # U45 and Sp23 still build; U46 and Sp25 are refused
+        assert _class_count(45, False) == 89134 <= MAX_CLASSES
+        assert _class_count(23, True) == 68150 <= MAX_CLASSES
+        assert _class_count(46, False) == 105558 > MAX_CLASSES
+        assert _class_count(25, True) == 129512 > MAX_CLASSES
+        # past the cap of 64 the count stays above the bound
+        assert _class_count(10**9, False) > MAX_CLASSES
+
+    @pytest.mark.parametrize(
+        "tag", ["U46", "Sp25", "U30xU30", "U200", "SU60", "S1xU3xSp1000"]
+    )
+    def test_tag_refused_before_any_class_is_listed(self, tag, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("classes enumerated")
+
+        monkeypatch.setattr(weyl, "_partitions", refuse)
+        cached = _datum.cache_info().currsize
+        with pytest.raises(UnsupportedDatum) as caught:
+            datum(tag)
+        assert str(caught.value) == (
+            f"{tag!r} has more than 100000 Weyl group classes"
+        )
+        assert _datum.cache_info().currsize == cached
+
+    def test_builders_refuse_before_listing_classes(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("classes enumerated")
+
+        monkeypatch.setattr(weyl, "_partitions", refuse)
+        for build, n, group in (
+            (unitary, 46, "S_46"),
+            (special_unitary, 46, "S_46"),
+            (symplectic, 25, "B_25"),
+            (symplectic, 10**12, f"B_{10**12}"),
+        ):
+            with pytest.raises(UnsupportedDatum) as caught:
+                build(n)
+            assert str(caught.value) == (
+                f"{group} has more than 100000 Weyl group classes"
+            )
+
+    def test_product_datum_refused_from_its_factor_counts(self):
+        u20 = unitary(20)
+        assert len(u20.group.classes) ** 2 > MAX_CLASSES
+        with pytest.raises(UnsupportedDatum) as caught:
+            WeylDatum((u20, u20))
+        assert str(caught.value) == (
+            "U20xU20 has more than 100000 Weyl group classes"
+        )
+        assert len(WeylDatum((u20, unitary(3))).group.classes) == 627 * 3
