@@ -25,8 +25,8 @@ cycle type; the binomials are multiplied into one tuple of int
 coefficients, low degree first.  The classes are counted before they are
 listed, p(n) for S_n and sum p(m) p(n - m) for B_n, and a factor or
 product with more than ``MAX_CLASSES`` of them is refused.
-``datum`` keeps one datum per group, keyed by the canonical tag, the factor
-tags joined by "x", so every spelling of a tag shares it.
+``datum`` splits a tag once into its (prefix, n) factors and keeps one
+datum per split, so every spelling of a tag shares it.
 
 Cohomology enters as graded characters, stored as one graded trace
 sum_n tr(w | H^n) t^n per conjugacy class: a tuple of exact coefficients,
@@ -319,7 +319,12 @@ def _split_tag(tag: str) -> tuple[tuple[str, int], ...]:
 
 def parse_tag(tag: str) -> tuple[LieFactor, ...]:
     """Split a tag like "S1xSU2" into factors; case-insensitive."""
-    split = _split_tag(tag)
+    return _build_factors(_split_tag(tag), tag)
+
+
+def _build_factors(
+    split: tuple[tuple[str, int], ...], tag: str
+) -> tuple[LieFactor, ...]:
     # the product's class count is checked before any factor is built
     _check_class_count(
         prod(_class_count(n, prefix == "Sp") for prefix, n in split), repr(tag)
@@ -378,19 +383,24 @@ class WeylDatum:
         return f"WeylDatum({self.tag!r}, rank={self.rank})"
 
 
+def _join_tag(split: tuple[tuple[str, int], ...]) -> str:
+    return "x".join(f"{p}{n}" for p, n in split)
+
+
 def canonical_tag(tag: str) -> str:
     """``tag`` as "S1xSp2" for "s1 X sp02", checked without building a class."""
-    return "x".join(f"{p}{n}" for p, n in _split_tag(tag))
+    return _join_tag(_split_tag(tag))
 
 
 def datum(tag: str) -> WeylDatum:
     """The datum of a tag, one object per group however the tag is spelt."""
-    return _datum(canonical_tag(tag))
+    return _datum(_split_tag(tag))
 
 
 @lru_cache(maxsize=None)
-def _datum(canonical: str) -> WeylDatum:
-    return WeylDatum(parse_tag(canonical))
+def _datum(split: tuple[tuple[str, int], ...]) -> WeylDatum:
+    # keyed by the split tag, which every spelling of a group shares
+    return WeylDatum(_build_factors(split, _join_tag(split)))
 
 
 class GradedCharacter:

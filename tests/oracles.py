@@ -3,6 +3,10 @@
 Each recomputes a quantity from confab's public routines along a second
 route (elimination, class-function pairings, polynomial products), so a
 test can check a result without the library carrying code it never calls.
+The class-function pairing ``inner_product`` and the pointwise
+``class_sum`` and ``class_product`` live here, not in ``confab.groups``:
+confab builds its character tables without pairing them, and the tests use
+these three to prove every shipped table orthonormal and complete.
 Polynomials are coefficient tuples, low degree first and trimmed, as in
 confab; the graded traces are rebuilt here by schoolbook multiplication and
 by long division with ``exact_div`` on every coefficient, without confab's
@@ -13,6 +17,7 @@ confab's ``NonZeroRemainder`` message does.
 from collections import Counter
 from functools import reduce
 from math import factorial, prod
+from operator import add, mul
 
 from confab.exact import (
     NonZeroRemainder,
@@ -21,7 +26,7 @@ from confab.exact import (
     rank,
     rref,
 )
-from confab.groups import ClassFunction, inner_product
+from confab.groups import ClassFunction, GroupMismatch
 
 
 def kernel_basis(matrix: QMatrix) -> list[tuple]:
@@ -46,6 +51,35 @@ def fixed_space_dim(a: QMatrix, b: QMatrix) -> int:
     eye = QMatrix.identity(n)
     stacked = QMatrix.from_rows(a.sub(eye).to_rows() + b.sub(eye).to_rows())
     return n - rank(stacked)
+
+
+def inner_product(f: ClassFunction, g: ClassFunction):
+    """Class-function pairing (1/|G|) sum over classes |C| f(C) g(C).
+
+    Pairing f(C) with g(C) rather than g(C^-1) is exact for the rational
+    characters confab uses; the sum is divided by |G| once.
+    """
+    if f.group != g.group:
+        raise GroupMismatch("inner product across different groups")
+    group = f.group
+    total = sum(
+        size * a * b for size, a, b in zip(group.sizes, f.values, g.values)
+    )
+    return exact_div(total, group.order)
+
+
+def class_sum(f: ClassFunction, g: ClassFunction) -> ClassFunction:
+    """f + g, class by class."""
+    if f.group != g.group:
+        raise GroupMismatch("class functions over different groups")
+    return ClassFunction(f.group, tuple(map(add, f.values, g.values)))
+
+
+def class_product(f: ClassFunction, g: ClassFunction) -> ClassFunction:
+    """f * g, class by class: the character of the tensor product."""
+    if f.group != g.group:
+        raise GroupMismatch("class functions over different groups")
+    return ClassFunction(f.group, tuple(map(mul, f.values, g.values)))
 
 
 def pairing_invariant_dims(gc) -> dict[int, int]:

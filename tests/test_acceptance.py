@@ -14,7 +14,7 @@ import pytest
 
 from confab.exact import QMatrix, rank, rref
 from confab.freegroup import abelianized_matrix, contragredient, h1_f2
-from confab.groups import decompose, inner_product
+from confab.groups import decompose
 from confab.rings import hilbert_series, invariant_subring_dims
 from confab.tables import (
     RankTooSmall,
@@ -49,7 +49,7 @@ from confab.weyl import (
     symplectic,
     unitary,
 )
-from oracles import fixed_space_dim, kernel_basis
+from oracles import fixed_space_dim, inner_product, kernel_basis
 
 
 def multisets(d, gc):

@@ -1,9 +1,13 @@
 """Class functions and catalogs, with the cycle-type Weyl data checked
 against a brute-force matrix-group oracle."""
 
+import json
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from itertools import product
+from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,6 @@ from confab.groups import (
     NotACharacter,
     decompose,
     format_decomposition,
-    inner_product,
 )
 from confab.weyl import (
     WeylDatum,
@@ -26,6 +29,7 @@ from confab.weyl import (
     torus_character,
     unitary,
 )
+from oracles import class_product, inner_product
 
 SWAP = QMatrix.from_rows([[0, 1], [1, 0]])
 FLIP = QMatrix.from_rows([[1, 0], [0, -1]])
@@ -227,16 +231,15 @@ class TestClosure:
 
 
 class TestCatalogs:
-    def test_orthonormality_is_enforced(self):
-        catalog = datum("Sp2").catalog
-        for i, f in enumerate(catalog.chars):
-            for j, g in enumerate(catalog.chars):
-                expected = Fraction(1 if i == j else 0)
-                assert inner_product(f, g) == expected
-        group = catalog.group
+    def test_character_count_is_enforced(self):
+        # the constructor checks shape only; that the shipped tables are
+        # orthonormal is proved by test_shipped_table_is_a_character_table
+        group = datum("Sp2").group
         trivial = ClassFunction.trivial(group)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one character per conjugacy"):
             IrreducibleCatalog(group, ("1", "again"), (trivial, trivial))
+        with pytest.raises(ValueError, match="squared dimensions"):
+            IrreducibleCatalog(group, "12345", (trivial,) * 5)
 
     def test_dimension_sum(self):
         catalog = datum("Sp2").catalog
@@ -245,7 +248,7 @@ class TestCatalogs:
     def test_two_dimensional_square_decomposes(self):
         catalog = datum("Sp2").catalog
         d = dict(zip(catalog.labels, catalog.chars))["d"]
-        square = d * d
+        square = class_product(d, d)
         assert decompose(square, catalog) == (
             ("1", 1),
             ("a", 1),
@@ -257,7 +260,7 @@ class TestCatalogs:
         catalog = datum("SU3").catalog
         std = dict(zip(catalog.labels, catalog.chars))["std"]
         assert std.dim == 2
-        assert decompose(std * std, catalog) == (
+        assert decompose(class_product(std, std), catalog) == (
             ("1", 1),
             ("std", 1),
             ("sgn", 1),
@@ -302,3 +305,55 @@ class TestProducts:
 
     def test_trivial_factor_keeps_bare_labels(self):
         assert datum("S1xSp1").catalog.labels == ("1", "σ")
+
+
+# ---------------------------------------------------------------------------
+# every character table confab ships is a complete table of irreducibles:
+# the named tables of S1, S2, S3, B1 and B2 through their one-factor data,
+# and the tensor catalog of every product in use.  The benchmark's products
+# are its golden tables with more than one factor, read here unchanged.
+
+BENCHMARK_PRODUCTS = tuple(
+    sorted(
+        tag
+        for tag in json.loads(
+            (Path(__file__).parent.parent / "perfbench" / "golden.json")
+            .read_text(encoding="utf-8")
+        )["tables"]
+        if "x" in tag
+    )
+)
+NAMED_TABLES = ("S1", "U2", "U3", "Sp1", "Sp2")
+PRODUCT_TABLES = ("S1xS1", "S1xSU2") + BENCHMARK_PRODUCTS
+
+
+@pytest.mark.parametrize("tag", NAMED_TABLES + PRODUCT_TABLES)
+def test_shipped_table_is_a_character_table(tag):
+    catalog = datum(tag).catalog
+    group, chars = catalog.group, catalog.chars
+    assert len(chars) == len(group.classes)
+    # rows: <chi, psi> = 1 if chi = psi, else 0
+    for i, f in enumerate(chars):
+        for j, g in enumerate(chars):
+            expected = 1 if i == j else 0
+            labels = catalog.labels[i], catalog.labels[j]
+            assert inner_product(f, g) == expected, labels
+    # columns: sum over chi of chi(c) chi(c') = |W| / |c| if c = c', else 0
+    for c, size in enumerate(group.sizes):
+        for c2 in range(len(group.sizes)):
+            expected = group.order // size if c == c2 else 0
+            column = sum(chi.values[c] * chi.values[c2] for chi in chars)
+            assert column == expected, (c, c2)
+    assert sum(chi.dim**2 for chi in chars) == group.order
+
+
+@pytest.mark.parametrize("tag", PRODUCT_TABLES)
+def test_tensor_characters_are_factor_products(tag):
+    d = datum(tag)
+    combos = list(product(*(f.catalog.chars for f in d.factors)))
+    assert len(combos) == len(d.catalog.chars)
+    for combo, char in zip(combos, d.catalog.chars):
+        assert char.values == tuple(
+            prod(factor_char.values[i] for factor_char, i in zip(combo, cls))
+            for cls in d.class_factor_classes
+        )

@@ -1,5 +1,7 @@
 """Weyl group data, torus characters, and flag cohomology characters."""
 
+from functools import lru_cache
+
 import pytest
 
 from confab.groups import decompose, format_decomposition
@@ -24,6 +26,7 @@ from confab.weyl import (
     torus_character,
     unitary,
 )
+from oracles import class_product, class_sum
 
 TAGS = ("S1xS1", "U2", "S1xSU2", "SU3", "Sp2")
 LADDER = (
@@ -76,6 +79,23 @@ class TestFactors:
         assert datum("u2") is datum(" U2 ") is datum("U2")
         assert datum("s1 X sp02") is datum("S1xSp2")
         assert datum("s1 X sp02").tag == "S1xSp2"
+
+    def test_datum_splits_each_tag_once(self, monkeypatch):
+        # on a cold cache, as in a fresh process
+        monkeypatch.setattr(
+            weyl, "_datum", lru_cache(maxsize=None)(_datum.__wrapped__)
+        )
+        calls = []
+
+        def counted(tag):
+            calls.append(tag)
+            return split_tag(tag)
+
+        split_tag = weyl._split_tag
+        monkeypatch.setattr(weyl, "_split_tag", counted)
+        for tag in LADDER:
+            assert datum(tag).tag == tag
+        assert calls == list(LADDER)
 
     def test_datum_rank_and_pi1(self):
         ranks = {tag: datum(tag).rank for tag in TAGS}
@@ -191,9 +211,11 @@ class TestKunneth:
         total = kunneth(flag, conf)
         top = flag.top + conf.top
         for n in range(top + 2):
-            expected = flag.piece(0) * conf.piece(n)
+            expected = class_product(flag.piece(0), conf.piece(n))
             for i in range(1, n + 1):
-                expected = expected + flag.piece(i) * conf.piece(n - i)
+                expected = class_sum(
+                    expected, class_product(flag.piece(i), conf.piece(n - i))
+                )
             assert total.piece(n) == expected, (tag, n)
         # the flag character vanishes in odd degrees unless a circle is
         # carried along, so its degrees have gaps
