@@ -11,20 +11,20 @@ Characters are stored per conjugacy class, each value an exact rational kept
 as an ``int`` when integral and as a ``Fraction`` only when it is not (the
 storage rule of ``confab.exact``).  Rational characters are integer valued,
 so in practice every value is an ``int`` and ``fractions``, named here in
-annotations only, is never loaded.  ``decompose`` pairs f with each
-irreducible and subtracts the parts from a plain list of values, which must
-reach zero.
+annotations only, is never loaded.
 
-A catalog checks its shape when it is built, not its orthogonality: pairing
-every two characters costs O(k^2 C) for k characters on C classes, which is
-cubic for a product's tensor catalog.  The tables confab ships are proved
-orthonormal and complete by the tests instead.
+A direct product's catalog keeps its factors' tables and the joined labels,
+never the Kronecker product they form on the product's classes.
+``decompose`` pairs f with them one factor axis at a time, C k_j products
+for an axis of k_j characters on C classes instead of C^2, then expands the
+multiplicities back through the transposed tables, which must give f again.
+A catalog checks its shape, not its orthogonality, which would cost
+O(k^2 C); the tests prove the tables confab ships orthonormal and complete.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import prod
 from operator import mul
 from typing import TYPE_CHECKING, Hashable, Sequence
 
@@ -110,14 +110,17 @@ class ClassFunction:
 class IrreducibleCatalog:
     """A complete list of irreducible characters with stable labels.
 
-    Construction checks the shape of a character table: one unique label
-    per character, every character over ``group``, one character per
-    conjugacy class, and squared dimensions summing to the group order.  It
-    does not pair characters: every catalog is one of the hand-written
-    tables of ``confab.weyl`` or a tensor product of them, and the tests
-    prove each of those orthonormal and complete.  ``decompose`` still
-    checks that its parts reassemble the class function on every call.
+    Construction checks the shape of one group's character table: one
+    unique label per character, every character over ``group``, one
+    character per conjugacy class, and squared dimensions summing to the
+    group order.  ``tables`` holds the values by character, ``transposed``
+    by class, one table each per factor: a single group's catalog has one,
+    and ``product`` makes a direct product's from its factors' catalogs.
+    ``decompose`` checks that its parts reassemble the class function on
+    every call.
     """
+
+    __slots__ = ("group", "labels", "tables", "transposed")
 
     def __init__(
         self,
@@ -140,7 +143,38 @@ class IrreducibleCatalog:
             raise ValueError("squared dimensions do not sum to group order")
         self.group = group
         self.labels = labels
-        self.chars = chars
+        self.tables = (tuple(c.values for c in chars),)
+        self.transposed = (tuple(zip(*self.tables[0])),)
+
+    @classmethod
+    def product(
+        cls, group: FiniteGroup, factors: Sequence[IrreducibleCatalog]
+    ) -> IrreducibleCatalog:
+        """The catalog of a direct product whose classes, in ``group``, are
+        the ``itertools.product`` of the factors' classes.  A label joins the
+        labels of the factors with a nontrivial group by "⊗" (bare labels
+        would collide for isomorphic factors); with none, it is trivial.
+        """
+        catalog = object.__new__(cls)
+        catalog.group = group
+        shown = [c.labels for c in factors if c.group.order != 1]
+        catalog.labels = tuple(
+            "⊗".join(parts) or TRIVIAL_LABEL for parts in product(*shown)
+        )
+        catalog.tables = tuple(t for c in factors for t in c.tables)
+        catalog.transposed = tuple(t for c in factors for t in c.transposed)
+        return catalog
+
+
+def _contract(values: list, tables: Sequence[Sequence[Sequence]]) -> list:
+    # values in row-major order, one square table per axis: each table in
+    # turn is applied to the leading axis, whose result goes last, so after
+    # the last table the axes are back in order
+    for table in tables:
+        stride = len(values) // len(table)
+        columns = [values[r::stride] for r in range(stride)]
+        values = [sum(map(mul, row, col)) for col in columns for row in table]
+    return values
 
 
 def decompose(
@@ -148,26 +182,27 @@ def decompose(
 ) -> tuple[tuple[str, int], ...]:
     """Multiplicities of f in catalog order, nonzero entries only.
 
-    Raises ``NotACharacter`` when any multiplicity is not a nonnegative
-    integer or when the parts do not reassemble to f.
+    The class-size-weighted values of f are paired with one factor's table
+    at a time.  Raises ``NotACharacter`` when any multiplicity is not a
+    nonnegative integer or when the multiplicities, expanded back through
+    the transposed tables, do not give f.
     """
     if f.group != catalog.group:
         raise GroupMismatch("decomposing against a foreign catalog")
-    sizes, order = f.group.sizes, f.group.order
-    weighted = [size * a for size, a in zip(sizes, f.values)]
+    order = f.group.order
+    totals = _contract(list(map(mul, f.group.sizes, f.values)), catalog.tables)
     out = []
-    remainder = list(f.values)
-    for label, char in zip(catalog.labels, catalog.chars):
-        mult = exact_div(sum(map(mul, weighted, char.values)), order)
+    mults = []
+    for label, total in zip(catalog.labels, totals):
+        mult = exact_div(total, order)
         if mult.denominator != 1 or mult < 0:
             raise NotACharacter(
                 f"multiplicity of {label} is {mult}, not a nonnegative integer"
             )
         if mult:
             out.append((label, mult))
-            for i, value in enumerate(char.values):
-                remainder[i] -= mult * value
-    if any(remainder):
+        mults.append(mult)
+    if _contract(mults, catalog.transposed) != list(f.values):
         raise NotACharacter("class function is not in the catalog's span")
     return tuple(out)
 
@@ -185,33 +220,3 @@ def format_decomposition(parts: Sequence[tuple[str, int]]) -> str:
         chunks.append(shown if mult == 1 else f"{mult}{shown}")
     return " ⊕ ".join(chunks)
 
-
-def product_catalog(
-    group: FiniteGroup, catalogs: Sequence[IrreducibleCatalog]
-) -> IrreducibleCatalog:
-    """Tensor catalog of a direct product of the catalogs' groups.
-
-    Each class of ``group`` must be the tuple of factor class indices it
-    covers, one per catalog.  Labels: the labels of the factors with a
-    nontrivial group, joined by "⊗" (bare labels would collide for products
-    of isomorphic factors); the trivial label when every factor is trivial.
-    """
-    labels: list[str] = []
-    chars: list[ClassFunction] = []
-    for combo in product(*(zip(c.labels, c.chars) for c in catalogs)):
-        shown = [
-            label
-            for (label, _), catalog in zip(combo, catalogs)
-            if catalog.group.order != 1
-        ]
-        labels.append("⊗".join(shown) or TRIVIAL_LABEL)
-        chars.append(
-            ClassFunction(
-                group,
-                tuple(
-                    prod(char.values[i] for (_, char), i in zip(combo, cls))
-                    for cls in group.classes
-                ),
-            )
-        )
-    return IrreducibleCatalog(group, labels, chars)

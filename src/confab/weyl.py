@@ -65,7 +65,6 @@ from .groups import (
     GroupMismatch,
     IrreducibleCatalog,
     NotACharacter,
-    product_catalog,
 )
 
 CONVENTIONS = ("derived", "paper")
@@ -338,13 +337,13 @@ def _build_factors(
 class WeylDatum:
     """A product of supported factors with its assembled Weyl group.
 
-    Each class of the product group is the tuple of factor class indices it
-    covers (``class_factor_classes``), identity first; class sizes multiply
-    across factors.  A one-factor datum takes the factor's group and catalog
-    as they are, so its classes are the factor's cycle types while
-    ``class_factor_classes`` still holds the index tuples.  The catalog is
-    the tensor catalog when every factor has one; larger factors still
-    support invariant dimensions, just not named decompositions.
+    Each class of a product group is the tuple of its factor classes, one
+    per factor, in ``itertools.product`` order, so the identity comes first;
+    class sizes multiply across factors.  A one-factor datum takes the
+    factor's group and catalog as they are.  A product's catalog keeps the
+    factors' tables when every factor has one (``IrreducibleCatalog.product``)
+    and ``decompose`` runs through them factor by factor; larger factors
+    still support invariant dimensions, just not named decompositions.
     """
 
     def __init__(self, factors: Sequence[LieFactor], tag: str | None = None):
@@ -358,25 +357,19 @@ class WeylDatum:
         _check_class_count(
             prod(len(f.group.classes) for f in factors), self.tag
         )
-        self.class_factor_classes = tuple(
-            product(*(range(len(f.group.classes)) for f in factors))
-        )
         if len(factors) == 1:
             self.group = factors[0].group
             self.catalog = factors[0].catalog
             return
         self.group = FiniteGroup(
-            self.class_factor_classes,
-            tuple(
-                prod(f.group.sizes[i] for f, i in zip(factors, cls))
-                for cls in self.class_factor_classes
-            ),
+            tuple(product(*(f.group.classes for f in factors))),
+            tuple(map(prod, product(*(f.group.sizes for f in factors)))),
         )
         catalogs = [f.catalog for f in factors]
         self.catalog = (
             None
             if any(c is None for c in catalogs)
-            else product_catalog(self.group, catalogs)
+            else IrreducibleCatalog.product(self.group, catalogs)
         )
 
     def __repr__(self) -> str:
@@ -472,18 +465,9 @@ def kunneth(a: GradedCharacter, b: GradedCharacter) -> GradedCharacter:
     return GradedCharacter(a.group, tuple(map(poly_mul, a.traces, b.traces)))
 
 
-def _product_traces(
-    d: WeylDatum, factor_traces: Sequence[Sequence[Sequence]]
-) -> tuple[Sequence, ...]:
+def _product_traces(factor_traces: Sequence[Sequence[Sequence]]) -> tuple:
     # the trace of a product class is the product of its factor classes'
-    if len(factor_traces) == 1:
-        return tuple(factor_traces[0])
-    return tuple(
-        reduce(
-            poly_mul, (traces[i] for traces, i in zip(factor_traces, cls)), (1,)
-        )
-        for cls in d.class_factor_classes
-    )
+    return tuple(reduce(poly_mul, combo) for combo in product(*factor_traces))
 
 
 def torus_character(d: WeylDatum) -> GradedCharacter:
@@ -492,7 +476,6 @@ def torus_character(d: WeylDatum) -> GradedCharacter:
     return GradedCharacter(
         d.group,
         _product_traces(
-            d,
             [
                 tuple(
                     [-c if i % 2 else c for i, c in enumerate(p)]
@@ -533,7 +516,6 @@ def flag_character(d: WeylDatum, convention: str = "derived") -> GradedCharacter
     return GradedCharacter(
         d.group,
         _product_traces(
-            d,
             [
                 _factor_flag_traces(f, carry and f.group.order == 1)
                 for f in d.factors

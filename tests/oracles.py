@@ -6,7 +6,11 @@ test can check a result without the library carrying code it never calls.
 The class-function pairing ``inner_product`` and the pointwise
 ``class_sum`` and ``class_product`` live here, not in ``confab.groups``:
 confab builds its character tables without pairing them, and the tests use
-these three to prove every shipped table orthonormal and complete.
+these three to prove every shipped table orthonormal and complete.  A
+product's catalog keeps only its factors' tables; ``tensor_table`` builds
+the flat table of every product of factor characters, C characters on C
+classes, and ``flat_decompose`` pairs a class function with each of them,
+the route confab's factor-by-factor ``decompose`` replaced.
 Polynomials are coefficient tuples, low degree first and trimmed, as in
 confab; the graded traces are rebuilt here by schoolbook multiplication and
 by long division with ``exact_div`` on every coefficient, without confab's
@@ -16,6 +20,7 @@ confab's ``NonZeroRemainder`` message does.
 
 from collections import Counter
 from functools import reduce
+from itertools import product
 from math import factorial, prod
 from operator import add, mul
 
@@ -80,6 +85,60 @@ def class_product(f: ClassFunction, g: ClassFunction) -> ClassFunction:
     if f.group != g.group:
         raise GroupMismatch("class functions over different groups")
     return ClassFunction(f.group, tuple(map(mul, f.values, g.values)))
+
+
+def characters(catalog) -> tuple[ClassFunction, ...]:
+    """The characters of a one-group catalog, in catalog order."""
+    (table,) = catalog.tables
+    return tuple(ClassFunction(catalog.group, row) for row in table)
+
+
+def factor_class_indices(d) -> list[tuple[int, ...]]:
+    """Per class of a datum, the index of each factor class it names.
+
+    A product's class is a tuple of factor classes; a one-factor datum's
+    classes are its factor's own.
+    """
+    index = [{c: i for i, c in enumerate(f.group.classes)} for f in d.factors]
+    classes = d.group.classes
+    if len(d.factors) == 1:
+        classes = [(c,) for c in classes]
+    return [tuple(where[c] for where, c in zip(index, cls)) for cls in classes]
+
+
+def tensor_table(d) -> tuple[tuple[str, ...], tuple[ClassFunction, ...]]:
+    """Labels and characters of a datum's flat tensor table.
+
+    One character per choice of a character in each factor's catalog, in
+    ``itertools.product`` order, valued at each product class as the product
+    of its factor characters at the factor classes that class names.  A
+    label joins the labels of the factors with a nontrivial group by "⊗",
+    and is "1" when every factor is trivial.
+    """
+    catalogs = [f.catalog for f in d.factors]
+    classes = factor_class_indices(d)
+    labels, chars = [], []
+    for combo in product(*(zip(c.labels, characters(c)) for c in catalogs)):
+        shown = [
+            label
+            for (label, _), c in zip(combo, catalogs)
+            if c.group.order != 1
+        ]
+        labels.append("⊗".join(shown) or "1")
+        values = tuple(
+            prod(char.values[i] for (_, char), i in zip(combo, cls))
+            for cls in classes
+        )
+        chars.append(ClassFunction(d.group, values))
+    return tuple(labels), tuple(chars)
+
+
+def flat_decompose(f: ClassFunction, table) -> tuple[tuple[str, int], ...]:
+    """Nonzero pairings of f with every character of a flat table, in order."""
+    pairs = (
+        (label, inner_product(f, char)) for label, char in zip(*table)
+    )
+    return tuple((label, mult) for label, mult in pairs if mult)
 
 
 def pairing_invariant_dims(gc) -> dict[int, int]:
@@ -174,7 +233,7 @@ def _product_traces(d, factor_traces) -> tuple:
             (traces[i] for traces, i in zip(factor_traces, cls)),
             (1,),
         )
-        for cls in d.class_factor_classes
+        for cls in factor_class_indices(d)
     )
 
 

@@ -49,7 +49,7 @@ from confab.weyl import (
     symplectic,
     unitary,
 )
-from oracles import fixed_space_dim, inner_product, kernel_basis
+from oracles import fixed_space_dim, inner_product, kernel_basis, tensor_table
 
 
 def multisets(d, gc):
@@ -286,14 +286,16 @@ def test_c10_structural_properties():
         gc = flag_character(d, "derived")  # raises on inexact division
         assert gc.total_dim() == factor.group.order
 
-    # catalog orthonormality and the dimension-squares identity
+    # catalog orthonormality and the dimension-squares identity, on the
+    # flat tensor table that each catalog's factor tables stand for
     for tag in ("S1xS1", "U2", "S1xSU2", "SU3", "Sp2"):
-        catalog = datum(tag).catalog
-        group = catalog.group
-        for i, f in enumerate(catalog.chars):
-            for j, g in enumerate(catalog.chars):
+        d = datum(tag)
+        labels, chars = tensor_table(d)
+        assert labels == d.catalog.labels
+        for i, f in enumerate(chars):
+            for j, g in enumerate(chars):
                 assert inner_product(f, g) == Fraction(1 if i == j else 0)
-        assert sum(c.dim**2 for c in catalog.chars) == group.order
+        assert sum(c.dim**2 for c in chars) == d.group.order
 
     # Euler characteristic vanishes for every configuration table
     for tag in ("S1xS1", "U2", "S1xSU2", "SU3", "Sp2"):

@@ -20,16 +20,26 @@ from confab.groups import (
     decompose,
     format_decomposition,
 )
+from confab.torusconf import conf2_torus
 from confab.weyl import (
     WeylDatum,
     circle,
     datum,
+    flag_character,
+    kunneth,
     special_unitary,
     symplectic,
     torus_character,
     unitary,
 )
-from oracles import class_product, inner_product
+from oracles import (
+    characters,
+    class_product,
+    factor_class_indices,
+    flat_decompose,
+    inner_product,
+    tensor_table,
+)
 
 SWAP = QMatrix.from_rows([[0, 1], [1, 0]])
 FLIP = QMatrix.from_rows([[1, 0], [0, -1]])
@@ -183,7 +193,7 @@ def test_d8_characters_match_elementwise_definitions():
     factor, elements = oracle_group("Sp2")
     catalog = factor.catalog
     assert catalog.labels == ("1", "a", "b", "c", "d")
-    by_label = dict(zip(catalog.labels, catalog.chars))
+    by_label = dict(zip(catalog.labels, characters(catalog)))
     for g in elements:
         unsigned = QMatrix(g.rows, g.cols, tuple(abs(e) for e in g.entries))
         entries = Fraction(1)
@@ -243,11 +253,11 @@ class TestCatalogs:
 
     def test_dimension_sum(self):
         catalog = datum("Sp2").catalog
-        assert sum(c.dim**2 for c in catalog.chars) == 8
+        assert sum(c.dim**2 for c in characters(catalog)) == 8
 
     def test_two_dimensional_square_decomposes(self):
         catalog = datum("Sp2").catalog
-        d = dict(zip(catalog.labels, catalog.chars))["d"]
+        d = dict(zip(catalog.labels, characters(catalog)))["d"]
         square = class_product(d, d)
         assert decompose(square, catalog) == (
             ("1", 1),
@@ -258,7 +268,7 @@ class TestCatalogs:
 
     def test_symmetric_catalog(self):
         catalog = datum("SU3").catalog
-        std = dict(zip(catalog.labels, catalog.chars))["std"]
+        std = dict(zip(catalog.labels, characters(catalog)))["std"]
         assert std.dim == 2
         assert decompose(class_product(std, std), catalog) == (
             ("1", 1),
@@ -295,9 +305,12 @@ class TestProducts:
         assert len(d.group.classes) == 4
 
     def test_class_pairs_recover_factors(self):
+        # each product class names one class per factor, last factor fastest
         d = datum("Sp1xSp1")
-        pairs = sorted(d.class_factor_classes)
-        assert pairs == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        e, s = symplectic(1).group.classes
+        assert d.group.classes == ((e, e), (e, s), (s, e), (s, s))
+        assert d.group.sizes == (1, 1, 1, 1)
+        assert factor_class_indices(d) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_tensor_labels_join_when_both_nontrivial(self):
         catalog = datum("Sp1xSp1").catalog
@@ -310,8 +323,10 @@ class TestProducts:
 # ---------------------------------------------------------------------------
 # every character table confab ships is a complete table of irreducibles:
 # the named tables of S1, S2, S3, B1 and B2 through their one-factor data,
-# and the tensor catalog of every product in use.  The benchmark's products
-# are its golden tables with more than one factor, read here unchanged.
+# and the tensor table of every product in use.  confab keeps only the
+# factor tables, so each datum's flat table is rebuilt by
+# ``oracles.tensor_table``.  The benchmark's products are its golden tables
+# with more than one factor, read here unchanged.
 
 BENCHMARK_PRODUCTS = tuple(
     sorted(
@@ -329,15 +344,16 @@ PRODUCT_TABLES = ("S1xS1", "S1xSU2") + BENCHMARK_PRODUCTS
 
 @pytest.mark.parametrize("tag", NAMED_TABLES + PRODUCT_TABLES)
 def test_shipped_table_is_a_character_table(tag):
-    catalog = datum(tag).catalog
-    group, chars = catalog.group, catalog.chars
+    d = datum(tag)
+    labels, chars = tensor_table(d)
+    group = d.group
+    assert labels == d.catalog.labels
     assert len(chars) == len(group.classes)
     # rows: <chi, psi> = 1 if chi = psi, else 0
     for i, f in enumerate(chars):
         for j, g in enumerate(chars):
             expected = 1 if i == j else 0
-            labels = catalog.labels[i], catalog.labels[j]
-            assert inner_product(f, g) == expected, labels
+            assert inner_product(f, g) == expected, (labels[i], labels[j])
     # columns: sum over chi of chi(c) chi(c') = |W| / |c| if c = c', else 0
     for c, size in enumerate(group.sizes):
         for c2 in range(len(group.sizes)):
@@ -349,11 +365,68 @@ def test_shipped_table_is_a_character_table(tag):
 
 @pytest.mark.parametrize("tag", PRODUCT_TABLES)
 def test_tensor_characters_are_factor_products(tag):
+    # the oracle looks each factor class up by name; here the values of one
+    # character per factor are multiplied out in itertools.product order,
+    # which must be the order of the product's classes
     d = datum(tag)
-    combos = list(product(*(f.catalog.chars for f in d.factors)))
-    assert len(combos) == len(d.catalog.chars)
-    for combo, char in zip(combos, d.catalog.chars):
+    chars = tensor_table(d)[1]
+    combos = list(product(*(characters(f.catalog) for f in d.factors)))
+    assert len(combos) == len(chars) == len(d.catalog.labels)
+    for combo, char in zip(combos, chars):
         assert char.values == tuple(
-            prod(factor_char.values[i] for factor_char, i in zip(combo, cls))
-            for cls in d.class_factor_classes
+            map(prod, product(*(factor_char.values for factor_char in combo)))
         )
+
+
+@pytest.mark.parametrize("convention", ["derived", "paper"])
+@pytest.mark.parametrize("tag", PRODUCT_TABLES)
+def test_decompose_equals_flat_pairing(tag, convention):
+    # every piece of the flag, conf2 and Kunneth characters decomposes
+    # factor by factor exactly as pairing with the flat table says
+    d = datum(tag)
+    table = tensor_table(d)
+    flag, conf = flag_character(d, convention), conf2_torus(d)
+    for gc in (flag, conf, kunneth(flag, conf)):
+        for degree in range(gc.top + 1):
+            piece = gc.piece(degree)
+            assert decompose(piece, d.catalog) == flat_decompose(piece, table)
+
+
+class TestLargeProducts:
+    # a product's catalog holds only its factor tables, so products whose
+    # flat table would hold 2^24 or 2^32 values build and decompose
+
+    def test_sixteen_factor_datum_builds(self):
+        d = datum("x".join(["U2"] * 16))
+        assert len(d.group.classes) == len(d.catalog.labels) == 2**16
+        assert d.catalog.labels[0] == "⊗".join(["1"] * 16)
+        assert d.catalog.labels[-1] == "⊗".join(["σ"] * 16)
+
+    def test_twelve_factor_flag_pieces(self):
+        # the flag of a product is the tensor product of the factors' flags
+        # (Kunneth), so its degree-n piece is the sum over factor degrees
+        # adding to n of the joined factor decompositions; each factor's
+        # own pieces are decomposed by flat pairing
+        n = 12
+        d = datum("x".join(["U2"] * n))
+        u2 = datum("U2")
+        u2_flag, u2_table = flag_character(u2), tensor_table(u2)
+        factor_parts = {
+            degree: flat_decompose(u2_flag.piece(degree), u2_table)
+            for degree in u2_flag.degrees()
+        }
+        expected = {}
+        for degrees in product(factor_parts, repeat=n):
+            for parts in product(*(factor_parts[deg] for deg in degrees)):
+                label = "⊗".join(label for label, _ in parts)
+                mult = prod(m for _, m in parts)
+                pieces = expected.setdefault(sum(degrees), {})
+                pieces[label] = pieces.get(label, 0) + mult
+        flag = flag_character(d)
+        assert flag.degrees() == tuple(sorted(expected))
+        for degree, parts in expected.items():
+            assert decompose(flag.piece(degree), d.catalog) == tuple(
+                (label, parts[label])
+                for label in d.catalog.labels
+                if label in parts
+            )

@@ -169,16 +169,15 @@ def test_as_exact_tuple_rejects_floats(values):
 
 
 def test_decompose_rejects_functions_outside_the_span():
-    # a catalog short of the sign character, built past its own checks, so
-    # that only the reassembly check can see the missing part
+    # a wrong table that passes every shape check: the trivial character
+    # twice on Z2.  Each multiplicity is a nonnegative integer, so only the
+    # reassembly check can see that the parts do not give f back
     group = FiniteGroup(("e", "s"), (1, 1))
-    partial = object.__new__(IrreducibleCatalog)
-    partial.group = group
-    partial.labels = ("1",)
-    partial.chars = (ClassFunction.trivial(group),)
-    assert decompose(ClassFunction(group, (1, 1)), partial) == (("1", 1),)
-    with pytest.raises(NotACharacter, match="not in the catalog's span"):
-        decompose(ClassFunction(group, (2, 0)), partial)
+    trivial = ClassFunction.trivial(group)
+    doubled = IrreducibleCatalog(group, ("1", "again"), (trivial, trivial))
+    for values in ((2, 0), (1, 1)):
+        with pytest.raises(NotACharacter, match="not in the catalog's span"):
+            decompose(ClassFunction(group, values), doubled)
 
 
 @pytest.mark.parametrize("tag", GOLDEN_TAGS)
