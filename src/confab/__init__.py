@@ -16,7 +16,6 @@ k = 3 tables and ``confab.verify`` only when ``verify_all`` first runs.
 
 from .tables import (
     CohomologyTable,
-    StabilityQuery,
     TableRow,
     conf_ab_table,
     stable_bound,
@@ -26,7 +25,6 @@ from .weyl import UnsupportedDatum, datum
 
 __all__ = [
     "CohomologyTable",
-    "StabilityQuery",
     "TableRow",
     "UnsupportedDatum",
     "conf_ab_table",

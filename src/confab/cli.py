@@ -30,7 +30,6 @@ from .tables import (
     TABLE1_TAGS,
     TABLE2_TAGS,
     CohomologyTable,
-    StabilityQuery,
     conf2_ring,
     conf_ab_table,
     stable_bound,
@@ -241,10 +240,9 @@ def _cmd_ring(args) -> Document:
 
 def _cmd_bound(args) -> Document:
     """stable range bound for a family, degree and k"""
-    query = StabilityQuery(args.family, args.degree, args.k)
-    bound = stable_bound(query)
+    bound = stable_bound(args.family, args.degree, args.k)
     header = ["family", "degree", "k", "bound"]
-    row = [query.family, query.degree, query.k, bound]
+    row = [args.family, args.degree, args.k, bound]
     return Document(dict(zip(header, row)), header, [row], f"{bound}\n")
 
 

@@ -13,11 +13,12 @@ storage rule of ``confab.exact``).  Rational characters are integer valued,
 so in practice every value is an ``int`` and ``fractions``, named here in
 annotations only, is never loaded.
 
-A direct product's catalog keeps its factors' tables and the joined labels,
-never the Kronecker product they form on the product's classes.
+A direct product's catalog keeps one table per factor and the joined
+labels, never the Kronecker product they form on the product's classes.
 ``decompose`` pairs f with them one factor axis at a time, C k_j products
-for an axis of k_j characters on C classes instead of C^2, then expands the
-multiplicities back through the transposed tables, which must give f again.
+for an axis of k_j characters on C classes instead of C^2.  It then checks
+that the multiplicities give f back: one axis at a time, each nonzero entry
+adds its multiple of a row of the factor's table, and zeros add nothing.
 A catalog checks its shape, not its orthogonality, which would cost
 O(k^2 C); the tests prove the tables confab ships orthonormal and complete.
 """
@@ -25,7 +26,7 @@ O(k^2 C); the tests prove the tables confab ships orthonormal and complete.
 from __future__ import annotations
 
 from itertools import product
-from operator import mul
+from operator import add, mul
 from typing import TYPE_CHECKING, Hashable, Sequence
 
 from .exact import as_exact_tuple, exact_div
@@ -113,14 +114,13 @@ class IrreducibleCatalog:
     Construction checks the shape of one group's character table: one
     unique label per character, every character over ``group``, one
     character per conjugacy class, and squared dimensions summing to the
-    group order.  ``tables`` holds the values by character, ``transposed``
-    by class, one table each per factor: a single group's catalog has one,
-    and ``product`` makes a direct product's from its factors' catalogs.
-    ``decompose`` checks that its parts reassemble the class function on
-    every call.
+    group order.  ``tables`` holds one table of values by character per
+    factor: a single group's catalog has one, and ``product`` makes a
+    direct product's from its factors' catalogs.  ``decompose`` checks that
+    its parts reassemble the class function on every call.
     """
 
-    __slots__ = ("group", "labels", "tables", "transposed")
+    __slots__ = ("group", "labels", "tables")
 
     def __init__(
         self,
@@ -144,7 +144,6 @@ class IrreducibleCatalog:
         self.group = group
         self.labels = labels
         self.tables = (tuple(c.values for c in chars),)
-        self.transposed = (tuple(zip(*self.tables[0])),)
 
     @classmethod
     def product(
@@ -162,7 +161,6 @@ class IrreducibleCatalog:
             "⊗".join(parts) or TRIVIAL_LABEL for parts in product(*shown)
         )
         catalog.tables = tuple(t for c in factors for t in c.tables)
-        catalog.transposed = tuple(t for c in factors for t in c.transposed)
         return catalog
 
 
@@ -177,6 +175,23 @@ def _contract(values: list, tables: Sequence[Sequence[Sequence]]) -> list:
     return values
 
 
+def _expand(values: list, tables: Sequence[Sequence[Sequence]]) -> list:
+    # the inverse of _contract: each entry of the leading axis adds its
+    # multiple of a table row, and the new axis goes last.  The entries
+    # with leading index i form one contiguous block, all times row i, so
+    # a block of zeros is skipped whole
+    for table in tables:
+        stride = len(values) // len(table)
+        expanded = [0] * len(values)
+        for i, row in enumerate(table):
+            block = values[i * stride : (i + 1) * stride]
+            if any(block):
+                part = [m * v for m in block for v in row]
+                expanded = list(map(add, expanded, part))
+        values = expanded
+    return values
+
+
 def decompose(
     f: ClassFunction, catalog: IrreducibleCatalog
 ) -> tuple[tuple[str, int], ...]:
@@ -185,7 +200,7 @@ def decompose(
     The class-size-weighted values of f are paired with one factor's table
     at a time.  Raises ``NotACharacter`` when any multiplicity is not a
     nonnegative integer or when the multiplicities, expanded back through
-    the transposed tables, do not give f.
+    the tables, do not give f.
     """
     if f.group != catalog.group:
         raise GroupMismatch("decomposing against a foreign catalog")
@@ -202,7 +217,7 @@ def decompose(
         if mult:
             out.append((label, mult))
         mults.append(mult)
-    if _contract(mults, catalog.transposed) != list(f.values):
+    if _expand(mults, catalog.tables) != list(f.values):
         raise NotACharacter("class function is not in the catalog's span")
     return tuple(out)
 

@@ -163,48 +163,24 @@ def first_cohomology_dim(d: WeylDatum, k: int) -> int:
     return k * d.pi1_rank
 
 
-class StabilityQuery:
-    """Which rank parameter makes a given degree independent of the rank."""
-
-    __slots__ = ("family", "degree", "k")
-
-    def __init__(self, family: str, degree: int, k: int):
-        family = family.lower()
-        if family not in ("u", "su", "sp"):
-            raise ValueError("family must be one of u, su, sp")
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        self.family = family
-        self.degree = degree
-        self.k = k
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.family == other.family
-            and self.degree == other.degree
-            and self.k == other.k
-        )
-
-    def __hash__(self):
-        return hash((self.family, self.degree, self.k))
-
-
 def _ceil_half(value: int) -> int:
     return -((-value) // 2)
 
 
-def stable_bound(query: StabilityQuery) -> int:
-    """A rank from which H^N is guaranteed stable, N the query degree."""
-    n = query.degree
-    if query.family == "u":
-        return max(_ceil_half(n + query.k - 1), n + 2)
-    if query.family == "su":
-        return max(_ceil_half(n + query.k - 3), n + 2)
-    return n + 2
+def stable_bound(family: str, degree: int, k: int) -> int:
+    """A rank from which H^degree is guaranteed stable, for U, SU or Sp."""
+    family = family.lower()
+    if family not in ("u", "su", "sp"):
+        raise ValueError("family must be one of u, su, sp")
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if family == "u":
+        return max(_ceil_half(degree + k - 1), degree + 2)
+    if family == "su":
+        return max(_ceil_half(degree + k - 3), degree + 2)
+    return degree + 2
 
 
 # ---------------------------------------------------------------------------

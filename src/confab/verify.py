@@ -35,7 +35,6 @@ from .tables import (
     TABLE2_TAGS,
     CohomologyTable,
     RankTooSmall,
-    StabilityQuery,
     _unordered_model,
     conf2_ring,
     conf2_ring_involution,
@@ -474,10 +473,10 @@ def report(convention: str, data=None) -> VerifyReport:
             "stable-bounds",
             (5, 5, 2, 2),
             lambda: (
-                stable_bound(StabilityQuery("sp", 3, 2)),
-                stable_bound(StabilityQuery("u", 2, 9)),
-                stable_bound(StabilityQuery("su", 0, 3)),
-                stable_bound(StabilityQuery("u", 0, 2)),
+                stable_bound("sp", 3, 2),
+                stable_bound("u", 2, 9),
+                stable_bound("su", 0, 3),
+                stable_bound("u", 0, 2),
             ),
         ),
     ]

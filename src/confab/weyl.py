@@ -45,7 +45,7 @@ non-integral or negative coefficient raises NotACharacter.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import groupby, product
 from math import factorial, prod
 from typing import Iterator, Sequence
@@ -466,8 +466,12 @@ def kunneth(a: GradedCharacter, b: GradedCharacter) -> GradedCharacter:
 
 
 def _product_traces(factor_traces: Sequence[Sequence[Sequence]]) -> tuple:
-    # the trace of a product class is the product of its factor classes'
-    return tuple(reduce(poly_mul, combo) for combo in product(*factor_traces))
+    # the trace of a product class is the product of its factor classes',
+    # built one factor at a time in itertools.product order
+    traces, *rest = factor_traces
+    for factor in rest:
+        traces = [poly_mul(a, b) for a in traces for b in factor]
+    return tuple(traces)
 
 
 def torus_character(d: WeylDatum) -> GradedCharacter:

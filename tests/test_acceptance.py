@@ -18,7 +18,6 @@ from confab.groups import decompose
 from confab.rings import hilbert_series, invariant_subring_dims
 from confab.tables import (
     RankTooSmall,
-    StabilityQuery,
     conf2_ring,
     conf2_ring_involution,
     conf_ab_table,
@@ -223,27 +222,18 @@ def test_c08_stability_bounds():
 
     for n in range(11):
         for k in range(1, 11):
-            assert stable_bound(StabilityQuery("sp", n, k)) == n + 2
-            assert stable_bound(StabilityQuery("u", n, k)) == max(
-                ceil_half(n + k - 1), n + 2
-            )
-            assert stable_bound(StabilityQuery("su", n, k)) == max(
-                ceil_half(n + k - 3), n + 2
-            )
-    assert stable_bound(StabilityQuery("sp", 3, 2)) == 5
-    assert stable_bound(StabilityQuery("u", 2, 9)) == 5
-    assert stable_bound(StabilityQuery("su", 0, 3)) == 2
+            assert stable_bound("sp", n, k) == n + 2
+            assert stable_bound("u", n, k) == max(ceil_half(n + k - 1), n + 2)
+            assert stable_bound("su", n, k) == max(ceil_half(n + k - 3), n + 2)
+    assert stable_bound("sp", 3, 2) == 5
+    assert stable_bound("u", 2, 9) == 5
+    assert stable_bound("su", 0, 3) == 2
     for family in ("u", "su", "sp"):
         for k in range(1, 11):
-            column = [
-                stable_bound(StabilityQuery(family, n, k)) for n in range(11)
-            ]
+            column = [stable_bound(family, n, k) for n in range(11)]
             assert column == sorted(column)
         for n in range(11):
-            row = [
-                stable_bound(StabilityQuery(family, n, k))
-                for k in range(1, 11)
-            ]
+            row = [stable_bound(family, n, k) for k in range(1, 11)]
             assert row == sorted(row)
 
 

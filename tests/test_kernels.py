@@ -9,6 +9,7 @@ products and ``Counter`` multiplicities in ``oracles``.
 
 import json
 from fractions import Fraction
+from itertools import product
 from math import factorial
 from pathlib import Path
 
@@ -178,6 +179,23 @@ def test_decompose_rejects_functions_outside_the_span():
     for values in ((2, 0), (1, 1)):
         with pytest.raises(NotACharacter, match="not in the catalog's span"):
             decompose(ClassFunction(group, values), doubled)
+
+
+def test_product_decompose_rejects_functions_outside_the_span():
+    # the same wrong Z2 table times Z2's true one.  Every multiplicity is a
+    # nonnegative integer and the parts give 2f back, not f: the
+    # reassembly runs over both factor axes
+    z2 = FiniteGroup(("e", "s"), (1, 1))
+    trivial = ClassFunction.trivial(z2)
+    doubled = IrreducibleCatalog(z2, ("1", "again"), (trivial, trivial))
+    true = IrreducibleCatalog(
+        z2, ("1", "sign"), (trivial, ClassFunction(z2, (1, -1)))
+    )
+    group = FiniteGroup(tuple(product(z2.classes, repeat=2)), (1,) * 4)
+    catalog = IrreducibleCatalog.product(group, (doubled, true))
+    for values in ((4, 0, 0, 0), (2, 2, 0, 0), (2, 0, 2, 0)):
+        with pytest.raises(NotACharacter, match="not in the catalog's span"):
+            decompose(ClassFunction(group, values), catalog)
 
 
 @pytest.mark.parametrize("tag", GOLDEN_TAGS)

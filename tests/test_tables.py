@@ -11,7 +11,6 @@ from confab.tables import (
     TABLE1_TAGS,
     TABLE2_TAGS,
     RankTooSmall,
-    StabilityQuery,
     conf2_ring,
     conf2_ring_involution,
     conf_ab_table,
@@ -108,37 +107,33 @@ class TestFirstCohomology:
 
 class TestStability:
     def test_spot_values(self):
-        assert stable_bound(StabilityQuery("sp", 3, 2)) == 5
-        assert stable_bound(StabilityQuery("sp", 3, 9)) == 5
-        assert stable_bound(StabilityQuery("u", 2, 9)) == 5
-        assert stable_bound(StabilityQuery("su", 0, 3)) == 2
-        assert stable_bound(StabilityQuery("u", 0, 2)) == 2
+        assert stable_bound("sp", 3, 2) == 5
+        assert stable_bound("sp", 3, 9) == 5
+        assert stable_bound("u", 2, 9) == 5
+        assert stable_bound("su", 0, 3) == 2
+        assert stable_bound("u", 0, 2) == 2
 
     def test_monotone_on_a_grid(self):
         for family in ("u", "su", "sp"):
             for k in range(1, 11):
-                bounds = [
-                    stable_bound(StabilityQuery(family, n, k))
-                    for n in range(11)
-                ]
+                bounds = [stable_bound(family, n, k) for n in range(11)]
                 assert bounds == sorted(bounds)
             for n in range(11):
-                by_k = [
-                    stable_bound(StabilityQuery(family, n, k))
-                    for k in range(1, 11)
-                ]
+                by_k = [stable_bound(family, n, k) for k in range(1, 11)]
                 assert by_k == sorted(by_k)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            StabilityQuery("so", 1, 2)
-        with pytest.raises(ValueError):
-            StabilityQuery("u", -1, 2)
-        with pytest.raises(ValueError):
-            StabilityQuery("u", 1, 0)
+        with pytest.raises(
+            ValueError, match="^family must be one of u, su, sp$"
+        ):
+            stable_bound("so", 1, 2)
+        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+            stable_bound("u", -1, 2)
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            stable_bound("u", 1, 0)
 
     def test_family_case_insensitive(self):
-        assert stable_bound(StabilityQuery("SP", 3, 2)) == 5
+        assert stable_bound("SP", 3, 2) == 5
 
     def test_computed_columns_are_constant_from_the_bound(self):
         # the bound is valid but not always the smallest such rank: H^2 of
@@ -151,7 +146,7 @@ class TestStability:
                 for n in ns
             }
             for degree in range(6):
-                bound = stable_bound(StabilityQuery(family, degree, 2))
+                bound = stable_bound(family, degree, 2)
                 stable = {
                     columns[n][degree] if degree < len(columns[n]) else 0
                     for n in ns

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from confab import StabilityQuery, conf_ab_table, datum, stable_bound
+from confab import conf_ab_table, datum, stable_bound
 from confab.cli import Document
 from confab.exact import QMatrix, as_trimmed_tuple
 from confab.freegroup import InvariantViolation, h1_f2
@@ -57,7 +57,6 @@ FACTORIES = {
     "RingPresentation": lambda: RingPresentation(
         (("a", 1), ("b", 2)), (("b", "a"), ("a", "b"))
     ),
-    "StabilityQuery": lambda: StabilityQuery("U", 2, 9),
     "TableRow": table_row,
     "CohomologyTable": lambda: CohomologyTable(
         "U2", 2, "derived", (table_row(),)
@@ -90,7 +89,6 @@ def test_equal_fields_are_equal_and_hash_alike(name):
 
 def test_different_fields_are_unequal():
     assert QMatrix(1, 2, (1, 2)) != QMatrix(2, 1, (1, 2))
-    assert StabilityQuery("u", 2, 9) != StabilityQuery("u", 2, 8)
     assert symplectic(2) != symplectic(3)
 
 
@@ -118,7 +116,7 @@ def test_construction_normalises_fields():
     assert [type(v) for v in traces[1]] == [int, Fraction]
     assert QMatrix(1, 1, (Fraction(4, 2),)).entries == (2,)
     assert type(QMatrix(1, 1, (Fraction(4, 2),)).entries[0]) is int
-    assert StabilityQuery("SP", 1, 1).family == "sp"
+    assert stable_bound("SP", 1, 1) == stable_bound("sp", 1, 1) == 3
     pres = RingPresentation(
         (("a", 1), ("b", 1), ("c", 1)), (("c", "a"), ("b", "a"), ("a", "b"))
     )
@@ -172,9 +170,9 @@ REJECTED = [
         lambda: RingPresentation((("a", 1),), (("a", "b"),)),
         ValueError,
     ),
-    ("family", lambda: StabilityQuery("g2", 1, 2), ValueError),
-    ("degree", lambda: StabilityQuery("u", -1, 2), ValueError),
-    ("k", lambda: StabilityQuery("u", 1, 0), ValueError),
+    ("family", lambda: stable_bound("g2", 1, 2), ValueError),
+    ("degree", lambda: stable_bound("u", -1, 2), ValueError),
+    ("k", lambda: stable_bound("u", 1, 0), ValueError),
     (
         "action sizes",
         lambda: h1_f2(EYE2, QMatrix.identity(3)),
@@ -215,7 +213,7 @@ def test_readme_library_example():
         "TableRow(degree=2, dimension=1, "
         "decomposition=(('1', 1), ('a', 1), ('b', 1), ('c', 2), ('d', 1)))"
     )
-    assert stable_bound(StabilityQuery("u", degree=2, k=9)) == 5
+    assert stable_bound("u", degree=2, k=9) == 5
 
 
 # fractions imports decimal and numbers; confab loads all three only on the
