@@ -256,10 +256,12 @@ class QMatrix:
 
 def _eliminate(
     matrix: QMatrix,
-) -> tuple[list[list[int | Fraction]], list[int]]:
-    # Forward phase of Gauss-Jordan; returns reduced rows and pivot columns.
+) -> tuple[list[list[int | Fraction]], list[int], int | Fraction]:
+    # Gauss-Jordan elimination; returns the reduced rows, the pivot columns
+    # and the product of the pivots, negated once per row swap
     rows = matrix.to_rows()
     pivots: list[int] = []
+    scale = 1
     r = 0
     for col in range(matrix.cols):
         pivot_row = None
@@ -269,8 +271,11 @@ def _eliminate(
                 break
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            scale = -scale
         lead = rows[r][col]
+        scale *= lead
         rows[r] = [exact_div(e, lead) for e in rows[r]]
         for i in range(matrix.rows):
             if i != r and rows[i][col] != 0:
@@ -280,45 +285,23 @@ def _eliminate(
         r += 1
         if r == matrix.rows:
             break
-    return rows, pivots
+    return rows, pivots, scale
 
 
 def rref(matrix: QMatrix) -> QMatrix:
-    rows, _ = _eliminate(matrix)
-    return QMatrix.from_rows(rows)
+    return QMatrix.from_rows(_eliminate(matrix)[0])
 
 
 def rank(matrix: QMatrix) -> int:
-    _, pivots = _eliminate(matrix)
-    return len(pivots)
+    return len(_eliminate(matrix)[1])
 
 
 def det(matrix: QMatrix) -> int | Fraction:
+    """The product of the pivots, signed by the row swaps; 0 if singular."""
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = matrix.rows
-    rows = matrix.to_rows()
-    result = 1
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            result = -result
-        lead = rows[col][col]
-        result *= lead
-        for i in range(col + 1, n):
-            if rows[i][col] != 0:
-                factor = exact_div(rows[i][col], lead)
-                rows[i] = [
-                    a - factor * b for a, b in zip(rows[i], rows[col])
-                ]
-    return as_exact(result)
+    _, pivots, scale = _eliminate(matrix)
+    return as_exact(scale) if len(pivots) == matrix.cols else 0
 
 
 def inverse(matrix: QMatrix) -> QMatrix:
@@ -331,7 +314,7 @@ def inverse(matrix: QMatrix) -> QMatrix:
             for i in range(n)
         ]
     )
-    rows, pivots = _eliminate(augmented)
+    rows, pivots, _ = _eliminate(augmented)
     if len(pivots) < n or pivots[:n] != list(range(n)):
         raise Singular("matrix is not invertible")
     return QMatrix.from_rows([row[n:] for row in rows[:n]])

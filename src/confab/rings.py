@@ -11,8 +11,10 @@ into ascending form picks up the usual Koszul sign: each adjacent swap of
 generators of degrees p and q contributes (-1)^(p*q).
 
 Automorphisms are given on generators (images must be degree-preserving
-linear combinations of generators) and extended multiplicatively; their
-matrices per degree drive fixed-subring dimension counts.
+linear combinations of generators) and extended multiplicatively.  A ring
+map is checked once on its generators: the images must kill every relation
+of the source.  Spans, and with them fixed-subring dimensions, are ranks of
+coefficient rows over the monomials, one degree at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ Element = dict[Monomial, "int | Fraction"]
 
 
 class NotInvolution(ValueError):
-    """An automorphism expected to square to the identity does not."""
+    """Generator images that do not define commuting ring involutions."""
 
 
 class RingPresentation:
@@ -260,26 +262,45 @@ def _apply_images(
     return out
 
 
-def action_matrices(
-    pres: RingPresentation, auto: GeneratorAutomorphism
-) -> dict[int, QMatrix]:
-    """Matrix of the automorphism on each degree's monomial basis."""
-    images = auto.generator_images(pres)
-    out = {}
-    for degree, monos in monomial_basis(pres).items():
-        position = {mono: i for i, mono in enumerate(monos)}
-        columns = []
-        for mono in monos:
-            col = [0] * len(monos)
-            for target, coef in _apply_images(pres, images, {mono: 1}).items():
-                if target not in position:
-                    raise ValueError(
-                        "automorphism image left the degree's basis"
-                    )
-                col[position[target]] = coef
-            columns.append(col)
-        out[degree] = QMatrix.from_rows(columns).transpose()
-    return out
+def broken_relation(
+    source: RingPresentation,
+    target: RingPresentation,
+    images: Sequence[Element],
+) -> str | None:
+    """The first relation of ``source`` that the images do not send to zero.
+
+    ``images`` holds each generator's image in ``target``, in generator
+    order.  They define a ring map exactly when every vanishing pair and
+    every generator's square goes to zero, and then the answer is None;
+    otherwise it is the relation's product, such as ``"a*b"``.
+    """
+    squares = tuple((i, i) for i in range(len(images)))
+    for i, j in source.forbidden + squares:
+        if element_product(target, images[i], images[j]):
+            return f"{source.labels[i]}*{source.labels[j]}"
+    return None
+
+
+def span_dims(
+    pres: RingPresentation, elements: Iterable[Element]
+) -> tuple[int, ...]:
+    """Dimension of the span of homogeneous elements in each degree.
+
+    Degrees run from 0 to the highest degree of a nonzero element; each
+    count is the rank of the elements' coefficient rows over the monomials.
+    """
+    by_degree: dict[int, list[Element]] = {}
+    for element in elements:
+        degree = element_degree(pres, element)
+        if degree is not None:
+            by_degree.setdefault(degree, []).append(element)
+    dims = []
+    for degree in range(max(by_degree, default=-1) + 1):
+        rows = by_degree.get(degree, [])
+        monos = sorted({mono for element in rows for mono in element})
+        matrix = [[element.get(mono, 0) for mono in monos] for element in rows]
+        dims.append(rank(QMatrix.from_rows(matrix)))
+    return tuple(dims)
 
 
 def invariant_subring_dims(
@@ -288,28 +309,38 @@ def invariant_subring_dims(
 ) -> tuple[int, ...]:
     """Dimension per degree of the simultaneous fixed subspace.
 
-    Each automorphism must be an involution (their matrices square to the
-    identity in every degree); the fixed space is the joint kernel of the
-    shifted actions, which covers the group they generate.
+    Each automorphism must be a ring map that returns every generator when
+    applied twice, so it is an involution in every degree, and any two must
+    agree on every generator whichever is applied first.  Commuting
+    involutions generate a finite group, whose fixed subspace in a degree
+    has the basis size less the span of g(m) - m over the basis monomials m
+    and the automorphisms g.  Raises ``NotInvolution`` naming the relation
+    or generator that fails.
     """
-    per_auto = [action_matrices(pres, auto) for auto in autos]
+    actions = [auto.generator_images(pres) for auto in autos]
+    for images in actions:
+        relation = broken_relation(pres, pres, images)
+        if relation is not None:
+            raise NotInvolution(f"automorphism does not send {relation} to 0")
+        for i, label in enumerate(pres.labels):
+            if _apply_images(pres, images, images[i]) != {(i,): 1}:
+                raise NotInvolution(f"automorphism twice moves {label}")
+    for first, second in combinations(actions, 2):
+        for label, a, b in zip(pres.labels, first, second):
+            if _apply_images(pres, first, b) != _apply_images(pres, second, a):
+                raise NotInvolution(f"automorphisms do not commute on {label}")
     buckets = monomial_basis(pres)
     top = max(buckets)
-    dims = []
-    for degree in range(top + 1):
-        monos = buckets.get(degree, ())
-        if not monos:
-            dims.append(0)
-            continue
-        size = len(monos)
-        eye = QMatrix.identity(size)
-        stacked_rows: list[list[int | Fraction]] = []
-        for matrices in per_auto:
-            m = matrices[degree]
-            if m.mul(m) != eye:
-                raise NotInvolution(
-                    f"automorphism does not square to 1 in degree {degree}"
-                )
-            stacked_rows.extend(m.sub(eye).to_rows())
-        dims.append(size - rank(QMatrix.from_rows(stacked_rows)))
-    return tuple(dims)
+    moved = span_dims(
+        pres,
+        (
+            add_elements(_apply_images(pres, images, {mono: 1}), {mono: -1})
+            for images in actions
+            for monos in buckets.values()
+            for mono in monos
+        ),
+    ) + (0,) * (top + 1)
+    return tuple(
+        len(buckets.get(degree, ())) - moved[degree]
+        for degree in range(top + 1)
+    )

@@ -154,6 +154,8 @@ def first_cohomology_dim(d: WeylDatum, k: int) -> int:
     Rank-1 data genuinely break the count: their configuration spaces fall
     into (k-1)! components and first cohomology grows accordingly.
     """
+    if not isinstance(k, int):
+        raise TypeError(f"k must be an integer, not {k!r}")
     if k < 1:
         raise ValueError("k must be at least 1")
     if d.rank < 2:
@@ -169,6 +171,10 @@ def _ceil_half(value: int) -> int:
 
 def stable_bound(family: str, degree: int, k: int) -> int:
     """A rank from which H^degree is guaranteed stable, for U, SU or Sp."""
+    if not isinstance(degree, int) or not isinstance(k, int):
+        raise TypeError(
+            f"degree and k must be integers, not {degree!r} and {k!r}"
+        )
     family = family.lower()
     if family not in ("u", "su", "sp"):
         raise ValueError("family must be one of u, su, sp")
@@ -331,18 +337,16 @@ def unordered_conf2_dims(
 
 
 
-def verify_all(convention: str = "derived", data=None) -> VerifyReport:
+def verify_all(convention: str = "derived") -> VerifyReport:
     """Recompute every pinned result and report PASS/FAIL/WARN lines.
 
     Each check is a (name, expected, compute) row; one loop runs them and
-    turns a raised exception into a FAIL line naming the error.  ``data``
-    optionally overrides the datum used for a tag (mapping tag ->
-    WeylDatum) in every check that reads that tag.  Within one report each
-    datum, table, flag character and pair character is computed once; the
-    cache belongs to this call, so an override never reaches another report.
+    turns a raised exception into a FAIL line naming the error.  Within one
+    report each table, flag character and pair character is computed once,
+    from the data that ``datum`` caches for the process.
     """
     # imported on first use: only a verification runs the suite, and without
     # a bytecode cache every other command would pay to compile it
     from .verify import report
 
-    return report(convention, data)
+    return report(convention)

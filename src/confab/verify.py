@@ -15,19 +15,16 @@ conventions stay available everywhere via ``convention=``.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
 from typing import NamedTuple
 
-from .exact import QMatrix, rank
 from .groups import decompose, format_decomposition
 from .rings import (
-    Element,
-    element_degree,
+    broken_relation,
     element_from_terms,
     element_product,
     hilbert_series,
     invariant_subring_dims,
-    monomial_basis,
+    span_dims,
 )
 from .tables import (
     RING_TAGS,
@@ -48,7 +45,6 @@ from .tables import (
 from .torusconf import circle_conf, conf2_torus, su2_conf
 from .weyl import (
     GradedCharacter,
-    WeylDatum,
     check_convention,
     datum,
     flag_character,
@@ -231,35 +227,15 @@ def _embedding_summary(tag: str, convention: str) -> str:
         )
         for expr, image in zip(expressions, stated)
     )
-    squares = tuple((i, i) for i in range(len(expressions)))
-    relations_vanish = all(
-        element_product(model, expressions[i], expressions[j]) == {}
-        for i, j in ring.forbidden + squares
-    )
-    # span of all products of the expressions, degree by degree
-    basis = monomial_basis(model)
-    by_degree: dict[int, list[Element]] = {0: [{(): 1}]}
-    for size in range(1, len(expressions) + 1):
-        for combo in combinations(expressions, size):
-            product: Element = {(): 1}
-            for expr in combo:
-                product = element_product(model, product, expr)
-            if not product:
-                continue
-            degree = element_degree(model, product)
-            by_degree.setdefault(degree, []).append(product)
-    span = []
-    for degree in range(max(by_degree) + 1):
-        elements = by_degree.get(degree, [])
-        monos = basis.get(degree, ())
-        if not elements or not monos:
-            span.append(0)
-            continue
-        rows = [[el.get(mono, 0) for mono in monos] for el in elements]
-        span.append(rank(QMatrix.from_rows(rows)))
+    relations_vanish = broken_relation(ring, model, expressions) is None
+    # the product of every subset of the expressions, in generator order
+    products = [{(): 1}]
+    for expr in expressions:
+        products += [element_product(model, p, expr) for p in products]
+    span = span_dims(model, products)
     return (
         f"invariant={invariant}; swap-action={swap_matches}; "
-        f"relations-zero={relations_vanish}; span={tuple(span)}"
+        f"relations-zero={relations_vanish}; span={span}"
     )
 
 
@@ -290,39 +266,39 @@ _CONVENTION_WARNING = VerifyCheck(
 )
 
 
-def report(convention: str, data=None) -> VerifyReport:
-    """The report ``confab.tables.verify_all`` documents and returns."""
-    check_convention(convention)
-    overrides = data or {}
+def report(convention: str) -> VerifyReport:
+    """The report ``confab.tables.verify_all`` documents and returns.
 
-    @cache
-    def get(tag: str) -> WeylDatum:
-        return overrides.get(tag) or datum(tag)
+    Every check reads its datum through ``datum``, which caches each group
+    for the process; the tables and characters built from the data are
+    cached here, once per report.
+    """
+    check_convention(convention)
 
     @cache
     def built(tag: str, k: int, table_convention: str) -> CohomologyTable:
-        return conf_ab_table(get(tag), k, table_convention)
+        return conf_ab_table(datum(tag), k, table_convention)
 
     def table(tag: str, k: int) -> CohomologyTable:
         return built(tag, k, convention)
 
     @cache
     def flag(tag: str) -> GradedCharacter:
-        return flag_character(get(tag), convention)
+        return flag_character(datum(tag), convention)
 
     @cache
     def conf2(tag: str) -> GradedCharacter:
-        return conf2_torus(get(tag))
+        return conf2_torus(datum(tag))
 
     def conf2_text(tag: str) -> str:
-        catalog = get(tag).catalog
+        catalog = datum(tag).catalog
         return _conf2_text(
             decompose(conf2(tag).piece(n), catalog)
             for n in range(conf2(tag).top + 1)
         )
 
     def flag_text(tag: str) -> str:
-        catalog = get(tag).catalog
+        catalog = datum(tag).catalog
         return _flag_text(
             (deg, decompose(flag(tag).piece(deg), catalog))
             for deg in flag(tag).degrees()
@@ -333,7 +309,7 @@ def report(convention: str, data=None) -> VerifyReport:
 
     def rank1_exception() -> str:
         try:
-            first_cohomology_dim(get("S1"), 4)
+            first_cohomology_dim(datum("S1"), 4)
             raised = "no error"
         except RankTooSmall:
             raised = "RankTooSmall"
@@ -370,7 +346,7 @@ def report(convention: str, data=None) -> VerifyReport:
             (
                 f"shortcut-{tag}",
                 expected,
-                lambda tag=tag: shortcut_dims(get(tag), 2, convention),
+                lambda tag=tag: shortcut_dims(datum(tag), 2, convention),
             ),
             (f"euler-{tag}", 0, lambda tag=tag: table(tag, 2).euler),
         ]
@@ -380,7 +356,7 @@ def report(convention: str, data=None) -> VerifyReport:
         (
             "conf3-U2-shortcut",
             REFERENCE_CONF3_U2,
-            lambda: shortcut_dims(get("U2"), 3, convention),
+            lambda: shortcut_dims(datum("U2"), 3, convention),
         ),
     ]
     # k * pi1-rank against H^1 of the derived table (see the WARN line)
@@ -389,7 +365,7 @@ def report(convention: str, data=None) -> VerifyReport:
             (
                 f"first-cohomology-{tag}",
                 lambda tag=tag: built(tag, 2, "derived").dims()[1],
-                lambda tag=tag: first_cohomology_dim(get(tag), 2),
+                lambda tag=tag: first_cohomology_dim(datum(tag), 2),
             )
         )
     checks.append(_CONVENTION_WARNING)
@@ -416,7 +392,7 @@ def report(convention: str, data=None) -> VerifyReport:
                 f"unordered-model-{tag}",
                 expected,
                 lambda tag=tag: unordered(
-                    tag, unordered_conf2_dims(get(tag), convention)
+                    tag, unordered_conf2_dims(datum(tag), convention)
                 ),
             ),
             (

@@ -9,6 +9,7 @@ from confab.rings import (
     GeneratorAutomorphism,
     NotInvolution,
     RingPresentation,
+    broken_relation,
     element_degree,
     element_from_terms,
     element_product,
@@ -16,6 +17,7 @@ from confab.rings import (
     invariant_subring_dims,
     monomial_basis,
     normalize_product,
+    span_dims,
 )
 from confab.tables import (
     conf2_ring,
@@ -165,8 +167,48 @@ class TestAutomorphisms:
     def test_non_involution_rejected(self):
         pres = exterior(1)
         doubling = GeneratorAutomorphism.build({"g0": ((2, "g0"),)})
-        with pytest.raises(NotInvolution):
+        with pytest.raises(NotInvolution, match="twice moves g0"):
             invariant_subring_dims(pres, (doubling,))
+
+    def test_images_that_break_a_relation_are_rejected(self):
+        # a -> a + c, c -> -c is an involution on generators, but
+        # (a + c) b = -bc is not zero although ab = 0
+        pres = RingPresentation(
+            (("a", 1), ("b", 1), ("c", 1)), (("a", "b"),)
+        )
+        shear = GeneratorAutomorphism.build(
+            {"a": ((1, "a"), (1, "c")), "c": ((-1, "c"),)}
+        )
+        with pytest.raises(NotInvolution, match=r"a\*b to 0"):
+            invariant_subring_dims(pres, (shear,))
+
+    def test_an_even_generator_must_square_to_zero(self):
+        pres = RingPresentation((("x", 2), ("y", 2)))
+        shear = GeneratorAutomorphism.build({"x": ((1, "x"), (1, "y"))})
+        images = shear.generator_images(pres)
+        # (x + y)^2 = 2xy
+        assert broken_relation(pres, pres, images) == "x*x"
+        assert broken_relation(pres, pres, [{(0,): 1}, {(1,): 1}]) is None
+
+    def test_non_commuting_involutions_rejected(self):
+        # together they generate an infinite group, whose joint fixed line
+        # g0 the count by spans would miss
+        pres = exterior(1, 1)
+        shear = GeneratorAutomorphism.build({"g1": ((1, "g0"), (-1, "g1"))})
+        flip = GeneratorAutomorphism.build({"g1": ((-1, "g1"),)})
+        assert invariant_subring_dims(pres, (shear,)) == (1, 1, 0)
+        assert invariant_subring_dims(pres, (flip,)) == (1, 1, 0)
+        with pytest.raises(NotInvolution, match="do not commute on g1"):
+            invariant_subring_dims(pres, (shear, flip))
+
+    def test_spans_count_each_degree(self):
+        pres = exterior(1, 1)
+        g0, g1 = {(0,): 1}, {(1,): 1}
+        double = {(0,): 2}
+        top = element_product(pres, g0, g1)
+        assert span_dims(pres, (g0, double, top, {})) == (0, 1, 1)
+        assert span_dims(pres, (g0, g1, double)) == (0, 2)
+        assert span_dims(pres, ()) == ()
 
 
 class TestPayload:
