@@ -23,7 +23,7 @@ import io
 import sys
 from typing import NamedTuple
 
-from .groups import decompose, format_decomposition
+from .groups import decompose_graded, format_decomposition
 from .rings import hilbert_series
 from .tables import (
     RING_TAGS,
@@ -97,11 +97,9 @@ def _cmd_table1(args) -> Document:
     payload = []
     cells = []
     for tag, space, d, character in columns:
-        parts = [
-            decompose(character.piece(degree), d.catalog)
-            for degree in range(top + 1)
-        ]
-        cells.append([format_decomposition(part) for part in parts])
+        parts = decompose_graded(character, d.catalog)
+        padding = [()] * (top - character.top)
+        cells.append([format_decomposition(part) for part in parts + padding])
         dims = character.dims()
         rows = [
             {

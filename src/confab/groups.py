@@ -15,18 +15,20 @@ annotations only, is never loaded.
 
 A direct product's catalog keeps one table per factor and the joined
 labels, never the Kronecker product they form on the product's classes.
-``decompose`` pairs f with them one factor axis at a time, C k_j products
-for an axis of k_j characters on C classes instead of C^2.  It then checks
-that the multiplicities give f back: one axis at a time, each nonzero entry
-adds its multiple of a row of the factor's table, and zeros add nothing.
-A catalog checks its shape, not its orthogonality, which would cost
+One kernel applies such tables: each acts on the leading axis by adding
+whole blocks of values, C k_j additions for a factor of k_j characters on
+C classes instead of C^2.  ``decompose_graded`` lays a graded character
+out as (classes..., degree) and pairs every degree in one pass; the
+multiplicities must be nonnegative integers and, sent back through the
+transposed tables, give the traces again.  ``decompose`` is its one-degree
+case.  A catalog checks its shape, not its orthogonality, which would cost
 O(k^2 C); the tests prove the tables confab ships orthonormal and complete.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from operator import add, mul
+from operator import add, sub
 from typing import TYPE_CHECKING, Hashable, Sequence
 
 from .exact import as_exact_tuple, exact_div
@@ -35,6 +37,7 @@ if TYPE_CHECKING:  # annotations only: fractions loads lazily, see exact
     from fractions import Fraction
 
 TRIVIAL_LABEL = "1"
+Parts = tuple[tuple[str, int], ...]  # (label, multiplicity), nonzero only
 
 
 class GroupMismatch(ValueError):
@@ -116,8 +119,8 @@ class IrreducibleCatalog:
     character per conjugacy class, and squared dimensions summing to the
     group order.  ``tables`` holds one table of values by character per
     factor: a single group's catalog has one, and ``product`` makes a
-    direct product's from its factors' catalogs.  ``decompose`` checks that
-    its parts reassemble the class function on every call.
+    direct product's from its factors' catalogs.  A decomposition checks
+    that its parts reassemble the traces on every call.
     """
 
     __slots__ = ("group", "labels", "tables")
@@ -164,62 +167,81 @@ class IrreducibleCatalog:
         return catalog
 
 
-def _contract(values: list, tables: Sequence[Sequence[Sequence]]) -> list:
-    # values in row-major order, one square table per axis: each table in
-    # turn is applied to the leading axis, whose result goes last, so after
-    # the last table the axes are back in order
+def _apply(values: list, tables: Sequence[Sequence[Sequence]]) -> list:
+    # values in row-major order: each table in turn acts on the leading
+    # axis, whose result goes last.  Row i adds the leading axis's blocks,
+    # each times its entry (0 skips it, 1 and -1 use it as is), and its sum
+    # fills every k-th place
     for table in tables:
-        stride = len(values) // len(table)
-        columns = [values[r::stride] for r in range(stride)]
-        values = [sum(map(mul, row, col)) for col in columns for row in table]
-    return values
-
-
-def _expand(values: list, tables: Sequence[Sequence[Sequence]]) -> list:
-    # the inverse of _contract: each entry of the leading axis adds its
-    # multiple of a table row, and the new axis goes last.  The entries
-    # with leading index i form one contiguous block, all times row i, so
-    # a block of zeros is skipped whole
-    for table in tables:
-        stride = len(values) // len(table)
-        expanded = [0] * len(values)
+        k = len(table)
+        stride = len(values) // k
+        blocks = [values[j * stride : (j + 1) * stride] for j in range(k)]
+        out = [0] * len(values)
+        zeros = [0] * stride
         for i, row in enumerate(table):
-            block = values[i * stride : (i + 1) * stride]
-            if any(block):
-                part = [m * v for m in block for v in row]
-                expanded = list(map(add, expanded, part))
-        values = expanded
+            acc = zeros
+            for entry, block in zip(row, blocks):
+                if entry == 1:
+                    acc = block if acc is zeros else list(map(add, acc, block))
+                elif entry == -1:
+                    acc = list(map(sub, acc, block))
+                elif entry:
+                    acc = list(map(add, acc, [entry * v for v in block]))
+            out[i::k] = acc
+        values = out
     return values
 
 
-def decompose(
-    f: ClassFunction, catalog: IrreducibleCatalog
-) -> tuple[tuple[str, int], ...]:
-    """Multiplicities of f in catalog order, nonzero entries only.
-
-    The class-size-weighted values of f are paired with one factor's table
-    at a time.  Raises ``NotACharacter`` when any multiplicity is not a
-    nonnegative integer or when the multiplicities, expanded back through
-    the tables, do not give f.
-    """
-    if f.group != catalog.group:
+def _decompose(group: FiniteGroup, traces, catalog, graded: bool) -> list[Parts]:
+    # traces holds each class's values by degree, low first, missing values
+    # zero.  Laid out as (classes..., degree), one _apply pairs every degree
+    # and leaves (degree, characters...); the multiplicities, laid out as
+    # (characters..., degree), go back through the transposed tables
+    if group != catalog.group:
         raise GroupMismatch("decomposing against a foreign catalog")
-    order = f.group.order
-    totals = _contract(list(map(mul, f.group.sizes, f.values)), catalog.tables)
+    depth = max(map(len, traces))
+    columns = [(*trace, *(0,) * (depth - len(trace))) for trace in traces]
+    weighted = [size * v for size, c in zip(group.sizes, columns) for v in c]
+    order = group.order
+    mults = [exact_div(t, order) for t in _apply(weighted, catalog.tables)]
+    del weighted
+    width = len(catalog.labels)
+    rows = [mults[n * width : (n + 1) * width] for n in range(depth)]
     out = []
-    mults = []
-    for label, total in zip(catalog.labels, totals):
-        mult = exact_div(total, order)
-        if mult.denominator != 1 or mult < 0:
-            raise NotACharacter(
-                f"multiplicity of {label} is {mult}, not a nonnegative integer"
-            )
-        if mult:
-            out.append((label, mult))
-        mults.append(mult)
-    if _expand(mults, catalog.tables) != list(f.values):
-        raise NotACharacter("class function is not in the catalog's span")
-    return tuple(out)
+    for n, row in enumerate(rows):
+        parts = []
+        for label, mult in zip(catalog.labels, row):
+            if mult.denominator != 1 or mult < 0:
+                where = f" in degree {n}" if graded else ""
+                raise NotACharacter(
+                    f"multiplicity of {label}{where} is {mult}, "
+                    "not a nonnegative integer"
+                )
+            if mult:
+                parts.append((label, mult))
+        out.append(tuple(parts))
+    transposes = [tuple(zip(*table)) for table in catalog.tables]
+    back = _apply([m for column in zip(*rows) for m in column], transposes)
+    for n, piece in enumerate(zip(*columns)):
+        if tuple(back[n * width : (n + 1) * width]) != piece:
+            where = f" in degree {n}" if graded else ""
+            raise NotACharacter(f"class function{where} is not in the catalog's span")
+    return out
+
+
+def decompose(f: ClassFunction, catalog: IrreducibleCatalog) -> Parts:
+    """Multiplicities of f in catalog order, nonzero entries only: the
+    one-degree case of ``decompose_graded``, with the same checks."""
+    return _decompose(f.group, [(v,) for v in f.values], catalog, False)[0]
+
+
+def decompose_graded(gc, catalog: IrreducibleCatalog) -> list[Parts]:
+    """``decompose(gc.piece(n), catalog)`` for n = 0..top, in one pass.
+
+    ``NotACharacter`` names the degree.  Only ``gc.group`` and ``gc.traces``
+    are read, so ``confab.weyl``'s graded characters need no import here.
+    """
+    return _decompose(gc.group, gc.traces, catalog, True)
 
 
 def format_decomposition(parts: Sequence[tuple[str, int]]) -> str:

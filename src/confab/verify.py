@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
-from .groups import decompose, format_decomposition
+from .groups import decompose_graded, format_decomposition
 from .rings import (
     broken_relation,
     element_from_terms,
@@ -291,18 +291,11 @@ def report(convention: str) -> VerifyReport:
         return conf2_torus(datum(tag))
 
     def conf2_text(tag: str) -> str:
-        catalog = datum(tag).catalog
-        return _conf2_text(
-            decompose(conf2(tag).piece(n), catalog)
-            for n in range(conf2(tag).top + 1)
-        )
+        return _conf2_text(decompose_graded(conf2(tag), datum(tag).catalog))
 
     def flag_text(tag: str) -> str:
-        catalog = datum(tag).catalog
-        return _flag_text(
-            (deg, decompose(flag(tag).piece(deg), catalog))
-            for deg in flag(tag).degrees()
-        )
+        parts = decompose_graded(flag(tag), datum(tag).catalog)
+        return _flag_text((deg, p) for deg, p in enumerate(parts) if p)
 
     def unordered(tag: str, dims) -> tuple[int, ...]:
         return _pad(dims, len(REFERENCE_UNORDERED[tag][convention]))

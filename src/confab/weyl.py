@@ -342,7 +342,7 @@ class WeylDatum:
     class sizes multiply across factors.  A one-factor datum takes the
     factor's group and catalog as they are.  A product's catalog keeps the
     factors' tables when every factor has one (``IrreducibleCatalog.product``)
-    and ``decompose`` runs through them factor by factor; larger factors
+    and decompositions run through them factor by factor; larger factors
     still support invariant dimensions, just not named decompositions.
     """
 

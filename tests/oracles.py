@@ -10,7 +10,9 @@ these three to prove every shipped table orthonormal and complete.  A
 product's catalog keeps only its factors' tables; ``tensor_table`` builds
 the flat table of every product of factor characters, C characters on C
 classes, and ``flat_decompose`` pairs a class function with each of them,
-the route confab's factor-by-factor ``decompose`` replaced.
+the route that confab's one block kernel replaced: ``decompose`` on one
+piece and ``decompose_graded`` on every degree at once must both agree
+with it.
 Polynomials are coefficient tuples, low degree first and trimmed, as in
 confab; the graded traces are rebuilt here by schoolbook multiplication and
 by long division with ``exact_div`` on every coefficient, without confab's

@@ -18,6 +18,7 @@ from confab.groups import (
     IrreducibleCatalog,
     NotACharacter,
     decompose,
+    decompose_graded,
     format_decomposition,
 )
 from confab.torusconf import conf2_torus
@@ -382,14 +383,19 @@ def test_tensor_characters_are_factor_products(tag):
 @pytest.mark.parametrize("tag", PRODUCT_TABLES)
 def test_decompose_equals_flat_pairing(tag, convention):
     # every piece of the flag, conf2 and Kunneth characters decomposes
-    # factor by factor exactly as pairing with the flat table says
+    # factor by factor exactly as pairing with the flat table says, piece
+    # by piece and in the graded character's one pass
     d = datum(tag)
     table = tensor_table(d)
     flag, conf = flag_character(d, convention), conf2_torus(d)
     for gc in (flag, conf, kunneth(flag, conf)):
+        graded = decompose_graded(gc, d.catalog)
+        assert len(graded) == gc.top + 1
         for degree in range(gc.top + 1):
             piece = gc.piece(degree)
-            assert decompose(piece, d.catalog) == flat_decompose(piece, table)
+            expected = flat_decompose(piece, table)
+            assert decompose(piece, d.catalog) == expected
+            assert graded[degree] == expected
 
 
 class TestLargeProducts:

@@ -28,6 +28,7 @@ from confab.groups import (
     IrreducibleCatalog,
     NotACharacter,
     decompose,
+    decompose_graded,
 )
 from confab.tables import conf_ab_table
 from confab.torusconf import (
@@ -36,6 +37,7 @@ from confab.torusconf import (
     conf3_torus_rank2,
 )
 from confab.weyl import (
+    GradedCharacter,
     UnsupportedDatum,
     datum,
     flag_character,
@@ -57,6 +59,7 @@ from oracles import (
     poly_product,
     poly_quotient,
     poly_text,
+    tensor_table,
     torus_traces,
     trimmed,
 )
@@ -169,7 +172,27 @@ def test_as_exact_tuple_rejects_floats(values):
         as_exact_tuple(values)
 
 
-def test_decompose_rejects_functions_outside_the_span():
+def decompose_degree_one(f, catalog):
+    # f as the degree-1 piece of a graded character that is zero in degree 0
+    graded = GradedCharacter(f.group, [(0, v) for v in f.values])
+    return decompose_graded(graded, catalog)
+
+
+# each entry point with the message it raises for a function outside the span
+ENTRY_POINTS = [
+    pytest.param(
+        decompose, "class function is not in the catalog's span", id="decompose"
+    ),
+    pytest.param(
+        decompose_degree_one,
+        "class function in degree 1 is not in the catalog's span",
+        id="decompose_graded",
+    ),
+]
+
+
+@pytest.mark.parametrize("entry, message", ENTRY_POINTS)
+def test_decompose_rejects_functions_outside_the_span(entry, message):
     # a wrong table that passes every shape check: the trivial character
     # twice on Z2.  Each multiplicity is a nonnegative integer, so only the
     # reassembly check can see that the parts do not give f back
@@ -177,11 +200,13 @@ def test_decompose_rejects_functions_outside_the_span():
     trivial = ClassFunction.trivial(group)
     doubled = IrreducibleCatalog(group, ("1", "again"), (trivial, trivial))
     for values in ((2, 0), (1, 1)):
-        with pytest.raises(NotACharacter, match="not in the catalog's span"):
-            decompose(ClassFunction(group, values), doubled)
+        with pytest.raises(NotACharacter) as caught:
+            entry(ClassFunction(group, values), doubled)
+        assert str(caught.value) == message
 
 
-def test_product_decompose_rejects_functions_outside_the_span():
+@pytest.mark.parametrize("entry, message", ENTRY_POINTS)
+def test_product_decompose_rejects_functions_outside_the_span(entry, message):
     # the same wrong Z2 table times Z2's true one.  Every multiplicity is a
     # nonnegative integer and the parts give 2f back, not f: the
     # reassembly runs over both factor axes
@@ -194,8 +219,52 @@ def test_product_decompose_rejects_functions_outside_the_span():
     group = FiniteGroup(tuple(product(z2.classes, repeat=2)), (1,) * 4)
     catalog = IrreducibleCatalog.product(group, (doubled, true))
     for values in ((4, 0, 0, 0), (2, 2, 0, 0), (2, 0, 2, 0)):
-        with pytest.raises(NotACharacter, match="not in the catalog's span"):
-            decompose(ClassFunction(group, values), catalog)
+        with pytest.raises(NotACharacter) as caught:
+            entry(ClassFunction(group, values), catalog)
+        assert str(caught.value) == message
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(("S1", "U2", "U3", "Sp1", "Sp2")), min_size=1, max_size=3
+    ),
+    st.data(),
+)
+def test_graded_decompose_returns_the_drawn_multiplicities(tags, data):
+    # a graded character built from drawn multiplicities with the flat
+    # tensor table decomposes to exactly those multiplicities; halving a
+    # degree that holds an odd one is refused, naming that degree
+    d = datum("x".join(tags))
+    labels, chars = tensor_table(d)
+    assert labels == d.catalog.labels
+    width = len(labels)
+    degree_mults = st.lists(st.integers(0, 3), min_size=width, max_size=width)
+    mults = data.draw(st.lists(degree_mults, min_size=1, max_size=4))
+    n = data.draw(st.integers(0, len(mults) - 1))
+    odd = data.draw(st.integers(0, width - 1))
+    mults[n][odd] = 2 * mults[n][odd] + 1
+    traces = [
+        [sum(m * char.values[c] for m, char in zip(row, chars)) for row in mults]
+        for c in range(width)
+    ]
+    expected = [tuple(pair for pair in zip(labels, row) if pair[1]) for row in mults]
+    while not expected[-1]:
+        expected.pop()
+    assert decompose_graded(GradedCharacter(d.group, traces), d.catalog) == (
+        expected
+    )
+    halved = [
+        [Fraction(v, 2) if degree == n else v for degree, v in enumerate(trace)]
+        for trace in traces
+    ]
+    first = next(j for j, m in enumerate(mults[n]) if m % 2)
+    with pytest.raises(NotACharacter) as caught:
+        decompose_graded(GradedCharacter(d.group, halved), d.catalog)
+    assert str(caught.value) == (
+        f"multiplicity of {labels[first]} in degree {n} is "
+        f"{Fraction(mults[n][first], 2)}, not a nonnegative integer"
+    )
 
 
 @pytest.mark.parametrize("tag", GOLDEN_TAGS)

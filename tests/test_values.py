@@ -245,6 +245,14 @@ IMPORT_CASES = {
         ("confab.freegroup", "confab.verify", *FRACTIONS),
         (),
     ),
+    "product-tables": (
+        "from confab import conf_ab_table, datum\n"
+        "from confab.tables import shortcut_dims\n"
+        "conf_ab_table(datum('U2xSp2'), 2)\n"
+        "shortcut_dims(datum('U2xSp2'), 2)\n",
+        FRACTIONS,
+        (),
+    ),
     "conf3": (
         "from confab import conf_ab_table, datum\n"
         "conf_ab_table(datum('U2'), 3)\n",
