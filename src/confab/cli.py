@@ -12,7 +12,7 @@ formats a document in one place:
   header and the rows.
 
 Identical invocations are byte-identical.  Exit codes: 0 success, 1 failed
-verification, 2 usage or unsupported input.
+verification, 2 usage, unsupported input or output that cannot be written.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 # argparse stays a top-level import: every command parses its arguments
 import argparse
 import io
+import os
 import sys
 from typing import NamedTuple
 
@@ -361,10 +362,19 @@ def main(argv=None) -> int:
         # a text stream encodes the whole string before writing any of it,
         # so a failure here leaves stdout empty
         sys.stdout.write(text)
+        sys.stdout.flush()
     except UnicodeEncodeError as error:
         print(
             f"error: stdout encoding {sys.stdout.encoding!a} cannot write "
             f"{error.object[error.start]!a}; set PYTHONIOENCODING=utf-8",
+            file=sys.stderr,
+        )
+        return 2
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; send that nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(
+            "error: stdout was closed before the output was written",
             file=sys.stderr,
         )
         return 2

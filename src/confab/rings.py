@@ -10,17 +10,20 @@ Monomials are ascending tuples of generator indices.  Reordering a product
 into ascending form picks up the usual Koszul sign: each adjacent swap of
 generators of degrees p and q contributes (-1)^(p*q).
 
-Automorphisms are given on generators (images must be degree-preserving
-linear combinations of generators) and extended multiplicatively.  A ring
-map is checked once on its generators: the images must kill every relation
-of the source.  Spans, and with them fixed-subring dimensions, are ranks of
-coefficient rows over the monomials, one degree at a time.
+A ring map, an involution or an embedding alike, is one mapping from a
+generator label to (coefficient, [labels in product order]) terms, the form
+``element_from_terms`` reads.  ``generator_images`` turns it into one
+homogeneous image per generator, of that generator's degree, and
+``apply_images`` extends those multiplicatively.  A ring map is checked once
+on its generators: the images must kill every relation of the source.
+Spans, and with them fixed-subring dimensions, are ranks of coefficient rows
+over the monomials, one degree at a time.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .exact import QMatrix, as_exact, rank
 
@@ -29,6 +32,8 @@ if TYPE_CHECKING:  # annotations only: fractions loads lazily, see exact
 
 Monomial = tuple[int, ...]
 Element = dict[Monomial, "int | Fraction"]
+# a ring map: generator label -> (coefficient, [labels in product order]) terms
+RingMap = Mapping[str, Sequence[tuple[object, Sequence[str]]]]
 
 
 class NotInvolution(ValueError):
@@ -206,58 +211,44 @@ def element_degree(pres: RingPresentation, element: Element) -> int | None:
     return degrees.pop()
 
 
-class GeneratorAutomorphism(NamedTuple):
-    """A ring map given by degree-preserving images of the generators.
+def generator_images(
+    source: RingPresentation, target: RingPresentation, images: RingMap
+) -> list[Element]:
+    """Each generator's image in ``target``, in ``source`` generator order.
 
-    ``images`` maps a generator label to a tuple of (coefficient, label)
-    terms; generators without an entry map to themselves.  An image keyed
-    by a label that is not a generator of the presentation is an error.
+    ``images`` maps a generator label of ``source`` to (coefficient,
+    [labels in product order]) terms in ``target``; a generator without an
+    entry maps to the ``target`` generator with the same label.  A key that
+    is not a generator of ``source``, or an image that is not homogeneous of
+    its generator's degree, is an error.
     """
-
-    images: tuple[tuple[str, tuple[tuple[int | Fraction, str], ...]], ...]
-
-    @classmethod
-    def build(
-        cls, images: Mapping[str, Sequence[tuple[object, str]]]
-    ) -> "GeneratorAutomorphism":
-        packed = tuple(
-            (source, tuple((as_exact(c), target) for c, target in terms))
-            for source, terms in images.items()
-        )
-        return cls(packed)
-
-    def generator_images(self, pres: RingPresentation) -> list[Element]:
-        """Each generator's image in generator order, checked once."""
-        images = dict(self.images)
-        unknown = [s for s in images if s not in pres._index]
-        if unknown:
-            raise ValueError(f"image given for non-generator {unknown[0]!r}")
-        out = []
-        for label, degree in pres.generators:
-            image: Element = {}
-            for coef, target in images.get(label, ((1, label),)):
-                idx = pres.index_of(target)
-                if pres.generators[idx][1] != degree:
-                    raise ValueError(
-                        f"image of {label} is not degree-preserving"
-                    )
-                _accumulate(image, (idx,), coef)
-            out.append(image)
-        return out
-
-    def apply(self, pres: RingPresentation, element: Element) -> Element:
-        return _apply_images(pres, self.generator_images(pres), element)
+    unknown = [label for label in images if label not in source._index]
+    if unknown:
+        raise ValueError(f"image given for non-generator {unknown[0]!r}")
+    out = []
+    for label, degree in source.generators:
+        image = element_from_terms(target, images.get(label, ((1, (label,)),)))
+        if any(target.degree_of(mono) != degree for mono in image):
+            raise ValueError(
+                f"image of {label} is not homogeneous of degree {degree}"
+            )
+        out.append(image)
+    return out
 
 
-def _apply_images(
-    pres: RingPresentation, images: Sequence[Element], element: Element
+def apply_images(
+    target: RingPresentation, images: Sequence[Element], element: Element
 ) -> Element:
-    """Extend generator images multiplicatively over ``element``."""
+    """Extend generator images multiplicatively over ``element``.
+
+    ``images`` come from ``generator_images``; the products are taken in
+    ``target``.
+    """
     out: Element = {}
     for mono, coef in element.items():
         image: Element = {(): coef}
         for idx in mono:
-            image = element_product(pres, image, images[idx])
+            image = element_product(target, image, images[idx])
         out = add_elements(out, image)
     return out
 
@@ -304,37 +295,37 @@ def span_dims(
 
 
 def invariant_subring_dims(
-    pres: RingPresentation,
-    autos: Sequence[GeneratorAutomorphism],
+    pres: RingPresentation, involutions: Sequence[RingMap]
 ) -> tuple[int, ...]:
     """Dimension per degree of the simultaneous fixed subspace.
 
-    Each automorphism must be a ring map that returns every generator when
-    applied twice, so it is an involution in every degree, and any two must
-    agree on every generator whichever is applied first.  Commuting
-    involutions generate a finite group, whose fixed subspace in a degree
-    has the basis size less the span of g(m) - m over the basis monomials m
-    and the automorphisms g.  Raises ``NotInvolution`` naming the relation
-    or generator that fails.
+    Each involution is a map of ``pres`` to itself, given as for
+    ``generator_images``.  It must be a ring map that returns every
+    generator when applied twice, so it is an involution in every degree,
+    and any two must agree on every generator whichever is applied first.
+    Commuting involutions generate a finite group, whose fixed subspace in
+    a degree has the basis size less the span of g(m) - m over the basis
+    monomials m and the involutions g.  Raises ``NotInvolution`` naming the
+    relation or generator that fails.
     """
-    actions = [auto.generator_images(pres) for auto in autos]
+    actions = [generator_images(pres, pres, m) for m in involutions]
     for images in actions:
         relation = broken_relation(pres, pres, images)
         if relation is not None:
             raise NotInvolution(f"automorphism does not send {relation} to 0")
         for i, label in enumerate(pres.labels):
-            if _apply_images(pres, images, images[i]) != {(i,): 1}:
+            if apply_images(pres, images, images[i]) != {(i,): 1}:
                 raise NotInvolution(f"automorphism twice moves {label}")
     for first, second in combinations(actions, 2):
         for label, a, b in zip(pres.labels, first, second):
-            if _apply_images(pres, first, b) != _apply_images(pres, second, a):
+            if apply_images(pres, first, b) != apply_images(pres, second, a):
                 raise NotInvolution(f"automorphisms do not commute on {label}")
     buckets = monomial_basis(pres)
     top = max(buckets)
     moved = span_dims(
         pres,
         (
-            add_elements(_apply_images(pres, images, {mono: 1}), {mono: -1})
+            add_elements(apply_images(pres, images, {mono: 1}), {mono: -1})
             for images in actions
             for monos in buckets.values()
             for mono in monos

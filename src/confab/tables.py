@@ -23,11 +23,7 @@ from .groups import decompose_graded
 # eager although a k = 2 table never reads it: the benchmark's traced run
 # (perfbench/child.py) looks up confab.rings in sys.modules and wraps
 # unordered_conf2_dims here by name before any command runs
-from .rings import (
-    GeneratorAutomorphism,
-    RingPresentation,
-    invariant_subring_dims,
-)
+from .rings import RingMap, RingPresentation, invariant_subring_dims
 from .torusconf import conf2_torus, conf3_torus_rank2
 from .weyl import (
     GradedCharacter,
@@ -77,6 +73,8 @@ class CohomologyTable(NamedTuple):
 
 
 def _conf_character(d: WeylDatum, k: int) -> GradedCharacter:
+    if not isinstance(k, int):
+        raise TypeError(f"k must be an integer, not {k!r}")
     if k == 2:
         return conf2_torus(d)
     if k == 3:
@@ -220,31 +218,25 @@ def conf2_ring(tag: str, convention: str = "derived") -> RingPresentation:
     )
 
 
-def conf2_ring_involution(
-    tag: str, convention: str = "derived"
-) -> GeneratorAutomorphism:
+def conf2_ring_involution(tag: str, convention: str = "derived") -> RingMap:
     """The unordering involution (swap of the two points) on the pair ring."""
     canonical = _ring_tag(tag)
     check_convention(convention)
     if canonical == "U2":
-        return GeneratorAutomorphism.build(
-            {
-                "b1": ((1, "b1"), (1, "c1")),
-                "c1": ((-1, "c1"),),
-                "d2": ((-1, "d2"),),
-                "e3": ((1, "e3"), (1, "f3")),
-                "f3": ((-1, "f3"),),
-            }
-        )
-    return GeneratorAutomorphism.build(
-        {
-            "x1": ((1, "x1"), (1, "z1")),
-            "z1": ((-1, "z1"),),
-            "c2": ((-1, "c2"),),
-            "d3": ((1, "d3"), (1, "e3")),
-            "e3": ((-1, "e3"),),
+        return {
+            "b1": ((1, ("b1",)), (1, ("c1",))),
+            "c1": ((-1, ("c1",)),),
+            "d2": ((-1, ("d2",)),),
+            "e3": ((1, ("e3",)), (1, ("f3",))),
+            "f3": ((-1, ("f3",)),),
         }
-    )
+    return {
+        "x1": ((1, ("x1",)), (1, ("z1",))),
+        "z1": ((-1, ("z1",)),),
+        "c2": ((-1, ("c2",)),),
+        "d3": ((1, ("d3",)), (1, ("e3",))),
+        "e3": ((-1, ("e3",)),),
+    }
 
 
 def unordered_conf2_ring(
@@ -262,7 +254,7 @@ def unordered_conf2_ring(
 
 def _unordered_model(
     tag: str, convention: str
-) -> tuple[RingPresentation, GeneratorAutomorphism, GeneratorAutomorphism]:
+) -> tuple[RingPresentation, RingMap, RingMap]:
     """Pre-invariant model: flag classes joined with Conf_2(T) classes.
 
     Conf_2(T) for a rank-2 torus is the exterior algebra on x1, y1 (the
@@ -274,37 +266,32 @@ def _unordered_model(
     canonical = _ring_tag(tag)
     check_convention(convention)
     torus_gens = (("x1", 1), ("y1", 1), ("z1", 1), ("w1", 1))
-    swap_images = {
-        "x1": ((1, "x1"), (1, "z1")),
-        "y1": ((1, "y1"), (1, "w1")),
-        "z1": ((-1, "z1"),),
-        "w1": ((-1, "w1"),),
+    swap = {
+        "x1": ((1, ("x1",)), (1, ("z1",))),
+        "y1": ((1, ("y1",)), (1, ("w1",))),
+        "z1": ((-1, ("z1",)),),
+        "w1": ((-1, ("w1",)),),
     }
     if canonical == "U2":
         generators = (("a2", 2),) + torus_gens
-        weyl_images = {
-            "a2": ((-1, "a2"),),
-            "x1": ((1, "y1"),),
-            "y1": ((1, "x1"),),
-            "z1": ((1, "w1"),),
-            "w1": ((1, "z1"),),
+        weyl = {
+            "a2": ((-1, ("a2",)),),
+            "x1": ((1, ("y1",)),),
+            "y1": ((1, ("x1",)),),
+            "z1": ((1, ("w1",)),),
+            "w1": ((1, ("z1",)),),
         }
     else:
         flag_gens = (("b2", 2),)
         if convention == "paper":
             flag_gens = (("a1", 1), ("b2", 2))
         generators = flag_gens + torus_gens
-        weyl_images = {
-            "b2": ((-1, "b2"),),
-            "y1": ((-1, "y1"),),
-            "w1": ((-1, "w1"),),
+        weyl = {
+            "b2": ((-1, ("b2",)),),
+            "y1": ((-1, ("y1",)),),
+            "w1": ((-1, ("w1",)),),
         }
-    presentation = RingPresentation(generators, (("z1", "w1"),))
-    return (
-        presentation,
-        GeneratorAutomorphism.build(weyl_images),
-        GeneratorAutomorphism.build(swap_images),
-    )
+    return RingPresentation(generators, (("z1", "w1"),)), weyl, swap
 
 
 def unordered_conf2_dims(
@@ -326,8 +313,9 @@ def verify_all(convention: str = "derived") -> VerifyReport:
 
     Each check is a (name, expected, compute) row; one loop runs them and
     turns a raised exception into a FAIL line naming the error.  Within one
-    report each table, flag character and pair character is computed once,
-    from the data that ``datum`` caches for the process.
+    report the checks share each table (by tag, k and convention) and the
+    characters behind the ``conf2-torus``, ``flag`` and ``conf2-total-dims``
+    lines; every datum comes from the cache that ``datum`` keeps.
     """
     # imported on first use: only a verification runs the suite, and without
     # a bytecode cache every other command would pay to compile it

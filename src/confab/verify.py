@@ -3,8 +3,10 @@
 ``REFERENCE_*`` constants pin the expected answers; ``report`` recomputes
 everything from scratch and reports one PASS/FAIL/WARN line per comparison.
 It is a table of checks, each a name, an expected value (a pin, or a second
-computation) and a computation, run by one loop; within one report the checks
-share each datum, table, flag character and pair character, computed once.
+computation) and a computation, run by one loop.  Within one report the
+checks share each table, keyed by tag, k and convention, and the characters
+behind the ``conf2-torus``, ``flag`` and ``conf2-total-dims`` lines; the table
+and shortcut routes build their own characters.
 The single expected WARN records the one genuinely ambiguous convention: for
 the mixed product S1 x SU2 the carried-circle reading of the flag column
 disagrees with the direct coset computation, and the first-cohomology count
@@ -19,9 +21,10 @@ from typing import NamedTuple
 
 from .groups import decompose_graded, format_decomposition
 from .rings import (
+    apply_images,
     broken_relation,
-    element_from_terms,
     element_product,
+    generator_images,
     hilbert_series,
     invariant_subring_dims,
     span_dims,
@@ -172,7 +175,7 @@ def _pad(dims, length) -> tuple[int, ...]:
 
 # each pair-ring generator written inside the pre-invariant model ring as
 # (coefficient, labels in product order) terms; a1 is the paper
-# convention's carried circle class
+# convention's carried circle class, left out where the ring has no a1
 _EMBEDDINGS = {
     "U2": {
         "b1": ((1, ("x1",)), (1, ("y1",))),
@@ -208,30 +211,26 @@ def _embedding_summary(tag: str, convention: str) -> str:
     """
     model, weyl, swap = _unordered_model(tag, convention)
     ring = conf2_ring(tag, convention)
+    weyl = generator_images(model, model, weyl)
+    swap = generator_images(model, model, swap)
     terms = _EMBEDDINGS[tag]
-    expressions = [
-        element_from_terms(model, terms[label]) for label in ring.labels
-    ]
-    invariant = all(weyl.apply(model, expr) == expr for expr in expressions)
-    # the stated image of each generator, rewritten inside the model
-    stated = conf2_ring_involution(tag, convention).generator_images(ring)
-    swap_matches = all(
-        swap.apply(model, expr)
-        == element_from_terms(
-            model,
-            [
-                (coef * c, labels)
-                for (target,), coef in image.items()
-                for c, labels in terms[ring.labels[target]]
-            ],
-        )
-        for expr, image in zip(expressions, stated)
+    embedding = generator_images(
+        ring, model, {label: terms[label] for label in ring.labels}
     )
-    relations_vanish = broken_relation(ring, model, expressions) is None
-    # the product of every subset of the expressions, in generator order
+    involution = conf2_ring_involution(tag, convention)
+    stated = generator_images(ring, ring, involution)
+    invariant = all(apply_images(model, weyl, e) == e for e in embedding)
+    # swapping the points of an embedded generator is embedding its image
+    # under the stated involution
+    swap_matches = all(
+        apply_images(model, swap, e) == apply_images(model, embedding, image)
+        for e, image in zip(embedding, stated)
+    )
+    relations_vanish = broken_relation(ring, model, embedding) is None
+    # the product of every subset of the embedded generators, in order
     products = [{(): 1}]
-    for expr in expressions:
-        products += [element_product(model, p, expr) for p in products]
+    for e in embedding:
+        products += [element_product(model, p, e) for p in products]
     span = span_dims(model, products)
     return (
         f"invariant={invariant}; swap-action={swap_matches}; "
@@ -270,8 +269,10 @@ def report(convention: str) -> VerifyReport:
     """The report ``confab.tables.verify_all`` documents and returns.
 
     Every check reads its datum through ``datum``, which caches each group
-    for the process; the tables and characters built from the data are
-    cached here, once per report.
+    for the process.  The tables, keyed by tag, k and convention, and the
+    characters behind the ``conf2-torus``, ``flag`` and ``conf2-total-dims``
+    lines are cached here for one report; ``conf_ab_table`` and
+    ``shortcut_dims`` build their own characters.
     """
     check_convention(convention)
 

@@ -225,6 +225,30 @@ class TestExitCodes:
                 b"set PYTHONIOENCODING=utf-8\n"
             )
 
+    @pytest.mark.parametrize("unbuffered", (True, False))
+    @pytest.mark.parametrize("command", ("table2", "verify"))
+    def test_stdout_closed_before_the_output(self, command, unbuffered):
+        # the read end of the pipe is gone before the process starts
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "confab.cli", command],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2
+        assert result.stderr == (
+            b"error: stdout was closed before the output was written\n"
+        )
+
     @pytest.mark.parametrize("command", ("circle", "su2"))
     def test_k_is_bounded(self, capsys, command):
         code, out, err = run(capsys, command, "--k", str(MAX_K))

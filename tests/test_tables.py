@@ -1,6 +1,7 @@
 """Assembled tables, stability bounds, unordered pairs, verification."""
 
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -71,6 +72,12 @@ class TestTables:
             conf_ab_table(datum("U2"), 4)
         with pytest.raises(UnsupportedDatum):
             conf_ab_table(datum("Sp2"), 3)
+        # 2.0 would otherwise give a table whose k is the float 2.0
+        for k in (2.0, "2"):
+            message = f"^k must be an integer, not {re.escape(repr(k))}$"
+            for route in (conf_ab_table, shortcut_dims):
+                with pytest.raises(TypeError, match=message):
+                    route(datum("U2"), k)
 
 
 class TestShortcut:
@@ -307,6 +314,42 @@ class TestVerify:
             assert got.startswith("invariant=False;")
             assert "relations-zero=False" in got
             assert statuses["ring-embedding-U2"][0] == "PASS"
+
+    def test_a_wrong_swap_sign_fails_the_embedding_line(self, monkeypatch):
+        # the point swap sends the embedded d2 to minus itself, not to d2
+        original = verify.conf2_ring_involution
+
+        def wrong(tag, convention):
+            involution = dict(original(tag, convention))
+            if tag == "U2":
+                involution["d2"] = ((1, ("d2",)),)
+            return involution
+
+        monkeypatch.setattr(verify, "conf2_ring_involution", wrong)
+        for convention in ("derived", "paper"):
+            check = next(
+                c
+                for c in verify_all(convention).checks
+                if c.name == "ring-embedding-U2"
+            )
+            assert check.status == "FAIL"
+            assert check.got.startswith(
+                "invariant=True; swap-action=False; relations-zero=True;"
+            )
+
+    def test_an_embedding_that_is_not_invariant_fails(self, monkeypatch):
+        # the Weyl group swaps z1 and w1, so z1 - w1 changes sign
+        table = dict(verify._EMBEDDINGS["U2"])
+        table["c1"] = ((1, ("z1",)), (-1, ("w1",)))
+        monkeypatch.setitem(verify._EMBEDDINGS, "U2", table)
+        for convention in ("derived", "paper"):
+            check = next(
+                c
+                for c in verify_all(convention).checks
+                if c.name == "ring-embedding-U2"
+            )
+            assert check.status == "FAIL"
+            assert check.got.startswith("invariant=False;")
 
     def test_first_cohomology_is_checked_against_the_table(self, monkeypatch):
         # SU3's Weyl group with a circle's pi1 rank: the count says 2, the

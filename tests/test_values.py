@@ -19,7 +19,7 @@ from confab.cli import Document
 from confab.exact import QMatrix, as_trimmed_tuple
 from confab.freegroup import InvariantViolation, h1_f2
 from confab.groups import ClassFunction, FiniteGroup
-from confab.rings import GeneratorAutomorphism, RingPresentation
+from confab.rings import RingPresentation
 from confab.tables import CohomologyTable, TableRow
 from confab.torusconf import circle_conf, su2_conf
 from confab.verify import VerifyCheck, VerifyReport
@@ -66,9 +66,6 @@ FACTORIES = {
     "CircleConfSummary": lambda: circle_conf(4),
     "SU2ConfSummary": lambda: su2_conf(3),
     "Document": lambda: Document({"k": 3}, ["k"], [[3]], "3\n", 0),
-    "GeneratorAutomorphism": lambda: GeneratorAutomorphism.build(
-        {"a": [(1, "b")], "b": [(1, "a")]}
-    ),
 }
 
 

@@ -288,9 +288,10 @@ class TestClassBound:
         assert _class_count(n, True) == len(symplectic(n).group.classes)
 
     def test_bound_sits_between_u45_and_u46(self):
-        # U45 and Sp23 still build; U46 and Sp25 are refused
+        # U45 and Sp24 still build; U46 and Sp25 are refused
         assert _class_count(45, False) == 89134 <= MAX_CLASSES
         assert _class_count(23, True) == 68150 <= MAX_CLASSES
+        assert _class_count(24, True) == 94235 <= MAX_CLASSES
         assert _class_count(46, False) == 105558 > MAX_CLASSES
         assert _class_count(25, True) == 129512 > MAX_CLASSES
         # past the cap of 64 the count stays above the bound
