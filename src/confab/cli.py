@@ -38,7 +38,7 @@ from .tables import (
     verify_all,
 )
 from .torusconf import circle_conf, conf2_torus, su2_conf
-from .weyl import datum, flag_character
+from .weyl import CONVENTIONS, datum, flag_character
 
 
 class Document(NamedTuple):
@@ -325,14 +325,23 @@ def _add_common(parser, suppress: bool) -> None:
     )
     parser.add_argument(
         "--convention",
-        choices=("derived", "paper"),
+        choices=CONVENTIONS,
         default=argparse.SUPPRESS if suppress else "derived",
         help="flag-column convention for circle factors (default derived)",
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse writes help through a helper that swallows OSError, so a
+    # closed stdout would pass for printed help; this write raises instead
+    def print_help(self, file=None):
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="confab",
         description=(
             "tables of cohomology of spaces of distinct commuting tuples "
@@ -350,8 +359,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_closed() -> int:
+    # the interpreter flushes stdout again at exit; send that nowhere
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    message = "error: stdout was closed before the output was written"
+    print(message, file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except BrokenPipeError:
+        return _stdout_closed()
     try:
         doc = args.handler(args)
     except ValueError as error:
@@ -371,13 +391,7 @@ def main(argv=None) -> int:
         )
         return 2
     except BrokenPipeError:
-        # the interpreter flushes stdout again at exit; send that nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(
-            "error: stdout was closed before the output was written",
-            file=sys.stderr,
-        )
-        return 2
+        return _stdout_closed()
     return doc.code
 
 

@@ -192,7 +192,7 @@ def _apply(values: list, tables: Sequence[Sequence[Sequence]]) -> list:
     return values
 
 
-def _decompose(group: FiniteGroup, traces, catalog, graded: bool) -> list[Parts]:
+def _decompose(group: FiniteGroup, traces, catalog) -> list[Parts]:
     # traces holds each class's values by degree, low first, missing values
     # zero.  Laid out as (classes..., degree), one _apply pairs every degree
     # and leaves (degree, characters...); the multiplicities, laid out as
@@ -212,9 +212,8 @@ def _decompose(group: FiniteGroup, traces, catalog, graded: bool) -> list[Parts]
         parts = []
         for label, mult in zip(catalog.labels, row):
             if mult.denominator != 1 or mult < 0:
-                where = f" in degree {n}" if graded else ""
                 raise NotACharacter(
-                    f"multiplicity of {label}{where} is {mult}, "
+                    f"multiplicity of {label} in degree {n} is {mult}, "
                     "not a nonnegative integer"
                 )
             if mult:
@@ -224,15 +223,16 @@ def _decompose(group: FiniteGroup, traces, catalog, graded: bool) -> list[Parts]
     back = _apply([m for column in zip(*rows) for m in column], transposes)
     for n, piece in enumerate(zip(*columns)):
         if tuple(back[n * width : (n + 1) * width]) != piece:
-            where = f" in degree {n}" if graded else ""
-            raise NotACharacter(f"class function{where} is not in the catalog's span")
+            raise NotACharacter(
+                f"class function in degree {n} is not in the catalog's span"
+            )
     return out
 
 
 def decompose(f: ClassFunction, catalog: IrreducibleCatalog) -> Parts:
     """Multiplicities of f in catalog order, nonzero entries only: the
-    one-degree case of ``decompose_graded``, with the same checks."""
-    return _decompose(f.group, [(v,) for v in f.values], catalog, False)[0]
+    one-degree case of ``decompose_graded``, as degree 0, with its checks."""
+    return _decompose(f.group, [(v,) for v in f.values], catalog)[0]
 
 
 def decompose_graded(gc, catalog: IrreducibleCatalog) -> list[Parts]:
@@ -241,7 +241,7 @@ def decompose_graded(gc, catalog: IrreducibleCatalog) -> list[Parts]:
     ``NotACharacter`` names the degree.  Only ``gc.group`` and ``gc.traces``
     are read, so ``confab.weyl``'s graded characters need no import here.
     """
-    return _decompose(gc.group, gc.traces, catalog, True)
+    return _decompose(gc.group, gc.traces, catalog)
 
 
 def format_decomposition(parts: Sequence[tuple[str, int]]) -> str:

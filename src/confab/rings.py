@@ -92,6 +92,8 @@ class RingPresentation:
         return tuple(label for label, _ in self.generators)
 
     def index_of(self, label: str) -> int:
+        if label not in self._index:
+            raise ValueError(f"unknown generator label {label!r}")
         return self._index[label]
 
     def degree_of(self, monomial: Monomial) -> int:

@@ -30,7 +30,8 @@ from .weyl import (
     UnsupportedDatum,
     WeylDatum,
     canonical_tag,
-    check_convention,
+    carried_factors,
+    datum,
     flag_character,
     invariant_dims,
     kunneth,
@@ -175,81 +176,111 @@ def stable_bound(family: str, degree: int, k: int) -> int:
 # explicit ring presentations for the two fully computed pair cases
 
 
-RING_TAGS = ("U2", "S1xSU2")
+# each ring tag's hand data, written once; ``_ring_record`` adds the paper
+# convention's carried a1, which every map fixes by keeping its label
+class _RingRecord(NamedTuple):
+    generators: tuple[tuple[str, int], ...]  # the pair ring
+    vanishing: tuple[tuple[str, str], ...]
+    swap: RingMap  # the point swap on the pair ring
+    unordered: tuple[tuple[str, int], ...]  # the closed-form unordered ring
+    flag: tuple[tuple[str, int], ...]  # the pre-invariant model's flag part
+    weyl: RingMap  # the Weyl involution on the model
 
 
-def _ring_tag(tag: str) -> str:
-    canonical = canonical_tag(tag)
-    if canonical not in RING_TAGS:
-        raise UnsupportedDatum(
-            f"ring presentations cover {' and '.join(RING_TAGS)}, "
-            f"not {canonical}"
-        )
-    return canonical
-
-
-def conf2_ring(tag: str, convention: str = "derived") -> RingPresentation:
-    """Presentation of the pair-configuration cohomology ring."""
-    canonical = _ring_tag(tag)
-    check_convention(convention)
-    if canonical == "U2":
-        return RingPresentation(
-            (("b1", 1), ("c1", 1), ("d2", 2), ("e3", 3), ("f3", 3)),
-            (
-                ("c1", "d2"),
-                ("c1", "f3"),
-                ("d2", "e3"),
-                ("d2", "f3"),
-                ("e3", "f3"),
-            ),
-        )
-    generators = [("x1", 1), ("z1", 1), ("c2", 2), ("d3", 3), ("e3", 3)]
-    if convention == "paper":
-        generators.insert(0, ("a1", 1))
-    return RingPresentation(
-        generators,
-        (
-            ("z1", "c2"),
-            ("z1", "e3"),
-            ("c2", "d3"),
-            ("c2", "e3"),
-            ("d3", "e3"),
+_RINGS = {
+    "U2": _RingRecord(
+        generators=(("b1", 1), ("c1", 1), ("d2", 2), ("e3", 3), ("f3", 3)),
+        vanishing=(
+            ("c1", "d2"), ("c1", "f3"), ("d2", "e3"), ("d2", "f3"), ("e3", "f3")
         ),
-    )
-
-
-def conf2_ring_involution(tag: str, convention: str = "derived") -> RingMap:
-    """The unordering involution (swap of the two points) on the pair ring."""
-    canonical = _ring_tag(tag)
-    check_convention(convention)
-    if canonical == "U2":
-        return {
+        swap={
             "b1": ((1, ("b1",)), (1, ("c1",))),
             "c1": ((-1, ("c1",)),),
             "d2": ((-1, ("d2",)),),
             "e3": ((1, ("e3",)), (1, ("f3",))),
             "f3": ((-1, ("f3",)),),
-        }
-    return {
-        "x1": ((1, ("x1",)), (1, ("z1",))),
-        "z1": ((-1, ("z1",)),),
-        "c2": ((-1, ("c2",)),),
-        "d3": ((1, ("d3",)), (1, ("e3",))),
-        "e3": ((-1, ("e3",)),),
-    }
+        },
+        unordered=(("r1", 1), ("s3", 3)),
+        flag=(("a2", 2),),
+        weyl={
+            "a2": ((-1, ("a2",)),),
+            "x1": ((1, ("y1",)),),
+            "y1": ((1, ("x1",)),),
+            "z1": ((1, ("w1",)),),
+            "w1": ((1, ("z1",)),),
+        },
+    ),
+    "S1xSU2": _RingRecord(
+        generators=(("x1", 1), ("z1", 1), ("c2", 2), ("d3", 3), ("e3", 3)),
+        vanishing=(
+            ("z1", "c2"), ("z1", "e3"), ("c2", "d3"), ("c2", "e3"), ("d3", "e3")
+        ),
+        swap={
+            "x1": ((1, ("x1",)), (1, ("z1",))),
+            "z1": ((-1, ("z1",)),),
+            "c2": ((-1, ("c2",)),),
+            "d3": ((1, ("d3",)), (1, ("e3",))),
+            "e3": ((-1, ("e3",)),),
+        },
+        unordered=(("u1", 1), ("v3", 3)),
+        flag=(("b2", 2),),
+        weyl={
+            "b2": ((-1, ("b2",)),),
+            "y1": ((-1, ("y1",)),),
+            "w1": ((-1, ("w1",)),),
+        },
+    ),
+}
+RING_TAGS = tuple(_RINGS)
+
+
+def _ring_record(tag: str, convention: str) -> _RingRecord:
+    # the spelling is checked before any Weyl class is built
+    canonical = canonical_tag(tag)
+    if canonical not in _RINGS:
+        raise UnsupportedDatum(
+            f"ring presentations cover {' and '.join(RING_TAGS)}, "
+            f"not {canonical}"
+        )
+    record = _RINGS[canonical]
+    if not any(carried_factors(datum(canonical), convention)):
+        return record
+    carried = (("a1", 1),)
+    return record._replace(
+        generators=carried + record.generators,
+        unordered=carried + record.unordered,
+        flag=carried + record.flag,
+    )
+
+
+def conf2_ring(tag: str, convention: str = "derived") -> RingPresentation:
+    """Presentation of the pair-configuration cohomology ring."""
+    record = _ring_record(tag, convention)
+    return RingPresentation(record.generators, record.vanishing)
+
+
+def conf2_ring_involution(tag: str) -> RingMap:
+    """The point swap on the pair ring, under either convention."""
+    return dict(_ring_record(tag, "derived").swap)
 
 
 def unordered_conf2_ring(
     tag: str, convention: str = "derived"
 ) -> RingPresentation:
     """Closed-form presentation of the unordered-pair cohomology."""
-    canonical = _ring_tag(tag)
-    check_convention(convention)
-    if canonical == "U2":
-        return RingPresentation((("r1", 1), ("s3", 3)))
-    if convention == "paper":
-        return RingPresentation((("a1", 1), ("u1", 1), ("v3", 3)))
-    return RingPresentation((("u1", 1), ("v3", 3)))
+    return RingPresentation(_ring_record(tag, convention).unordered)
+
+
+# Conf_2(T) for a rank-2 torus: the exterior algebra on x1, y1 (the
+# translated torus) times the truncated exterior algebra on z1, w1 (the
+# punctured torus, top class removed, hence the forbidden pair)
+_TORUS = (("x1", 1), ("y1", 1), ("z1", 1), ("w1", 1))
+_TORUS_SWAP = {
+    "x1": ((1, ("x1",)), (1, ("z1",))),
+    "y1": ((1, ("y1",)), (1, ("w1",))),
+    "z1": ((-1, ("z1",)),),
+    "w1": ((-1, ("w1",)),),
+}
 
 
 def _unordered_model(
@@ -257,41 +288,12 @@ def _unordered_model(
 ) -> tuple[RingPresentation, RingMap, RingMap]:
     """Pre-invariant model: flag classes joined with Conf_2(T) classes.
 
-    Conf_2(T) for a rank-2 torus is the exterior algebra on x1, y1 (the
-    translated torus) times the truncated exterior algebra on z1, w1 (the
-    punctured torus, top class removed, hence the forbidden pair).  Returns
-    the presentation with the Weyl and point-swap involutions; their joint
-    fixed subspace is the unordered cohomology.
+    Returns the presentation with the Weyl and point-swap involutions;
+    their joint fixed subspace is the unordered cohomology.
     """
-    canonical = _ring_tag(tag)
-    check_convention(convention)
-    torus_gens = (("x1", 1), ("y1", 1), ("z1", 1), ("w1", 1))
-    swap = {
-        "x1": ((1, ("x1",)), (1, ("z1",))),
-        "y1": ((1, ("y1",)), (1, ("w1",))),
-        "z1": ((-1, ("z1",)),),
-        "w1": ((-1, ("w1",)),),
-    }
-    if canonical == "U2":
-        generators = (("a2", 2),) + torus_gens
-        weyl = {
-            "a2": ((-1, ("a2",)),),
-            "x1": ((1, ("y1",)),),
-            "y1": ((1, ("x1",)),),
-            "z1": ((1, ("w1",)),),
-            "w1": ((1, ("z1",)),),
-        }
-    else:
-        flag_gens = (("b2", 2),)
-        if convention == "paper":
-            flag_gens = (("a1", 1), ("b2", 2))
-        generators = flag_gens + torus_gens
-        weyl = {
-            "b2": ((-1, ("b2",)),),
-            "y1": ((-1, ("y1",)),),
-            "w1": ((-1, ("w1",)),),
-        }
-    return RingPresentation(generators, (("z1", "w1"),)), weyl, swap
+    record = _ring_record(tag, convention)
+    model = RingPresentation(record.flag + _TORUS, (("z1", "w1"),))
+    return model, record.weyl, _TORUS_SWAP
 
 
 def unordered_conf2_dims(
@@ -304,8 +306,6 @@ def unordered_conf2_dims(
     """
     presentation, weyl, swap = _unordered_model(d.tag, convention)
     return invariant_subring_dims(presentation, (weyl, swap))
-
-
 
 
 def verify_all(convention: str = "derived") -> VerifyReport:

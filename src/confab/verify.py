@@ -174,8 +174,8 @@ def _pad(dims, length) -> tuple[int, ...]:
 
 
 # each pair-ring generator written inside the pre-invariant model ring as
-# (coefficient, labels in product order) terms; a1 is the paper
-# convention's carried circle class, left out where the ring has no a1
+# (coefficient, labels in product order) terms; the paper convention's a1
+# has no entry and maps to the model's a1
 _EMBEDDINGS = {
     "U2": {
         "b1": ((1, ("x1",)), (1, ("y1",))),
@@ -190,7 +190,6 @@ _EMBEDDINGS = {
         "f3": ((1, ("a2", "z1")), (-1, ("a2", "w1"))),
     },
     "S1xSU2": {
-        "a1": ((1, ("a1",)),),
         "x1": ((1, ("x1",)),),
         "z1": ((1, ("z1",)),),
         "c2": ((1, ("y1", "w1")),),
@@ -213,12 +212,8 @@ def _embedding_summary(tag: str, convention: str) -> str:
     ring = conf2_ring(tag, convention)
     weyl = generator_images(model, model, weyl)
     swap = generator_images(model, model, swap)
-    terms = _EMBEDDINGS[tag]
-    embedding = generator_images(
-        ring, model, {label: terms[label] for label in ring.labels}
-    )
-    involution = conf2_ring_involution(tag, convention)
-    stated = generator_images(ring, ring, involution)
+    embedding = generator_images(ring, model, _EMBEDDINGS[tag])
+    stated = generator_images(ring, ring, conf2_ring_involution(tag))
     invariant = all(apply_images(model, weyl, e) == e for e in embedding)
     # swapping the points of an embedded generator is embedding its image
     # under the stated involution
@@ -378,7 +373,7 @@ def report(convention: str) -> VerifyReport:
                     tag,
                     invariant_subring_dims(
                         conf2_ring(tag, convention),
-                        (conf2_ring_involution(tag, convention),),
+                        (conf2_ring_involution(tag),),
                     ),
                 ),
             ),

@@ -507,24 +507,32 @@ def _factor_flag_traces(factor: LieFactor, carried: bool) -> tuple[list, ...]:
     return tuple(traces)
 
 
+def carried_factors(d: WeylDatum, convention: str) -> tuple[bool, ...]:
+    """Per factor, whether ``convention`` carries a degree-1 class for it.
+
+    A factor with a trivial Weyl group has a point as its flag manifold.
+    The paper convention instead carries a degree-1 class for each such
+    factor, but only in a product that also has a factor with a
+    non-trivial Weyl group; the derived convention carries none.  Every
+    route that depends on the convention reads the rule here, and an
+    unknown convention is refused here.
+    """
+    check_convention(convention)
+    trivial = [f.group.order == 1 for f in d.factors]
+    carry = convention == "paper" and not all(trivial)
+    return tuple(carry and t for t in trivial)
+
+
 def flag_character(d: WeylDatum, convention: str = "derived") -> GradedCharacter:
     """Coinvariant-algebra character of the product flag manifold.
 
-    Molien quotient per factor class, multiplied across factors.  A factor
-    with a trivial Weyl group has a point as its flag manifold; the paper
-    convention instead carries a degree-1 class for it, but only in a product
-    that also has a factor with a non-trivial Weyl group.
+    Molien quotient per factor class, multiplied across factors; a factor
+    that ``carried_factors`` marks contributes its degree-1 class instead.
     """
-    check_convention(convention)
-    carry = convention == "paper" and any(f.group.order > 1 for f in d.factors)
+    carried = carried_factors(d, convention)
     return GradedCharacter(
         d.group,
-        _product_traces(
-            [
-                _factor_flag_traces(f, carry and f.group.order == 1)
-                for f in d.factors
-            ],
-        ),
+        _product_traces(list(map(_factor_flag_traces, d.factors, carried))),
     )
 
 

@@ -226,9 +226,12 @@ class TestExitCodes:
             )
 
     @pytest.mark.parametrize("unbuffered", (True, False))
-    @pytest.mark.parametrize("command", ("table2", "verify"))
+    @pytest.mark.parametrize(
+        "command", ("table2", "verify", "--help", "table2 --help")
+    )
     def test_stdout_closed_before_the_output(self, command, unbuffered):
-        # the read end of the pipe is gone before the process starts
+        # the read end of the pipe is gone before the process starts; help
+        # goes through the same guard as every other output
         env = dict(os.environ, PYTHONPATH=str(SRC))
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
@@ -237,7 +240,7 @@ class TestExitCodes:
         os.close(read_end)
         try:
             result = subprocess.run(
-                [sys.executable, "-m", "confab.cli", command],
+                [sys.executable, "-m", "confab.cli", *command.split()],
                 stdout=write_end,
                 stderr=subprocess.PIPE,
                 env=env,

@@ -181,7 +181,9 @@ def decompose_degree_one(f, catalog):
 # each entry point with the message it raises for a function outside the span
 ENTRY_POINTS = [
     pytest.param(
-        decompose, "class function is not in the catalog's span", id="decompose"
+        decompose,
+        "class function in degree 0 is not in the catalog's span",
+        id="decompose",
     ),
     pytest.param(
         decompose_degree_one,

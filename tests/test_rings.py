@@ -1,6 +1,7 @@
 """Square-zero graded-commutative presentations and fixed subrings."""
 
 from fractions import Fraction
+from inspect import signature
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,9 +25,20 @@ from confab.tables import (
     _unordered_model,
     conf2_ring,
     conf2_ring_involution,
+    unordered_conf2_dims,
     unordered_conf2_ring,
 )
-from confab.weyl import UnsupportedDatum, _datum
+from confab.weyl import UnsupportedDatum, _datum, datum
+
+# every function that reads a ring tag's record with a convention
+RING_BUILDERS = {
+    "conf2_ring": conf2_ring,
+    "unordered_conf2_ring": unordered_conf2_ring,
+    "_unordered_model": _unordered_model,
+    "unordered_conf2_dims": lambda tag, convention: unordered_conf2_dims(
+        datum(tag), convention
+    ),
+}
 
 
 def exterior(*degrees):
@@ -159,6 +171,20 @@ class TestAutomorphisms:
         ):
             generator_images(conf2_ring("U2"), model, embedding)
 
+    def test_a_missing_target_label_is_named(self):
+        # without an entry b1 maps to the model's b1, which it lacks
+        model, _, _ = _unordered_model("U2", "derived")
+        with pytest.raises(
+            ValueError, match="^unknown generator label 'b1'$"
+        ):
+            generator_images(conf2_ring("U2"), model, {})
+
+    def test_an_unknown_label_in_a_term_is_named(self):
+        with pytest.raises(
+            ValueError, match="^unknown generator label 'g9'$"
+        ):
+            element_from_terms(exterior(1, 2), ((1, ("g0", "g9")),))
+
     def test_image_of_a_non_generator_rejected(self):
         pres = RingPresentation((("x1", 1),))
         typo = {"x1": ((-1, ("x1",)),), "zz": ((1, ("x1",)),)}
@@ -253,6 +279,32 @@ class TestRingTags:
             f"ring presentations cover U2 and S1xSU2, not {tag}"
         )
         assert _datum.cache_info().currsize == cached
+
+    @pytest.mark.parametrize("name", RING_BUILDERS)
+    def test_every_ring_function_refuses_an_unknown_tag(self, name):
+        with pytest.raises(UnsupportedDatum) as caught:
+            RING_BUILDERS[name]("Sp2", "derived")
+        assert str(caught.value) == (
+            "ring presentations cover U2 and S1xSU2, not Sp2"
+        )
+
+    @pytest.mark.parametrize("name", RING_BUILDERS)
+    @pytest.mark.parametrize("tag", ["U2", "S1xSU2"])
+    def test_every_ring_function_refuses_an_unknown_convention(
+        self, name, tag
+    ):
+        with pytest.raises(ValueError, match="^unknown convention 'x'$"):
+            RING_BUILDERS[name](tag, "x")
+
+    def test_the_point_swap_takes_only_the_tag(self):
+        # one map serves both conventions: it fixes the carried a1
+        assert list(signature(conf2_ring_involution).parameters) == ["tag"]
+        ring = conf2_ring("S1xSU2", "paper")
+        swap = generator_images(ring, ring, conf2_ring_involution("S1xSU2"))
+        assert ring.labels[0] == "a1"
+        assert swap[0] == {(0,): 1}
+        with pytest.raises(UnsupportedDatum, match="not Sp2$"):
+            conf2_ring_involution("Sp2")
 
     @pytest.mark.parametrize(
         "tag, canonical", [(" u2 ", "U2"), ("s1 X su2", "S1xSU2")]

@@ -9,6 +9,7 @@ import pytest
 
 from confab import tables, verify
 from confab.tables import (
+    RING_TAGS,
     TABLE1_TAGS,
     TABLE2_TAGS,
     RankTooSmall,
@@ -32,6 +33,7 @@ from confab.weyl import (
     LieFactor,
     UnsupportedDatum,
     WeylDatum,
+    carried_factors,
     datum,
     special_unitary,
     symplectic,
@@ -180,7 +182,7 @@ class TestUnordered:
                 reference = REFERENCE_UNORDERED[tag][convention]
                 fixed = invariant_subring_dims(
                     conf2_ring(tag, convention),
-                    (conf2_ring_involution(tag, convention),),
+                    (conf2_ring_involution(tag),),
                 )
                 model = unordered_conf2_dims(datum(tag), convention)
                 closed = hilbert_series(
@@ -220,6 +222,48 @@ BENCHMARK_TABLES = json.loads(
 @pytest.mark.parametrize("tag", sorted(BENCHMARK_TABLES))
 def test_benchmark_golden_tables(tag):
     assert list(conf_ab_table(datum(tag), 2).dims()) == BENCHMARK_TABLES[tag]
+
+
+def times_one_plus_t(dims, m):
+    """The coefficients of dims(t) * (1 + t)^m."""
+    dims = list(dims)
+    for _ in range(m):
+        dims = [a + b for a, b in zip(dims + [0], [0] + dims)]
+    return tuple(dims)
+
+
+# m is 0 for most, 1 for S1xSU2, U1xSU2, S1xU3 and S1xSU2xSp1, and 2 for
+# S1xS1xSU3 and U1xU1xSp2
+CARRIED_TAGS = sorted(
+    set(BENCHMARK_TABLES)
+    | set(TABLE2_TAGS)
+    | {"U1xSU2", "S1xS1xSU3", "U1xU1xSp2"}
+)
+
+
+class TestCarriedClass:
+    """Identity tests for the paper convention's carried degree-1 classes.
+
+    Each class that ``carried_factors`` marks is an exterior factor of the
+    paper convention's answer, so that answer is the derived one times
+    (1 + t)^m, m the number of marked factors.
+    """
+
+    @pytest.mark.parametrize("tag", CARRIED_TAGS)
+    def test_paper_table_is_derived_times_carried_classes(self, tag):
+        d = datum(tag)
+        m = sum(carried_factors(d, "paper"))
+        assert conf_ab_table(d, 2, "paper").dims() == times_one_plus_t(
+            conf_ab_table(d, 2).dims(), m
+        )
+
+    @pytest.mark.parametrize("build", [conf2_ring, unordered_conf2_ring])
+    @pytest.mark.parametrize("tag", RING_TAGS)
+    def test_ring_series_are_derived_times_carried_classes(self, tag, build):
+        m = sum(carried_factors(datum(tag), "paper"))
+        assert hilbert_series(build(tag, "paper")) == times_one_plus_t(
+            hilbert_series(build(tag)), m
+        )
 
 
 def corrupt_symplectic_datum():
@@ -319,8 +363,8 @@ class TestVerify:
         # the point swap sends the embedded d2 to minus itself, not to d2
         original = verify.conf2_ring_involution
 
-        def wrong(tag, convention):
-            involution = dict(original(tag, convention))
+        def wrong(tag):
+            involution = dict(original(tag))
             if tag == "U2":
                 involution["d2"] = ((1, ("d2",)),)
             return involution

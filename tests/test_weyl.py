@@ -15,6 +15,7 @@ from confab.weyl import (
     WeylDatum,
     _class_count,
     _datum,
+    carried_factors,
     circle,
     datum,
     flag_character,
@@ -126,6 +127,16 @@ class TestTorusCharacter:
             assert torus_character(datum(tag)).total_dim() == 4
 
 
+CARRIED_UNDER_PAPER = {
+    "U2": (False,),
+    "S1": (False,),
+    "S1xS1": (False, False),
+    "S1xSU2": (True, False),
+    "SU2xU1": (False, True),
+    "U1xU1xSp2": (True, True, False),
+}
+
+
 class TestFlagCharacter:
     def test_u2_flag(self):
         d = datum("U2")
@@ -159,6 +170,17 @@ class TestFlagCharacter:
     def test_unknown_convention_rejected(self):
         with pytest.raises(ValueError):
             flag_character(datum("U2"), "folklore")
+
+    @pytest.mark.parametrize("tag", CARRIED_UNDER_PAPER)
+    def test_carried_factors(self, tag):
+        # only a trivial-Weyl factor beside a non-trivial one carries a class
+        d, paper = datum(tag), CARRIED_UNDER_PAPER[tag]
+        assert carried_factors(d, "paper") == paper
+        assert carried_factors(d, "derived") == (False,) * len(paper)
+
+    def test_carried_factors_refuses_an_unknown_convention(self):
+        with pytest.raises(ValueError, match="^unknown convention 'x'$"):
+            carried_factors(datum("S1xSU2"), "x")
 
     def test_flag_dims_are_palindromic(self):
         for tag in TAGS:
