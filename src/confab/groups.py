@@ -1,4 +1,4 @@
-"""Finite groups by conjugacy class, class functions, and character catalogs.
+"""Finite groups by conjugacy class, character catalogs and decomposition.
 
 A group is known only through its conjugacy classes: one label per class,
 the identity's class first, and the number of elements in each.  Nothing
@@ -10,42 +10,45 @@ depend on class order only through class *values*, never through indices.
 Characters are stored per conjugacy class, each value an exact rational kept
 as an ``int`` when integral and as a ``Fraction`` only when it is not (the
 storage rule of ``confab.exact``).  Rational characters are integer valued,
-so in practice every value is an ``int`` and ``fractions``, named here in
-annotations only, is never loaded.
+so in practice every value is an ``int`` and ``fractions`` is never loaded.
+What is decomposed is a graded character, ``confab.weyl.GradedCharacter``;
+a class function is one concentrated in degree 0, such as its ``piece(n)``.
 
-A direct product's catalog keeps one table per factor and the joined
-labels, never the Kronecker product they form on the product's classes.
-One kernel applies such tables: each acts on the leading axis by adding
-whole blocks of values, C k_j additions for a factor of k_j characters on
-C classes instead of C^2.  ``decompose_graded`` lays a graded character
-out as (classes..., degree) and pairs every degree in one pass; the
-multiplicities must be nonnegative integers and, sent back through the
-transposed tables, give the traces again.  ``decompose`` is its one-degree
-case.  A catalog checks its shape, not its orthogonality, which would cost
-O(k^2 C); the tests prove the tables confab ships orthonormal and complete.
+A catalog is built from value rows, one square table per factor, by one
+constructor that checks one group and a direct product alike.  A product's
+catalog keeps one table per factor and the joined labels, never the
+Kronecker product they form on the product's classes.  One kernel applies
+such tables: each acts on the leading axis by adding whole blocks of
+values, C k_j additions for a factor of k_j characters on C classes instead
+of C^2.  ``decompose_graded`` lays a graded character out as (classes...,
+degree) and pairs every degree in one pass; the multiplicities must be
+nonnegative integers and, sent back through the transposed tables, give
+the traces again.  ``decompose`` is its degree-0 case.  A catalog checks
+its shape, not its orthogonality, which would cost O(k^2 C); the tests
+prove the tables confab ships orthonormal and complete.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 from operator import add, sub
-from typing import TYPE_CHECKING, Hashable, Sequence
+from typing import Hashable, Sequence
 
 from .exact import as_exact_tuple, exact_div
-
-if TYPE_CHECKING:  # annotations only: fractions loads lazily, see exact
-    from fractions import Fraction
 
 TRIVIAL_LABEL = "1"
 Parts = tuple[tuple[str, int], ...]  # (label, multiplicity), nonzero only
 
 
 class GroupMismatch(ValueError):
-    """Two class functions over different groups were combined."""
+    """Graded characters, or a character and a catalog, over different
+    groups were combined."""
 
 
 class NotACharacter(ValueError):
-    """A class function failed to decompose into nonnegative integer parts."""
+    """A graded character failed to decompose into nonnegative integer
+    parts in some degree."""
 
 
 class FiniteGroup:
@@ -78,48 +81,16 @@ class FiniteGroup:
         return sum(self.sizes)
 
 
-class ClassFunction:
-    """A rational-valued function on the conjugacy classes of a group.
-
-    Each value is an ``int`` when integral and a ``Fraction`` otherwise;
-    floats are rejected.
-    """
-
-    __slots__ = ("group", "values")
-
-    def __init__(self, group: FiniteGroup, values: Sequence):
-        if len(values) != len(group.classes):
-            raise ValueError("one value per conjugacy class required")
-        self.group = group
-        self.values: tuple[int | Fraction, ...] = as_exact_tuple(values)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.group == other.group and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.group, self.values))
-
-    @classmethod
-    def trivial(cls, group: FiniteGroup) -> "ClassFunction":
-        return cls(group, (1,) * len(group.classes))
-
-    @property
-    def dim(self) -> int | Fraction:
-        # value at the identity class
-        return self.values[0]
-
-
 class IrreducibleCatalog:
     """A complete list of irreducible characters with stable labels.
 
-    Construction checks the shape of one group's character table: one
-    unique label per character, every character over ``group``, one
-    character per conjugacy class, and squared dimensions summing to the
-    group order.  ``tables`` holds one table of values by character per
-    factor: a single group's catalog has one, and ``product`` makes a
-    direct product's from its factors' catalogs.  A decomposition checks
+    ``tables`` holds one square table of values by character per factor: a
+    single group's catalog has one, and ``product`` makes a direct
+    product's from its factors' catalogs through this same constructor.
+    Construction checks the shape of the table the factors' tables stand
+    for: unique labels, every table square, one label and one conjugacy
+    class of ``group`` per character, squared dimensions summing to the
+    group order, and exact values, never floats.  A decomposition checks
     that its parts reassemble the traces on every call.
     """
 
@@ -129,24 +100,25 @@ class IrreducibleCatalog:
         self,
         group: FiniteGroup,
         labels: Sequence[str],
-        chars: Sequence[ClassFunction],
+        tables: Sequence[Sequence[Sequence]],
     ):
         labels = tuple(labels)
-        chars = tuple(chars)
-        if len(labels) != len(chars):
-            raise ValueError("one label per character required")
+        tables = tuple(tuple(map(as_exact_tuple, table)) for table in tables)
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate labels: {labels}")
-        for c in chars:
-            if c.group != group:
-                raise GroupMismatch("catalog characters over a foreign group")
-        if len(chars) != len(group.classes):
+        if any(len(row) != len(table) for table in tables for row in table):
+            raise ValueError("one value per conjugacy class required")
+        count = prod(map(len, tables))
+        if count != len(labels):
+            raise ValueError("one label per character required")
+        if count != len(group.classes):
             raise ValueError("one character per conjugacy class required")
-        if sum(c.dim * c.dim for c in chars) != group.order:
+        squares = (sum(row[0] * row[0] for row in table) for table in tables)
+        if prod(squares) != group.order:
             raise ValueError("squared dimensions do not sum to group order")
         self.group = group
         self.labels = labels
-        self.tables = (tuple(c.values for c in chars),)
+        self.tables = tables
 
     @classmethod
     def product(
@@ -157,14 +129,12 @@ class IrreducibleCatalog:
         labels of the factors with a nontrivial group by "⊗" (bare labels
         would collide for isomorphic factors); with none, it is trivial.
         """
-        catalog = object.__new__(cls)
-        catalog.group = group
         shown = [c.labels for c in factors if c.group.order != 1]
-        catalog.labels = tuple(
-            "⊗".join(parts) or TRIVIAL_LABEL for parts in product(*shown)
+        return cls(
+            group,
+            ("⊗".join(parts) or TRIVIAL_LABEL for parts in product(*shown)),
+            (t for c in factors for t in c.tables),
         )
-        catalog.tables = tuple(t for c in factors for t in c.tables)
-        return catalog
 
 
 def _apply(values: list, tables: Sequence[Sequence[Sequence]]) -> list:
@@ -229,10 +199,12 @@ def _decompose(group: FiniteGroup, traces, catalog) -> list[Parts]:
     return out
 
 
-def decompose(f: ClassFunction, catalog: IrreducibleCatalog) -> Parts:
-    """Multiplicities of f in catalog order, nonzero entries only: the
-    one-degree case of ``decompose_graded``, as degree 0, with its checks."""
-    return _decompose(f.group, [(v,) for v in f.values], catalog)[0]
+def decompose(f, catalog: IrreducibleCatalog) -> Parts:
+    """Multiplicities of a class function f in catalog order, nonzero
+    entries only: ``decompose_graded(f, catalog)[0]``, with its checks, for
+    a graded character f in degree 0 such as ``gc.piece(n)``; a zero f
+    gives ()."""
+    return (_decompose(f.group, f.traces, catalog) or [()])[0]
 
 
 def decompose_graded(gc, catalog: IrreducibleCatalog) -> list[Parts]:

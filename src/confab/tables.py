@@ -69,9 +69,6 @@ class CohomologyTable(NamedTuple):
             (-1) ** row.degree * row.dimension for row in self.rows
         )
 
-    def total_dim(self) -> int:
-        return sum(row.dimension for row in self.rows)
-
 
 def _conf_character(d: WeylDatum, k: int) -> GradedCharacter:
     if not isinstance(k, int):
@@ -158,6 +155,8 @@ def stable_bound(family: str, degree: int, k: int) -> int:
         raise TypeError(
             f"degree and k must be integers, not {degree!r} and {k!r}"
         )
+    if not isinstance(family, str):
+        raise TypeError(f"family must be a string, not {family!r}")
     family = family.lower()
     if family not in ("u", "su", "sp"):
         raise ValueError("family must be one of u, su, sp")

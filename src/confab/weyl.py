@@ -60,7 +60,6 @@ from .exact import (
 )
 from .groups import (
     TRIVIAL_LABEL,
-    ClassFunction,
     FiniteGroup,
     GroupMismatch,
     IrreducibleCatalog,
@@ -231,14 +230,10 @@ class LieFactor:
         )
         self.catalog = None
         if named is not None:
+            table = [[1] * len(types)]
+            table += ([f(a, b) for a, b in types] for f in named.values())
             self.catalog = IrreducibleCatalog(
-                group,
-                (TRIVIAL_LABEL, *named),
-                (ClassFunction.trivial(group),)
-                + tuple(
-                    ClassFunction(group, tuple(f(a, b) for a, b in types))
-                    for f in named.values()
-                ),
+                group, (TRIVIAL_LABEL, *named), [table]
             )
 
     @property
@@ -301,8 +296,12 @@ _BUILDERS = {"SU": special_unitary, "Sp": symplectic, "U": unitary}
 def _split_tag(tag: str) -> tuple[tuple[str, int], ...]:
     """(prefix, n) per factor of a tag like "S1xSU2", the circle ("S", 1).
 
-    A factor is S1 or a prefix and Unicode decimal digits, in any case.
+    A factor is S1 or a prefix and Unicode decimal digits, in any case.  A
+    rank with more significant digits than ``MAX_CLASSES`` has more classes
+    than that, and is refused before ``int`` reads it.
     """
+    if not isinstance(tag, str):
+        raise TypeError(f"tag must be a string, not {tag!r}")
     out = []
     for part in tag.strip().replace("X", "x").split("x"):
         name = part.strip().upper()
@@ -312,7 +311,14 @@ def _split_tag(tag: str) -> tuple[tuple[str, int], ...]:
             prefix, digits = "S", "1"
         elif not (prefix and digits.isdecimal()):
             raise UnsupportedDatum(f"unrecognized factor {part!r} in {tag!r}")
-        out.append((prefix, int(digits)))
+        # leading zeros, in any script, are not significant: U01 is U1
+        lead = next((i for i, c in enumerate(digits) if int(c)), -1)
+        if len(digits[lead:]) > len(str(MAX_CLASSES)):
+            raise UnsupportedDatum(
+                f"factor {part!r} has more than {MAX_CLASSES} Weyl group "
+                "classes"
+            )
+        out.append((prefix, int(digits[lead:])))
     return tuple(out)
 
 
@@ -402,7 +408,8 @@ class GradedCharacter:
     ``traces`` holds, in the group's class order, the coefficients of
     sum_n tr(g | H^n) t^n for an element g of each class: a tuple of exact
     values, low degree first, trailing zeros trimmed.  The identity's trace
-    counts dimensions.  The degree-n piece is the class function of the t^n
+    counts dimensions.  A class function is a graded character in degree
+    0, each trace at most one value long; ``piece(n)`` is the one of the t^n
     coefficients.
     """
 
@@ -434,14 +441,10 @@ class GradedCharacter:
             if any(n < len(trace) and trace[n] for trace in self.traces)
         )
 
-    def piece(self, degree: int) -> ClassFunction:
-        return ClassFunction(
-            self.group,
-            tuple(
-                trace[degree] if 0 <= degree < len(trace) else 0
-                for trace in self.traces
-            ),
-        )
+    def piece(self, degree: int) -> GradedCharacter:
+        """The t^degree coefficients in degree 0; zero outside 0..top."""
+        end = degree + 1 if degree >= 0 else 0  # t[degree:0] is empty
+        return GradedCharacter(self.group, [t[degree:end] for t in self.traces])
 
     def dims(self) -> dict[int, int]:
         """Total dimension per degree, 0..top inclusive."""

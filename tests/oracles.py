@@ -6,13 +6,15 @@ test can check a result without the library carrying code it never calls.
 The class-function pairing ``inner_product`` and the pointwise
 ``class_sum`` and ``class_product`` live here, not in ``confab.groups``:
 confab builds its character tables without pairing them, and the tests use
-these three to prove every shipped table orthonormal and complete.  A
-product's catalog keeps only its factors' tables; ``tensor_table`` builds
-the flat table of every product of factor characters, C characters on C
-classes, and ``flat_decompose`` pairs a class function with each of them,
-the route that confab's one block kernel replaced: ``decompose`` on one
-piece and ``decompose_graded`` on every degree at once must both agree
-with it.
+these three to prove every shipped table orthonormal and complete.  They
+work on value tuples, one value per class; ``values`` reads them off a
+class function, which confab keeps as a graded character in degree 0, and
+``class_function`` builds one.  A product's catalog keeps only its
+factors' tables; ``tensor_table`` builds the flat table of every product
+of factor characters, C value rows on C classes, and ``flat_decompose``
+pairs a class function's values with each of them, the route that
+confab's one block kernel replaced: ``decompose`` on one piece and
+``decompose_graded`` on every degree at once must both agree with it.
 Polynomials are coefficient tuples, low degree first and trimmed, as in
 confab; the graded traces are rebuilt here by schoolbook multiplication and
 by long division with ``exact_div`` on every coefficient, without confab's
@@ -24,7 +26,6 @@ from collections import Counter
 from functools import reduce
 from itertools import product
 from math import factorial, prod
-from operator import add, mul
 
 from confab.exact import (
     NonZeroRemainder,
@@ -33,7 +34,7 @@ from confab.exact import (
     rank,
     rref,
 )
-from confab.groups import ClassFunction, GroupMismatch
+from confab.weyl import GradedCharacter
 
 
 def kernel_basis(matrix: QMatrix) -> list[tuple]:
@@ -60,39 +61,44 @@ def fixed_space_dim(a: QMatrix, b: QMatrix) -> int:
     return n - rank(stacked)
 
 
-def inner_product(f: ClassFunction, g: ClassFunction):
+def values(f) -> tuple:
+    """The values of a class function, a graded character in degree 0."""
+    assert all(len(trace) <= 1 for trace in f.traces), "not in degree 0"
+    return tuple(trace[0] if trace else 0 for trace in f.traces)
+
+
+def class_function(group, values) -> GradedCharacter:
+    """The class function of one value per class, in degree 0."""
+    return GradedCharacter(group, [(v,) for v in values])
+
+
+def inner_product(group, f, g):
     """Class-function pairing (1/|G|) sum over classes |C| f(C) g(C).
 
-    Pairing f(C) with g(C) rather than g(C^-1) is exact for the rational
-    characters confab uses; the sum is divided by |G| once.
+    f and g are value tuples in ``group``'s class order.  Pairing f(C) with
+    g(C) rather than g(C^-1) is exact for the rational characters confab
+    uses; the sum is divided by |G| once.
     """
-    if f.group != g.group:
-        raise GroupMismatch("inner product across different groups")
-    group = f.group
     total = sum(
-        size * a * b for size, a, b in zip(group.sizes, f.values, g.values)
+        size * a * b for size, a, b in zip(group.sizes, f, g, strict=True)
     )
     return exact_div(total, group.order)
 
 
-def class_sum(f: ClassFunction, g: ClassFunction) -> ClassFunction:
+def class_sum(f, g) -> tuple:
     """f + g, class by class."""
-    if f.group != g.group:
-        raise GroupMismatch("class functions over different groups")
-    return ClassFunction(f.group, tuple(map(add, f.values, g.values)))
+    return tuple(a + b for a, b in zip(f, g, strict=True))
 
 
-def class_product(f: ClassFunction, g: ClassFunction) -> ClassFunction:
+def class_product(f, g) -> tuple:
     """f * g, class by class: the character of the tensor product."""
-    if f.group != g.group:
-        raise GroupMismatch("class functions over different groups")
-    return ClassFunction(f.group, tuple(map(mul, f.values, g.values)))
+    return tuple(a * b for a, b in zip(f, g, strict=True))
 
 
-def characters(catalog) -> tuple[ClassFunction, ...]:
-    """The characters of a one-group catalog, in catalog order."""
+def characters(catalog) -> tuple[tuple, ...]:
+    """The value rows of a one-group catalog, in catalog order."""
     (table,) = catalog.tables
-    return tuple(ClassFunction(catalog.group, row) for row in table)
+    return table
 
 
 def factor_class_indices(d) -> list[tuple[int, ...]]:
@@ -108,8 +114,8 @@ def factor_class_indices(d) -> list[tuple[int, ...]]:
     return [tuple(where[c] for where, c in zip(index, cls)) for cls in classes]
 
 
-def tensor_table(d) -> tuple[tuple[str, ...], tuple[ClassFunction, ...]]:
-    """Labels and characters of a datum's flat tensor table.
+def tensor_table(d) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
+    """Labels and value rows of a datum's flat tensor table.
 
     One character per choice of a character in each factor's catalog, in
     ``itertools.product`` order, valued at each product class as the product
@@ -127,27 +133,28 @@ def tensor_table(d) -> tuple[tuple[str, ...], tuple[ClassFunction, ...]]:
             if c.group.order != 1
         ]
         labels.append("⊗".join(shown) or "1")
-        values = tuple(
-            prod(char.values[i] for (_, char), i in zip(combo, cls))
-            for cls in classes
+        chars.append(
+            tuple(
+                prod(row[i] for (_, row), i in zip(combo, cls))
+                for cls in classes
+            )
         )
-        chars.append(ClassFunction(d.group, values))
     return tuple(labels), tuple(chars)
 
 
-def flat_decompose(f: ClassFunction, table) -> tuple[tuple[str, int], ...]:
-    """Nonzero pairings of f with every character of a flat table, in order."""
+def flat_decompose(group, f, table) -> tuple[tuple[str, int], ...]:
+    """Nonzero pairings of the values f with every row of a flat table."""
     pairs = (
-        (label, inner_product(f, char)) for label, char in zip(*table)
+        (label, inner_product(group, f, char)) for label, char in zip(*table)
     )
     return tuple((label, mult) for label, mult in pairs if mult)
 
 
 def pairing_invariant_dims(gc) -> dict[int, int]:
     """Invariant dimension per degree as <piece, trivial>, degree by degree."""
-    trivial = ClassFunction.trivial(gc.group)
+    trivial = (1,) * len(gc.group.classes)
     return {
-        degree: inner_product(gc.piece(degree), trivial)
+        degree: inner_product(gc.group, values(gc.piece(degree)), trivial)
         for degree in range(gc.top + 1)
     }
 

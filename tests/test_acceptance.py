@@ -284,8 +284,9 @@ def test_c10_structural_properties():
         assert labels == d.catalog.labels
         for i, f in enumerate(chars):
             for j, g in enumerate(chars):
-                assert inner_product(f, g) == Fraction(1 if i == j else 0)
-        assert sum(c.dim**2 for c in chars) == d.group.order
+                pairing = inner_product(d.group, f, g)
+                assert pairing == Fraction(1 if i == j else 0)
+        assert sum(c[0] ** 2 for c in chars) == d.group.order
 
     # Euler characteristic vanishes for every configuration table
     for tag in ("S1xS1", "U2", "S1xSU2", "SU3", "Sp2"):

@@ -1,5 +1,6 @@
-"""Class functions and catalogs, with the cycle-type Weyl data checked
-against a brute-force matrix-group oracle."""
+"""Catalogs and decomposition, with the cycle-type Weyl data checked
+against a brute-force matrix-group oracle.  A class function is a graded
+character in degree 0; the oracles pair its values as plain tuples."""
 
 import json
 from collections import Counter
@@ -13,7 +14,6 @@ import pytest
 
 from confab.exact import QMatrix, char_matrix_poly, det
 from confab.groups import (
-    ClassFunction,
     FiniteGroup,
     IrreducibleCatalog,
     NotACharacter,
@@ -35,11 +35,13 @@ from confab.weyl import (
 )
 from oracles import (
     characters,
+    class_function,
     class_product,
     factor_class_indices,
     flat_decompose,
     inner_product,
     tensor_table,
+    values,
 )
 
 SWAP = QMatrix.from_rows([[0, 1], [1, 0]])
@@ -203,7 +205,7 @@ def test_d8_characters_match_elementwise_definitions():
                 entries *= e
         ci = factor.group.classes.index(signed_cycle_type(g))
         assert tuple(
-            by_label[label].values[ci] for label in "abcd"
+            by_label[label][ci] for label in "abcd"
         ) == (det(unsigned), entries, det(g), g.trace())
 
 
@@ -241,25 +243,97 @@ class TestClosure:
             assert elements[i] @ elements[inv] == QMatrix.identity(2)
 
 
+# one bad table per refusal, each with the message it raises; a product
+# takes Z2's true table as its first factor's and the bad one as its second's
+Z2_TABLE = ((1, 1), (1, -1))
+CATALOG_REFUSALS = [
+    (
+        "non-square table",
+        ("1", "σ"),
+        ((1, 1), (1,)),
+        ValueError,
+        "one value per conjugacy class required",
+    ),
+    (
+        "label count",
+        ("1",),
+        Z2_TABLE,
+        ValueError,
+        "one label per character required",
+    ),
+    (
+        "class count",
+        ("1",),
+        ((1,),),
+        ValueError,
+        "one character per conjugacy class required",
+    ),
+    (
+        "squared dimensions",
+        ("1", "σ"),
+        ((1, 1), (2, 0)),
+        ValueError,
+        "squared dimensions do not sum to group order",
+    ),
+    (
+        "float entry",
+        ("1", "σ"),
+        ((1, 1), (1, -1.0)),
+        TypeError,
+        "not an exact rational: -1.0",
+    ),
+]
+
+
+@pytest.mark.parametrize("factors", [1, 2], ids=["one group", "product"])
+@pytest.mark.parametrize(
+    "labels, table, error, message",
+    [case[1:] for case in CATALOG_REFUSALS],
+    ids=[case[0] for case in CATALOG_REFUSALS],
+)
+def test_catalog_constructor_refuses(factors, labels, table, error, message):
+    # one constructor checks one group and a product alike
+    z2 = FiniteGroup(("e", "s"), (1, 1))
+    group, tables = z2, (table,)
+    if factors == 2:
+        group = FiniteGroup(tuple(product(z2.classes, repeat=2)), (1,) * 4)
+        labels = tuple(f"{a}⊗{b}" for a in ("1", "σ") for b in labels)
+        tables = (Z2_TABLE, table)
+    with pytest.raises(error) as caught:
+        IrreducibleCatalog(group, labels, tables)
+    assert str(caught.value) == message
+
+
+def test_catalog_constructor_takes_rows_and_products():
+    z2 = FiniteGroup(("e", "s"), (1, 1))
+    with pytest.raises(ValueError, match="^duplicate labels"):
+        IrreducibleCatalog(z2, ("1", "1"), (Z2_TABLE,))
+    catalog = IrreducibleCatalog(z2, ("1", "σ"), [[[1, 1], [1, -1]]])
+    assert catalog.tables == (Z2_TABLE,)
+    group = FiniteGroup(tuple(product(z2.classes, repeat=2)), (1,) * 4)
+    square = IrreducibleCatalog.product(group, (catalog, catalog))
+    assert square.labels == ("1⊗1", "1⊗σ", "σ⊗1", "σ⊗σ")
+    assert square.tables == (Z2_TABLE, Z2_TABLE)
+
+
 class TestCatalogs:
     def test_character_count_is_enforced(self):
         # the constructor checks shape only; that the shipped tables are
         # orthonormal is proved by test_shipped_table_is_a_character_table
         group = datum("Sp2").group
-        trivial = ClassFunction.trivial(group)
         with pytest.raises(ValueError, match="one character per conjugacy"):
-            IrreducibleCatalog(group, ("1", "again"), (trivial, trivial))
+            IrreducibleCatalog(group, ("1", "σ"), [((1, 1), (1, -1))])
         with pytest.raises(ValueError, match="squared dimensions"):
-            IrreducibleCatalog(group, "12345", (trivial,) * 5)
+            IrreducibleCatalog(group, "12345", [((1,) * 5,) * 5])
 
     def test_dimension_sum(self):
         catalog = datum("Sp2").catalog
-        assert sum(c.dim**2 for c in characters(catalog)) == 8
+        assert sum(c[0] ** 2 for c in characters(catalog)) == 8
 
     def test_two_dimensional_square_decomposes(self):
         catalog = datum("Sp2").catalog
         d = dict(zip(catalog.labels, characters(catalog)))["d"]
-        square = class_product(d, d)
+        square = class_function(catalog.group, class_product(d, d))
         assert decompose(square, catalog) == (
             ("1", 1),
             ("a", 1),
@@ -270,8 +344,9 @@ class TestCatalogs:
     def test_symmetric_catalog(self):
         catalog = datum("SU3").catalog
         std = dict(zip(catalog.labels, characters(catalog)))["std"]
-        assert std.dim == 2
-        assert decompose(class_product(std, std), catalog) == (
+        assert std[0] == 2
+        square = class_function(catalog.group, class_product(std, std))
+        assert decompose(square, catalog) == (
             ("1", 1),
             ("std", 1),
             ("sgn", 1),
@@ -280,10 +355,10 @@ class TestCatalogs:
     def test_decompose_rejects_non_characters(self):
         catalog = datum("Sp1").catalog
         group = catalog.group
-        half = ClassFunction(group, (Fraction(1, 2), Fraction(1, 2)))
+        half = class_function(group, (Fraction(1, 2), Fraction(1, 2)))
         with pytest.raises(NotACharacter):
             decompose(half, catalog)
-        negative = ClassFunction(group, (Fraction(-1), Fraction(-1)))
+        negative = class_function(group, (-1, -1))
         with pytest.raises(NotACharacter):
             decompose(negative, catalog)
 
@@ -329,16 +404,15 @@ class TestProducts:
 # ``oracles.tensor_table``.  The benchmark's products are its golden tables
 # with more than one factor, read here unchanged.
 
-BENCHMARK_PRODUCTS = tuple(
+GOLDEN_TABLES = tuple(
     sorted(
-        tag
-        for tag in json.loads(
+        json.loads(
             (Path(__file__).parent.parent / "perfbench" / "golden.json")
             .read_text(encoding="utf-8")
         )["tables"]
-        if "x" in tag
     )
 )
+BENCHMARK_PRODUCTS = tuple(tag for tag in GOLDEN_TABLES if "x" in tag)
 NAMED_TABLES = ("S1", "U2", "U3", "Sp1", "Sp2")
 PRODUCT_TABLES = ("S1xS1", "S1xSU2") + BENCHMARK_PRODUCTS
 
@@ -354,14 +428,15 @@ def test_shipped_table_is_a_character_table(tag):
     for i, f in enumerate(chars):
         for j, g in enumerate(chars):
             expected = 1 if i == j else 0
-            assert inner_product(f, g) == expected, (labels[i], labels[j])
+            pairing = inner_product(group, f, g)
+            assert pairing == expected, (labels[i], labels[j])
     # columns: sum over chi of chi(c) chi(c') = |W| / |c| if c = c', else 0
     for c, size in enumerate(group.sizes):
         for c2 in range(len(group.sizes)):
             expected = group.order // size if c == c2 else 0
-            column = sum(chi.values[c] * chi.values[c2] for chi in chars)
+            column = sum(chi[c] * chi[c2] for chi in chars)
             assert column == expected, (c, c2)
-    assert sum(chi.dim**2 for chi in chars) == group.order
+    assert sum(chi[0] ** 2 for chi in chars) == group.order
 
 
 @pytest.mark.parametrize("tag", PRODUCT_TABLES)
@@ -374,17 +449,24 @@ def test_tensor_characters_are_factor_products(tag):
     combos = list(product(*(characters(f.catalog) for f in d.factors)))
     assert len(combos) == len(chars) == len(d.catalog.labels)
     for combo, char in zip(combos, chars):
-        assert char.values == tuple(
-            map(prod, product(*(factor_char.values for factor_char in combo)))
-        )
+        assert char == tuple(map(prod, product(*combo)))
+
+
+# the golden tables' one-factor groups that have a catalog
+ONE_FACTOR_CATALOGS = tuple(
+    tag
+    for tag in GOLDEN_TABLES
+    if "x" not in tag and datum(tag).catalog is not None
+)
 
 
 @pytest.mark.parametrize("convention", ["derived", "paper"])
-@pytest.mark.parametrize("tag", PRODUCT_TABLES)
+@pytest.mark.parametrize("tag", PRODUCT_TABLES + ONE_FACTOR_CATALOGS)
 def test_decompose_equals_flat_pairing(tag, convention):
     # every piece of the flag, conf2 and Kunneth characters decomposes
     # factor by factor exactly as pairing with the flat table says, piece
-    # by piece and in the graded character's one pass
+    # by piece and in the graded character's one pass; the pieces outside
+    # 0..top are zero and decompose to nothing
     d = datum(tag)
     table = tensor_table(d)
     flag, conf = flag_character(d, convention), conf2_torus(d)
@@ -393,9 +475,12 @@ def test_decompose_equals_flat_pairing(tag, convention):
         assert len(graded) == gc.top + 1
         for degree in range(gc.top + 1):
             piece = gc.piece(degree)
-            expected = flat_decompose(piece, table)
+            expected = flat_decompose(d.group, values(piece), table)
             assert decompose(piece, d.catalog) == expected
             assert graded[degree] == expected
+        for degree in (-2, -1, gc.top + 1):
+            assert gc.piece(degree).traces == ((),) * len(d.group.classes)
+            assert decompose(gc.piece(degree), d.catalog) == ()
 
 
 class TestLargeProducts:
@@ -418,7 +503,9 @@ class TestLargeProducts:
         u2 = datum("U2")
         u2_flag, u2_table = flag_character(u2), tensor_table(u2)
         factor_parts = {
-            degree: flat_decompose(u2_flag.piece(degree), u2_table)
+            degree: flat_decompose(
+                u2.group, values(u2_flag.piece(degree)), u2_table
+            )
             for degree in u2_flag.degrees()
         }
         expected = {}

@@ -23,14 +23,13 @@ from confab.exact import (
     poly_mul,
 )
 from confab.groups import (
-    ClassFunction,
     FiniteGroup,
     IrreducibleCatalog,
     NotACharacter,
     decompose,
     decompose_graded,
 )
-from confab.tables import conf_ab_table
+from confab.tables import conf2_ring, conf_ab_table
 from confab.torusconf import (
     conf2_torus,
     conf2_torus_minus_point_rank2,
@@ -39,6 +38,7 @@ from confab.torusconf import (
 from confab.weyl import (
     GradedCharacter,
     UnsupportedDatum,
+    canonical_tag,
     datum,
     flag_character,
     invariant_dims,
@@ -51,6 +51,7 @@ from confab.weyl import (
 )
 from oracles import (
     binomial_charpoly,
+    class_function,
     conf2_traces,
     counter_class_sizes,
     flag_traces,
@@ -83,10 +84,46 @@ GOLDEN_TAGS = sorted(
         ("U٢", ("U2",)),
         ("sp3", ("Sp3",)),
         ("S1xU1", ("S1", "U1")),
+        # leading zeros are not significant, however many
+        ("U01", ("U1",)),
+        pytest.param("U" + "0" * 5000 + "2", ("U2",), id="U0...02"),
     ],
 )
 def test_parse_tag_accepts(tag, factor_tags):
     assert tuple(f.tag for f in parse_tag(tag)) == factor_tags
+    assert canonical_tag(tag) == "x".join(factor_tags)
+
+
+# every route that reads a tag, with the refusals it shares
+TAG_ROUTES = [parse_tag, datum, canonical_tag, conf2_ring]
+HUGE = "U" + "9" * 5000
+
+
+@pytest.mark.parametrize("route", TAG_ROUTES)
+@pytest.mark.parametrize(
+    "tag, factor",
+    [
+        pytest.param(HUGE, HUGE, id="U9...9"),
+        ("S1xsp1234567", "sp1234567"),
+        ("U0001234567", "U0001234567"),
+    ],
+)
+def test_overlong_rank_is_refused_before_int(route, tag, factor):
+    # a rank with more digits than MAX_CLASSES has more classes than that;
+    # int() would raise a bare ValueError past 4300 digits
+    with pytest.raises(UnsupportedDatum) as caught:
+        route(tag)
+    assert str(caught.value) == (
+        f"factor {factor!r} has more than 100000 Weyl group classes"
+    )
+
+
+@pytest.mark.parametrize("route", TAG_ROUTES)
+@pytest.mark.parametrize("tag", [None, 2, b"U2"])
+def test_non_string_tag_is_a_type_error(route, tag):
+    with pytest.raises(TypeError) as caught:
+        route(tag)
+    assert str(caught.value) == f"tag must be a string, not {tag!r}"
 
 
 @pytest.mark.parametrize(
@@ -174,7 +211,7 @@ def test_as_exact_tuple_rejects_floats(values):
 
 def decompose_degree_one(f, catalog):
     # f as the degree-1 piece of a graded character that is zero in degree 0
-    graded = GradedCharacter(f.group, [(0, v) for v in f.values])
+    graded = GradedCharacter(f.group, [(0, *trace) for trace in f.traces])
     return decompose_graded(graded, catalog)
 
 
@@ -199,11 +236,10 @@ def test_decompose_rejects_functions_outside_the_span(entry, message):
     # twice on Z2.  Each multiplicity is a nonnegative integer, so only the
     # reassembly check can see that the parts do not give f back
     group = FiniteGroup(("e", "s"), (1, 1))
-    trivial = ClassFunction.trivial(group)
-    doubled = IrreducibleCatalog(group, ("1", "again"), (trivial, trivial))
+    doubled = IrreducibleCatalog(group, ("1", "again"), [((1, 1), (1, 1))])
     for values in ((2, 0), (1, 1)):
         with pytest.raises(NotACharacter) as caught:
-            entry(ClassFunction(group, values), doubled)
+            entry(class_function(group, values), doubled)
         assert str(caught.value) == message
 
 
@@ -213,16 +249,13 @@ def test_product_decompose_rejects_functions_outside_the_span(entry, message):
     # nonnegative integer and the parts give 2f back, not f: the
     # reassembly runs over both factor axes
     z2 = FiniteGroup(("e", "s"), (1, 1))
-    trivial = ClassFunction.trivial(z2)
-    doubled = IrreducibleCatalog(z2, ("1", "again"), (trivial, trivial))
-    true = IrreducibleCatalog(
-        z2, ("1", "sign"), (trivial, ClassFunction(z2, (1, -1)))
-    )
+    doubled = IrreducibleCatalog(z2, ("1", "again"), [((1, 1), (1, 1))])
+    true = IrreducibleCatalog(z2, ("1", "sign"), [((1, 1), (1, -1))])
     group = FiniteGroup(tuple(product(z2.classes, repeat=2)), (1,) * 4)
     catalog = IrreducibleCatalog.product(group, (doubled, true))
     for values in ((4, 0, 0, 0), (2, 2, 0, 0), (2, 0, 2, 0)):
         with pytest.raises(NotACharacter) as caught:
-            entry(ClassFunction(group, values), catalog)
+            entry(class_function(group, values), catalog)
         assert str(caught.value) == message
 
 
@@ -247,7 +280,7 @@ def test_graded_decompose_returns_the_drawn_multiplicities(tags, data):
     odd = data.draw(st.integers(0, width - 1))
     mults[n][odd] = 2 * mults[n][odd] + 1
     traces = [
-        [sum(m * char.values[c] for m, char in zip(row, chars)) for row in mults]
+        [sum(m * char[c] for m, char in zip(row, chars)) for row in mults]
         for c in range(width)
     ]
     expected = [tuple(pair for pair in zip(labels, row) if pair[1]) for row in mults]

@@ -152,6 +152,14 @@ class TestStability:
             with pytest.raises(TypeError, match="must be integers"):
                 stable_bound("u", degree, k)
 
+    def test_non_string_family_is_a_type_error(self):
+        for family in (1, None, b"u"):
+            with pytest.raises(TypeError) as caught:
+                stable_bound(family, 2, 3)
+            assert str(caught.value) == (
+                f"family must be a string, not {family!r}"
+            )
+
     def test_family_case_insensitive(self):
         assert stable_bound("SP", 3, 2) == 5
 

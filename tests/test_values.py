@@ -18,7 +18,7 @@ from confab import conf_ab_table, datum, stable_bound
 from confab.cli import Document
 from confab.exact import QMatrix, as_trimmed_tuple
 from confab.freegroup import InvariantViolation, h1_f2
-from confab.groups import ClassFunction, FiniteGroup
+from confab.groups import FiniteGroup
 from confab.rings import RingPresentation
 from confab.tables import CohomologyTable, TableRow
 from confab.torusconf import circle_conf, su2_conf
@@ -51,7 +51,6 @@ def verify_check():
 FACTORIES = {
     "QMatrix": lambda: QMatrix(2, 2, (1, 0, Fraction(4, 2), 1)),
     "FiniteGroup": z2,
-    "ClassFunction": lambda: ClassFunction(z2(), (1, -1)),
     "LieFactor": lambda: symplectic(2),
     "GradedCharacter": lambda: GradedCharacter(z2(), ((1, 1), (1, -1))),
     "RingPresentation": lambda: RingPresentation(
@@ -129,8 +128,6 @@ REJECTED = [
     ("float coefficient", lambda: as_trimmed_tuple((1, 0.5)), TypeError),
     ("no classes", lambda: FiniteGroup((), ()), ValueError),
     ("identity first", lambda: FiniteGroup(("s", "e"), (2, 1)), ValueError),
-    ("value count", lambda: ClassFunction(z2(), (1,)), ValueError),
-    ("float value", lambda: ClassFunction(z2(), (1, 0.5)), TypeError),
     (
         "degree count",
         lambda: with_datum(unitary(2), "U2", (2,), 1),
