@@ -18,7 +18,7 @@ from confab import conf_ab_table, datum, stable_bound
 from confab.cli import Document
 from confab.exact import QMatrix, as_trimmed_tuple
 from confab.freegroup import InvariantViolation, h1_f2
-from confab.groups import FiniteGroup
+from confab.groups import FiniteGroup, IrreducibleCatalog
 from confab.rings import RingPresentation
 from confab.tables import CohomologyTable, TableRow
 from confab.torusconf import circle_conf, su2_conf
@@ -128,6 +128,17 @@ REJECTED = [
     ("float coefficient", lambda: as_trimmed_tuple((1, 0.5)), TypeError),
     ("no classes", lambda: FiniteGroup((), ()), ValueError),
     ("identity first", lambda: FiniteGroup(("s", "e"), (2, 1)), ValueError),
+    # a class function's values are a catalog's value row
+    (
+        "value count",
+        lambda: IrreducibleCatalog(z2(), ("1", "σ"), [((1, 1), (1,))]),
+        ValueError,
+    ),
+    (
+        "float value",
+        lambda: IrreducibleCatalog(z2(), ("1", "σ"), [((1, 1), (1, 0.5))]),
+        TypeError,
+    ),
     (
         "degree count",
         lambda: with_datum(unitary(2), "U2", (2,), 1),
