@@ -20,8 +20,8 @@ datum is corrupt rather than a numerical artifact.
 division of coefficient sequences.  Dividing by a leading coefficient of 1
 or -1, as every Molien divisor has, skips ``exact_div``.
 
-Matrices act on column vectors: ``m.apply(v)`` is ``m @ v``, and composition
-``a.mul(b)`` means "apply ``b`` first".
+Matrices act on column vectors: ``m.apply(v)`` is the product of ``m`` with
+the column ``v``, and composition ``a.mul(b)`` means "apply ``b`` first".
 """
 
 from __future__ import annotations
@@ -56,6 +56,14 @@ def as_exact(value) -> int | Fraction:
         raise TypeError(f"not an exact rational: {value!r}")
     value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
+
+
+def whole_number(name: str, value) -> int:
+    """``value`` when it is an ``int``; a ``bool`` or anything else raises
+    TypeError naming the argument ``name``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    return value
 
 
 def exact_div(a, b) -> int | Fraction:
@@ -214,9 +222,6 @@ class QMatrix:
                 )
         return QMatrix(self.rows, other.cols, tuple(out))
 
-    def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        return self.mul(other)
-
     def sub(self, other: "QMatrix") -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
@@ -256,12 +261,10 @@ class QMatrix:
 
 def _eliminate(
     matrix: QMatrix,
-) -> tuple[list[list[int | Fraction]], list[int], int | Fraction]:
-    # Gauss-Jordan elimination; returns the reduced rows, the pivot columns
-    # and the product of the pivots, negated once per row swap
+) -> tuple[list[list[int | Fraction]], list[int]]:
+    # Gauss-Jordan elimination; returns the reduced rows and the pivot columns
     rows = matrix.to_rows()
     pivots: list[int] = []
-    scale = 1
     r = 0
     for col in range(matrix.cols):
         pivot_row = None
@@ -273,9 +276,7 @@ def _eliminate(
             continue
         if pivot_row != r:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            scale = -scale
         lead = rows[r][col]
-        scale *= lead
         rows[r] = [exact_div(e, lead) for e in rows[r]]
         for i in range(matrix.rows):
             if i != r and rows[i][col] != 0:
@@ -285,7 +286,7 @@ def _eliminate(
         r += 1
         if r == matrix.rows:
             break
-    return rows, pivots, scale
+    return rows, pivots
 
 
 def rref(matrix: QMatrix) -> QMatrix:
@@ -294,14 +295,6 @@ def rref(matrix: QMatrix) -> QMatrix:
 
 def rank(matrix: QMatrix) -> int:
     return len(_eliminate(matrix)[1])
-
-
-def det(matrix: QMatrix) -> int | Fraction:
-    """The product of the pivots, signed by the row swaps; 0 if singular."""
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant of a non-square matrix")
-    _, pivots, scale = _eliminate(matrix)
-    return as_exact(scale) if len(pivots) == matrix.cols else 0
 
 
 def inverse(matrix: QMatrix) -> QMatrix:
@@ -314,7 +307,7 @@ def inverse(matrix: QMatrix) -> QMatrix:
             for i in range(n)
         ]
     )
-    rows, pivots, _ = _eliminate(augmented)
+    rows, pivots = _eliminate(augmented)
     if len(pivots) < n or pivots[:n] != list(range(n)):
         raise Singular("matrix is not invertible")
     return QMatrix.from_rows([row[n:] for row in rows[:n]])
@@ -325,33 +318,23 @@ def char_matrix_poly(
 ) -> tuple[int | Fraction, ...]:
     """Coefficients of det(I + sign*t*g) in t, low degree first, trimmed.
 
-    Evaluated exactly at t = 0..n and recovered by Newton interpolation,
-    reusing the determinant kernel; degree is at most n so n+1 nodes pin the
-    polynomial.
+    Faddeev-LeVerrier, with no determinant: from M_1 = I, each step takes
+    c_k = -tr(g M_k) / k and M_(k+1) = g M_k + c_k I, so that
+    det(x I - g) = sum_k c_k x^(n-k) and the t^k coefficient is
+    (-sign)^k c_k.  Integer matrices stay in ints throughout.
     """
     if matrix.rows != matrix.cols:
         raise ValueError("characteristic data of a non-square matrix")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     n = matrix.rows
-    if n == 0:
-        return (1,)
-    nodes = range(n + 1)
-    eye, values = QMatrix.identity(n).entries, []
-    for t in nodes:
-        shifted = [e + sign * t * g for e, g in zip(eye, matrix.entries)]
-        values.append(det(QMatrix(n, n, shifted)))
-    # Newton divided differences, then expansion into monomial coefficients.
-    coeffs = list(values)
-    for level in range(1, n + 1):
-        for i in range(n, level - 1, -1):
-            coeffs[i] = exact_div(
-                coeffs[i] - coeffs[i - 1], nodes[i] - nodes[i - level]
-            )
-    poly, basis = [0] * (n + 1), [1]
-    for i in range(n + 1):
-        for j, b in enumerate(basis):
-            poly[j] += coeffs[i] * b
-        basis = poly_mul(basis, (-nodes[i], 1))
-    return as_trimmed_tuple(poly)
-
+    eye = QMatrix.identity(n)
+    coeffs, power = [1], eye
+    for k in range(1, n + 1):
+        product = matrix.mul(power)
+        c = exact_div(-product.trace(), k)
+        coeffs.append((-sign) ** k * c)
+        power = QMatrix(
+            n, n, [p + c * e for p, e in zip(product.entries, eye.entries)]
+        )
+    return as_trimmed_tuple(coeffs)

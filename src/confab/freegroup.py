@@ -125,7 +125,7 @@ def quotient_trace(
 
 
 def h1_f2(
-    a_action: QMatrix, b_action: QMatrix, involution: QMatrix | None = None
+    a_action: QMatrix, b_action: QMatrix, involution: QMatrix
 ) -> tuple[int, int | Fraction]:
     """Dimension of H^1(F_2; M) and the trace ``involution`` induces on it.
 
@@ -133,8 +133,7 @@ def h1_f2(
     of Q^2n, its values on the two generators; the relations are the
     coboundaries ((A - 1)m, (B - 1)m), the columns of A - 1 over B - 1.  An
     involution squares to 1, intertwines (alpha A = B alpha) and acts by
-    swapping the two slots, applying alpha to each; without one the trace
-    is that of the identity, the dimension.
+    swapping the two slots, applying alpha to each.
     """
     n = a_action.rows
     for name, m in (("A", a_action), ("B", b_action)):
@@ -146,20 +145,17 @@ def h1_f2(
     shifts = QMatrix.from_rows(
         a_action.sub(eye).to_rows() + b_action.sub(eye).to_rows()
     )
-    if involution is None:
-        operator = QMatrix.identity(2 * n)
-    else:
-        if involution.rows != n or involution.cols != n:
-            raise InvariantViolation("involution size mismatch")
-        if involution.mul(involution) != eye:
-            raise InvariantViolation("involution does not square to 1")
-        if involution.mul(a_action) != b_action.mul(involution):
-            raise InvariantViolation(
-                "involution does not intertwine the generator actions"
-            )
-        zeros = [0] * n
-        operator = QMatrix.from_rows(
-            [zeros + list(involution.row(i)) for i in range(n)]
-            + [list(involution.row(i)) + zeros for i in range(n)]
+    if involution.rows != n or involution.cols != n:
+        raise InvariantViolation("involution size mismatch")
+    if involution.mul(involution) != eye:
+        raise InvariantViolation("involution does not square to 1")
+    if involution.mul(a_action) != b_action.mul(involution):
+        raise InvariantViolation(
+            "involution does not intertwine the generator actions"
         )
+    zeros = [0] * n
+    operator = QMatrix.from_rows(
+        [zeros + list(involution.row(i)) for i in range(n)]
+        + [list(involution.row(i)) + zeros for i in range(n)]
+    )
     return quotient_trace(shifts.transpose().to_rows(), operator)

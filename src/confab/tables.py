@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
+from .exact import whole_number
 from .groups import decompose_graded
 
 # eager although a k = 2 table never reads it: the benchmark's traced run
@@ -71,9 +72,7 @@ class CohomologyTable(NamedTuple):
 
 
 def _conf_character(d: WeylDatum, k: int) -> GradedCharacter:
-    if not isinstance(k, int):
-        raise TypeError(f"k must be an integer, not {k!r}")
-    if k == 2:
+    if whole_number("k", k) == 2:
         return conf2_torus(d)
     if k == 3:
         return conf3_torus_rank2(d)
@@ -134,9 +133,7 @@ def first_cohomology_dim(d: WeylDatum, k: int) -> int:
     Rank-1 data genuinely break the count: their configuration spaces fall
     into (k-1)! components and first cohomology grows accordingly.
     """
-    if not isinstance(k, int):
-        raise TypeError(f"k must be an integer, not {k!r}")
-    if k < 1:
+    if whole_number("k", k) < 1:
         raise ValueError("k must be at least 1")
     if d.rank < 2:
         raise RankTooSmall(
@@ -151,10 +148,8 @@ def _ceil_half(value: int) -> int:
 
 def stable_bound(family: str, degree: int, k: int) -> int:
     """A rank from which H^degree is guaranteed stable, for U, SU or Sp."""
-    if not isinstance(degree, int) or not isinstance(k, int):
-        raise TypeError(
-            f"degree and k must be integers, not {degree!r} and {k!r}"
-        )
+    whole_number("degree", degree)
+    whole_number("k", k)
     if not isinstance(family, str):
         raise TypeError(f"family must be a string, not {family!r}")
     family = family.lower()

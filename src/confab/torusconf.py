@@ -26,7 +26,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exact import inverse
+from .exact import inverse, whole_number
 from .weyl import (
     GradedCharacter,
     UnsupportedDatum,
@@ -155,7 +155,7 @@ MAX_K = 1559
 
 
 def circle_conf(k: int) -> CircleConfSummary:
-    if k < 2:
+    if whole_number("k", k) < 2:
         raise UnsupportedDatum("need at least two points on the circle")
     if k > MAX_K:
         raise UnsupportedDatum(f"k must be at most {MAX_K}")
@@ -187,7 +187,7 @@ class SU2ConfSummary(NamedTuple):
 
 
 def su2_conf(k: int) -> SU2ConfSummary:
-    if k < 1:
+    if whole_number("k", k) < 1:
         raise UnsupportedDatum("need at least one point")
     if k == 1:
         # the group itself

@@ -352,12 +352,12 @@ class WeylDatum:
     still support invariant dimensions, just not named decompositions.
     """
 
-    def __init__(self, factors: Sequence[LieFactor], tag: str | None = None):
+    def __init__(self, factors: Sequence[LieFactor]):
         factors = tuple(factors)
         if not factors:
             raise UnsupportedDatum("a datum needs at least one factor")
         self.factors = factors
-        self.tag = tag or "x".join(f.tag for f in factors)
+        self.tag = "x".join(f.tag for f in factors)
         self.rank = sum(f.rank for f in factors)
         self.pi1_rank = sum(f.pi1_rank for f in factors)
         _check_class_count(

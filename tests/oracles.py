@@ -19,7 +19,10 @@ Polynomials are coefficient tuples, low degree first and trimmed, as in
 confab; the graded traces are rebuilt here by schoolbook multiplication and
 by long division with ``exact_div`` on every coefficient, without confab's
 ``poly_mul`` and ``poly_div``, and ``poly_text`` writes a polynomial out as
-confab's ``NonZeroRemainder`` message does.
+confab's ``NonZeroRemainder`` message does.  confab takes no determinant:
+``det`` is a forward-only elimination, and ``det_char_poly`` recovers
+det(I + sign*t*g) from its values at t = 0..n by Newton interpolation, the
+reference for confab's determinant-free ``char_matrix_poly``.
 """
 
 from collections import Counter
@@ -30,6 +33,7 @@ from math import factorial, prod
 from confab.exact import (
     NonZeroRemainder,
     QMatrix,
+    as_exact,
     exact_div,
     rank,
     rref,
@@ -53,12 +57,61 @@ def kernel_basis(matrix: QMatrix) -> list[tuple]:
     return basis
 
 
-def fixed_space_dim(a: QMatrix, b: QMatrix) -> int:
-    """Dimension of the simultaneous fixed space of two actions on Q^n."""
-    n = a.rows
+def fixed_space_dim(*actions: QMatrix) -> int:
+    """Dimension of the simultaneous fixed space of actions on Q^n."""
+    n = actions[0].rows
     eye = QMatrix.identity(n)
-    stacked = QMatrix.from_rows(a.sub(eye).to_rows() + b.sub(eye).to_rows())
-    return n - rank(stacked)
+    stacked = [row for m in actions for row in m.sub(eye).to_rows()]
+    return n - rank(QMatrix.from_rows(stacked))
+
+
+def det(matrix: QMatrix):
+    """The product of the pivots of a forward elimination, negated once per
+    row swap; 0 if singular."""
+    if matrix.rows != matrix.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = matrix.rows
+    rows = matrix.to_rows()
+    result = 1
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if rows[i][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            result = -result
+        lead = rows[col][col]
+        result *= lead
+        for i in range(col + 1, n):
+            if rows[i][col] != 0:
+                factor = exact_div(rows[i][col], lead)
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
+    return as_exact(result)
+
+
+def det_char_poly(matrix: QMatrix, sign: int = 1) -> tuple:
+    """det(I + sign*t*g) in t, trimmed, from ``det`` at t = 0..n.
+
+    The degree is at most n, so n + 1 values pin the polynomial; Newton's
+    divided differences give it in the basis t(t - 1)...(t - i + 1), which
+    is then expanded into monomials.
+    """
+    n = matrix.rows
+    eye = QMatrix.identity(n).entries
+    shifted = (
+        QMatrix(n, n, [e + sign * t * g for e, g in zip(eye, matrix.entries)])
+        for t in range(n + 1)
+    )
+    coeffs = [det(m) for m in shifted]
+    for level in range(1, n + 1):
+        for i in range(n, level - 1, -1):
+            coeffs[i] = exact_div(coeffs[i] - coeffs[i - 1], level)
+    poly, basis = [0] * (n + 1), (1,)
+    for i, c in enumerate(coeffs):
+        for j, b in enumerate(basis):
+            poly[j] += c * b
+        basis = poly_product(basis, (-i, 1))
+    return trimmed(poly)
 
 
 def values(f) -> tuple:

@@ -13,7 +13,6 @@ from confab.exact import (
     as_exact,
     as_trimmed_tuple,
     char_matrix_poly,
-    det,
     exact_div,
     inverse,
     poly_div,
@@ -21,7 +20,7 @@ from confab.exact import (
     rank,
     rref,
 )
-from oracles import kernel_basis, poly_product
+from oracles import det, det_char_poly, kernel_basis, poly_product
 
 
 def cofactor_det(matrix):
@@ -49,10 +48,10 @@ def cofactor_det(matrix):
 entries = st.integers(min_value=-4, max_value=4).map(Fraction)
 
 
-def square_matrices(max_size=4):
-    return st.integers(min_value=1, max_value=max_size).flatmap(
+def square_matrices(max_size=4, values=entries, min_size=1):
+    return st.integers(min_value=min_size, max_value=max_size).flatmap(
         lambda n: st.lists(
-            st.lists(entries, min_size=n, max_size=n),
+            st.lists(values, min_size=n, max_size=n),
             min_size=n,
             max_size=n,
         ).map(QMatrix.from_rows)
@@ -70,6 +69,16 @@ def rect_matrices(max_size=5):
             max_size=shape[0],
         ).map(QMatrix.from_rows)
     )
+
+
+# ints and non-integral fractions up to 6 x 6, the empty matrix included,
+# for the determinant-free characteristic polynomial against the
+# determinant route
+char_poly_matrices = square_matrices(
+    6,
+    st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=6),
+    min_size=0,
+)
 
 
 small_polys = st.lists(entries, min_size=1, max_size=5).map(as_trimmed_tuple)
@@ -194,7 +203,7 @@ class TestElimination:
     def test_det_multiplicative(self, a, b):
         if a.rows != b.rows:
             return
-        assert det(a @ b) == det(a) * det(b)
+        assert det(a.mul(b)) == det(a) * det(b)
 
     @given(m=square_matrices())
     @settings(deadline=None)
@@ -212,7 +221,7 @@ class TestElimination:
             with pytest.raises(Singular):
                 inverse(m)
             return
-        assert m @ inverse(m) == QMatrix.identity(m.rows)
+        assert m.mul(inverse(m)) == QMatrix.identity(m.rows)
 
 
 class TestCharMatrixPoly:
@@ -242,7 +251,27 @@ class TestCharMatrixPoly:
         ]
         assert sum(p) == det(QMatrix.from_rows(shifted))
 
-    def test_top_coefficient_is_det(self):
-        m = QMatrix.from_rows([[1, 2], [3, 4]])
-        assert char_matrix_poly(m)[2] == det(m)
+    @given(m=char_poly_matrices, sign=st.sampled_from((1, -1)))
+    @settings(deadline=None)
+    def test_top_coefficient_is_det(self, m, sign):
+        # the t^n coefficient of det(I + sign*t*g) is sign^n det(g)
+        n = m.rows
+        padded = char_matrix_poly(m, sign) + (0,) * (n + 1)
+        assert padded[n] == sign**n * det(m)
+
+    @given(m=char_poly_matrices, sign=st.sampled_from((1, -1)))
+    @settings(deadline=None)
+    def test_matches_newton_over_det(self, m, sign):
+        p = char_matrix_poly(m, sign)
+        assert p == det_char_poly(m, sign)
+        assert all(stored_exactly(c) for c in p)
+
+    def test_empty_matrix(self):
+        assert char_matrix_poly(QMatrix(0, 0, ())) == (1,)
+
+    def test_checks(self):
+        with pytest.raises(ValueError, match="non-square"):
+            char_matrix_poly(QMatrix(1, 2, (1, 2)))
+        with pytest.raises(ValueError, match="sign"):
+            char_matrix_poly(QMatrix.identity(2), sign=2)
 

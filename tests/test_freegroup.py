@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confab.exact import QMatrix, det, inverse
+from confab.exact import QMatrix, inverse
 from confab.freegroup import (
     InvariantViolation,
     MalformedWord,
@@ -16,7 +16,7 @@ from confab.freegroup import (
     parse_word,
     quotient_trace,
 )
-from oracles import fixed_space_dim
+from oracles import det, fixed_space_dim
 
 
 class TestWords:
@@ -89,22 +89,25 @@ class TestModules:
             h1_f2(a, b, swap)
 
     def test_trivial_module(self):
-        # trivial action: every map is a cocycle, none is a coboundary
+        # trivial action: every map is a cocycle, none is a coboundary; with
+        # alpha = 1 the involution only swaps the two slots, trace 0
         eye = QMatrix.identity(3)
-        assert h1_f2(eye, eye) == (6, 6)
+        assert h1_f2(eye, eye, eye) == (6, 0)
         assert fixed_space_dim(eye, eye) == 3
 
     def test_euler_identity_on_trivial_module(self):
         eye = QMatrix.identity(4)
-        dim, _ = h1_f2(eye, eye)
+        dim, _ = h1_f2(eye, eye, eye)
         assert dim == eye.rows + fixed_space_dim(eye, eye)
 
-    def test_without_an_involution_the_trace_is_the_dimension(self):
-        # the identity preserves every span; a slot swap with alpha = 1
-        # would not preserve this one
+    def test_trace_on_a_non_trivial_module(self):
+        # alpha = diag(1, -1) turns the shear A into B = alpha A alpha; the
+        # fixed space is the first axis, so H^1 has dimension 2 + 1, and the
+        # trace is tr(alpha | fixed space) - tr(alpha) = 1 - 0
         a = QMatrix.from_rows([[1, 1], [0, 1]])
-        b = QMatrix.identity(2)
-        assert h1_f2(a, b) == (3, 3)
+        alpha = QMatrix.from_rows([[1, 0], [0, -1]])
+        b = QMatrix.from_rows([[1, -1], [0, 1]])
+        assert h1_f2(a, b, alpha) == (3, 1)
 
     def test_swap_trace_on_a_swap_module(self):
         # A = B = 1 and alpha the coordinate swap: H^1 = Q^2 + Q^2 and the
@@ -123,18 +126,39 @@ def invertible_matrices(n):
     ).map(QMatrix.from_rows).filter(lambda m: det(m) != 0)
 
 
+def involutions(n):
+    """C D C^-1 for an invertible C and a diagonal D of signs: every
+    involution of Q^n."""
+
+    def conjugate(drawn):
+        c, signs = drawn
+        d = [signs[i] if i == j else 0 for i in range(n) for j in range(n)]
+        return c.mul(QMatrix(n, n, d)).mul(inverse(c))
+
+    signs = st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
+    return st.tuples(invertible_matrices(n), signs).map(conjugate)
+
+
 @given(
     data=st.integers(min_value=1, max_value=3).flatmap(
-        lambda n: st.tuples(invertible_matrices(n), invertible_matrices(n))
+        lambda n: st.tuples(invertible_matrices(n), involutions(n))
     )
 )
 @settings(deadline=None, max_examples=40)
 def test_euler_identity(data):
-    # dim H^1 = dim M + dim M^{F_2} for any module over the free group
-    a, b = data
-    dim, trace = h1_f2(a, b)
-    assert dim == a.rows + fixed_space_dim(a, b)
-    assert trace == dim
+    # dim H^1 = dim M + dim M^{F_2} for any module over the free group.  The
+    # slot swap has trace 0 on M + M and acts on the coboundaries as alpha
+    # on M / M^{F_2}, so its trace on H^1 is tr(alpha | M^{F_2}) - tr(alpha);
+    # alpha is diagonalizable with eigenvalues 1 and -1, so each trace is
+    # twice a fixed dimension minus the whole
+    a, alpha = data
+    b = alpha.mul(a).mul(alpha)
+    n = a.rows
+    fixed = fixed_space_dim(a, b)
+    dim, trace = h1_f2(a, b, alpha)
+    assert dim == n + fixed
+    on_fixed = 2 * fixed_space_dim(a, b, alpha) - fixed
+    assert trace == on_fixed - (2 * fixed_space_dim(alpha) - n)
 
 
 def grids(rows, cols):

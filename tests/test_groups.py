@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from confab.exact import QMatrix, char_matrix_poly, det
+from confab.exact import QMatrix, char_matrix_poly
 from confab.groups import (
     FiniteGroup,
     IrreducibleCatalog,
@@ -36,6 +36,7 @@ from confab.weyl import (
 from oracles import (
     characters,
     class_function,
+    det,
     class_product,
     factor_class_indices,
     flat_decompose,
@@ -62,7 +63,7 @@ def close_group(generators, dimension):
         current = elements[frontier]
         frontier += 1
         for g in generators:
-            product = current @ g
+            product = current.mul(g)
             if product not in seen:
                 seen.add(product)
                 elements.append(product)
@@ -72,7 +73,7 @@ def close_group(generators, dimension):
 def inverses(elements):
     identity = elements[0]
     return [
-        next(j for j, y in enumerate(elements) if x @ y == identity)
+        next(j for j, y in enumerate(elements) if x.mul(y) == identity)
         for x in elements
     ]
 
@@ -86,7 +87,10 @@ def conjugacy_classes(elements):
         if i in seen:
             continue
         orbit = sorted(
-            {index[g @ x @ elements[inv[k]]] for k, g in enumerate(elements)}
+            {
+                index[g.mul(x).mul(elements[inv[k]])]
+                for k, g in enumerate(elements)
+            }
         )
         seen.update(orbit)
         classes.append(orbit)
@@ -240,7 +244,7 @@ class TestClosure:
     def test_inverses(self):
         elements = close_group([SWAP, FLIP], 2)
         for i, inv in enumerate(inverses(elements)):
-            assert elements[i] @ elements[inv] == QMatrix.identity(2)
+            assert elements[i].mul(elements[inv]) == QMatrix.identity(2)
 
 
 # one bad table per refusal, each with the message it raises; a product

@@ -74,8 +74,9 @@ class TestTables:
             conf_ab_table(datum("U2"), 4)
         with pytest.raises(UnsupportedDatum):
             conf_ab_table(datum("Sp2"), 3)
-        # 2.0 would otherwise give a table whose k is the float 2.0
-        for k in (2.0, "2"):
+        # 2.0 would otherwise give a table whose k is the float 2.0, and True
+        # would read as k = 1
+        for k in (2.0, "2", True):
             message = f"^k must be an integer, not {re.escape(repr(k))}$"
             for route in (conf_ab_table, shortcut_dims):
                 with pytest.raises(TypeError, match=message):
@@ -114,9 +115,12 @@ class TestFirstCohomology:
                 first_cohomology_dim(datum(tag), 3)
 
     def test_non_integer_k_is_a_type_error(self):
-        # k = 2.5 would otherwise give the float 2.5
-        with pytest.raises(TypeError, match="^k must be an integer, not 2.5$"):
-            first_cohomology_dim(datum("U3"), 2.5)
+        # k = 2.5 would otherwise give the float 2.5, and True the count 1
+        for k in (2.5, True):
+            with pytest.raises(
+                TypeError, match=f"^k must be an integer, not {k!r}$"
+            ):
+                first_cohomology_dim(datum("U3"), k)
 
 
 class TestStability:
@@ -147,9 +151,15 @@ class TestStability:
             stable_bound("u", 1, 0)
 
     def test_non_integer_degree_or_k_is_a_type_error(self):
-        # degree = 2.5 would otherwise give the float 4.5
-        for degree, k in ((2.5, 2), (2, 2.0)):
-            with pytest.raises(TypeError, match="must be integers"):
+        # degree = 2.5 would otherwise give the float 4.5, and True would
+        # read as 1
+        for degree, k, message in (
+            (2.5, 2, "degree must be an integer, not 2.5"),
+            (True, 2, "degree must be an integer, not True"),
+            (2, 2.0, "k must be an integer, not 2.0"),
+            (2, False, "k must be an integer, not False"),
+        ):
+            with pytest.raises(TypeError, match=f"^{message}$"):
                 stable_bound("u", degree, k)
 
     def test_non_string_family_is_a_type_error(self):
@@ -278,7 +288,7 @@ def corrupt_symplectic_datum():
     """Degrees (1, 8) multiply to the group order but are not fundamental."""
     sp2 = symplectic(2)
     factor = LieFactor("Sp2", (1, 8), 0, sp2.group, sp2.charpolys)
-    return WeylDatum((factor,), tag="Sp2")
+    return WeylDatum((factor,))
 
 
 def override_data(monkeypatch, data):
@@ -408,7 +418,7 @@ class TestVerify:
         # computed table has no first cohomology
         su3 = special_unitary(3)
         fake = WeylDatum(
-            (LieFactor("U2", (2, 3), 1, su3.group, su3.charpolys),), tag="U2"
+            (LieFactor("U2", (2, 3), 1, su3.group, su3.charpolys),)
         )
         override_data(monkeypatch, {"U2": fake})
         for convention in ("derived", "paper"):

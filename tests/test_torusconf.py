@@ -40,8 +40,8 @@ class TestMonodromy:
         a_h = abelianized_matrix(FIBER_GENERATORS, MONODROMY_H)
         a_v = abelianized_matrix(FIBER_GENERATORS, MONODROMY_V)
         alpha = abelianized_matrix(FIBER_GENERATORS, ALPHA_FIBER)
-        assert alpha @ alpha == QMatrix.identity(3)
-        assert alpha @ a_h == a_v @ alpha
+        assert alpha.mul(alpha) == QMatrix.identity(3)
+        assert alpha.mul(a_h) == a_v.mul(alpha)
 
     def test_top_cohomology_of_punctured_pairs(self):
         # H^1 of the free group on the base loops, dual coefficients

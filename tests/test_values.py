@@ -10,6 +10,7 @@ import ast
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,12 @@ from confab.exact import QMatrix, as_trimmed_tuple
 from confab.freegroup import InvariantViolation, h1_f2
 from confab.groups import FiniteGroup, IrreducibleCatalog
 from confab.rings import RingPresentation
-from confab.tables import CohomologyTable, TableRow
+from confab.tables import (
+    CohomologyTable,
+    TableRow,
+    first_cohomology_dim,
+    shortcut_dims,
+)
 from confab.torusconf import circle_conf, su2_conf
 from confab.verify import VerifyCheck, VerifyReport
 from confab.weyl import (
@@ -121,6 +127,21 @@ def test_construction_normalises_fields():
 
 EYE2 = QMatrix.identity(2)
 
+# every argument that must be a whole number, by route; a bool is an int to
+# Python but not a count to confab
+WHOLE_NUMBER_ROUTES = {
+    "stable_bound degree": lambda value: stable_bound("u", value, 2),
+    "stable_bound k": lambda value: stable_bound("u", 2, value),
+    "conf_ab_table k": lambda value: conf_ab_table(datum("U2"), value),
+    "shortcut_dims k": lambda value: shortcut_dims(datum("U2"), value),
+    "first_cohomology_dim k": lambda value: first_cohomology_dim(
+        datum("U2"), value
+    ),
+    "circle_conf k": circle_conf,
+    "su2_conf k": su2_conf,
+}
+NOT_WHOLE_NUMBERS = (True, False, 2.0)
+
 REJECTED = [
     ("negative dimensions", lambda: QMatrix(-1, 0, ()), ValueError),
     ("entry count", lambda: QMatrix(2, 2, (1, 2, 3)), ValueError),
@@ -176,16 +197,21 @@ REJECTED = [
         ValueError,
     ),
     ("family", lambda: stable_bound("g2", 1, 2), ValueError),
+    *(
+        (f"{name} {value!r}", partial(route, value), TypeError)
+        for name, route in WHOLE_NUMBER_ROUTES.items()
+        for value in NOT_WHOLE_NUMBERS
+    ),
     ("degree", lambda: stable_bound("u", -1, 2), ValueError),
     ("k", lambda: stable_bound("u", 1, 0), ValueError),
     (
         "action sizes",
-        lambda: h1_f2(EYE2, QMatrix.identity(3)),
+        lambda: h1_f2(EYE2, QMatrix.identity(3), EYE2),
         InvariantViolation,
     ),
     (
         "singular action",
-        lambda: h1_f2(EYE2, QMatrix(2, 2, (0,) * 4)),
+        lambda: h1_f2(EYE2, QMatrix(2, 2, (0,) * 4), EYE2),
         InvariantViolation,
     ),
     (
