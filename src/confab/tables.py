@@ -308,8 +308,8 @@ def verify_all(convention: str = "derived") -> VerifyReport:
     Each check is a (name, expected, compute) row; one loop runs them and
     turns a raised exception into a FAIL line naming the error.  Within one
     report the checks share each table (by tag, k and convention) and the
-    characters behind the ``conf2-torus``, ``flag`` and ``conf2-total-dims``
-    lines; every datum comes from the cache that ``datum`` keeps.
+    characters behind the ``conf2-torus`` and ``conf2-total-dims`` lines;
+    every datum comes from the cache that ``datum`` keeps.
     """
     # imported on first use: only a verification runs the suite, and without
     # a bytecode cache every other command would pay to compile it

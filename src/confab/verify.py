@@ -1,12 +1,12 @@
 """The verification suite behind ``confab.verify_all`` and ``confab verify``.
 
-``REFERENCE_*`` constants pin the expected answers; ``report`` recomputes
-everything from scratch and reports one PASS/FAIL/WARN line per comparison.
-It is a table of checks, each a name, an expected value (a pin, or a second
-computation) and a computation, run by one loop.  Within one report the
-checks share each table, keyed by tag, k and convention, and the characters
-behind the ``conf2-torus``, ``flag`` and ``conf2-total-dims`` lines; the table
-and shortcut routes build their own characters.
+``REFERENCE_*`` constants pin the expected answers, Table 1's as the text the
+report prints; ``report`` recomputes everything from scratch and reports one
+PASS/FAIL/WARN line per comparison.  It is a table of checks, each a name, an
+expected value (a pin, or a second computation) and a computation, run by
+one loop.  Within one report the checks share each table, keyed by tag, k and
+convention, and the characters behind the ``conf2-torus`` and
+``conf2-total-dims`` lines; every other route builds its own characters.
 The single expected WARN records the one genuinely ambiguous convention: for
 the mixed product S1 x SU2 the carried-circle reading of the flag column
 disagrees with the direct coset computation, and the first-cohomology count
@@ -58,67 +58,26 @@ def _both(value):
     return {"derived": value, "paper": value}
 
 
-# pairwise-distinct commuting pairs in the torus, decomposed by degree
-_U2_CONF2 = (
-    (("1", 1),),
-    (("1", 2), ("σ", 2)),
-    (("1", 2), ("σ", 3)),
-    (("1", 1), ("σ", 1)),
-)
+# pairwise-distinct commuting pairs in the torus, decomposed by degree, and
+# the flag manifold's isotypic pieces by degree, each written as printed
 REFERENCE_CONF2_TORUS = {
-    "U2": _U2_CONF2,
-    "S1xSU2": _U2_CONF2,
-    "SU3": (
-        (("1", 1),),
-        (("std", 2),),
-        (("1", 1), ("std", 1), ("sgn", 2)),
-        (("std", 1),),
-    ),
-    "Sp2": (
-        (("1", 1),),
-        (("d", 2),),
-        (("1", 1), ("a", 1), ("b", 1), ("c", 2)),
-        (("d", 1),),
-    ),
+    "U2": "1; 2 ⊕ 2σ; 2 ⊕ 3σ; 1 ⊕ σ",
+    "S1xSU2": "1; 2 ⊕ 2σ; 2 ⊕ 3σ; 1 ⊕ σ",
+    "SU3": "1; 2std; 1 ⊕ std ⊕ 2sgn; std",
+    "Sp2": "1; 2d; 1 ⊕ a ⊕ b ⊕ 2c; d",
 }
 
 REFERENCE_FLAG = {
-    "U2": _both(((0, (("1", 1),)), (2, (("σ", 1),)))),
-    "S1xSU2": {
-        "derived": ((0, (("1", 1),)), (2, (("σ", 1),))),
-        "paper": (
-            (0, (("1", 1),)),
-            (1, (("1", 1),)),
-            (2, (("σ", 1),)),
-            (3, (("σ", 1),)),
-        ),
-    },
-    "SU3": _both(
-        (
-            (0, (("1", 1),)),
-            (2, (("std", 1),)),
-            (4, (("std", 1),)),
-            (6, (("sgn", 1),)),
-        )
-    ),
-    "Sp2": _both(
-        (
-            (0, (("1", 1),)),
-            (2, (("d", 1),)),
-            (4, (("a", 1), ("b", 1))),
-            (6, (("d", 1),)),
-            (8, (("c", 1),)),
-        )
-    ),
+    "U2": _both("0: 1; 2: σ"),
+    "S1xSU2": {"derived": "0: 1; 2: σ", "paper": "0: 1; 1: 1; 2: σ; 3: σ"},
+    "SU3": _both("0: 1; 2: std; 4: std; 6: sgn"),
+    "Sp2": _both("0: 1; 2: d; 4: a ⊕ b; 6: d; 8: c"),
 }
 
 REFERENCE_TABLE2 = {
     "S1xS1": _both((1, 4, 5, 2)),
     "U2": _both((1, 2, 2, 3, 3, 1)),
-    "S1xSU2": {
-        "derived": (1, 2, 2, 3, 3, 1),
-        "paper": (1, 3, 4, 5, 6, 4, 1),
-    },
+    "S1xSU2": {"derived": (1, 2, 2, 3, 3, 1), "paper": (1, 3, 4, 5, 6, 4, 1)},
     "SU3": _both((1, 0, 1, 2, 1, 3, 1, 1, 2)),
     "Sp2": _both((1, 0, 1, 2, 0, 1, 2, 2, 0, 1, 2)),
 }
@@ -127,10 +86,7 @@ REFERENCE_CONF3_U2 = (1, 3, 7, 10, 9, 7, 3)
 
 REFERENCE_UNORDERED = {
     "U2": _both((1, 1, 0, 1, 1, 0)),
-    "S1xSU2": {
-        "derived": (1, 1, 0, 1, 1, 0),
-        "paper": (1, 2, 1, 1, 2, 1, 0),
-    },
+    "S1xSU2": {"derived": (1, 1, 0, 1, 1, 0), "paper": (1, 2, 1, 1, 2, 1, 0)},
 }
 
 
@@ -150,27 +106,8 @@ class VerifyReport(NamedTuple):
         return all(check.status != "FAIL" for check in self.checks)
 
     def counts(self) -> tuple[int, int, int]:
-        passed = sum(1 for c in self.checks if c.status == "PASS")
-        failed = sum(1 for c in self.checks if c.status == "FAIL")
-        warned = sum(1 for c in self.checks if c.status == "WARN")
-        return passed, failed, warned
-
-
-def _conf2_text(parts_by_degree) -> str:
-    return "; ".join(format_decomposition(parts) for parts in parts_by_degree)
-
-
-def _flag_text(parts_by_degree) -> str:
-    return "; ".join(
-        f"{degree}: {format_decomposition(parts)}"
-        for degree, parts in parts_by_degree
-    )
-
-
-def _pad(dims, length) -> tuple[int, ...]:
-    # a shorter answer is padded with zeros; a longer one is kept whole, so
-    # an extra degree shows up as a mismatch
-    return tuple(dims) + (0,) * (length - len(dims))
+        statuses = [check.status for check in self.checks]
+        return tuple(statuses.count(s) for s in ("PASS", "FAIL", "WARN"))
 
 
 # each pair-ring generator written inside the pre-invariant model ring as
@@ -265,36 +202,36 @@ def report(convention: str) -> VerifyReport:
 
     Every check reads its datum through ``datum``, which caches each group
     for the process.  The tables, keyed by tag, k and convention, and the
-    characters behind the ``conf2-torus``, ``flag`` and ``conf2-total-dims``
-    lines are cached here for one report; ``conf_ab_table`` and
+    characters behind the ``conf2-torus`` and ``conf2-total-dims`` lines are
+    cached here for one report; each ``flag`` line, ``conf_ab_table`` and
     ``shortcut_dims`` build their own characters.
     """
     check_convention(convention)
 
     @cache
-    def built(tag: str, k: int, table_convention: str) -> CohomologyTable:
+    def table(tag: str, k: int, table_convention: str) -> CohomologyTable:
         return conf_ab_table(datum(tag), k, table_convention)
-
-    def table(tag: str, k: int) -> CohomologyTable:
-        return built(tag, k, convention)
-
-    @cache
-    def flag(tag: str) -> GradedCharacter:
-        return flag_character(datum(tag), convention)
 
     @cache
     def conf2(tag: str) -> GradedCharacter:
         return conf2_torus(datum(tag))
 
     def conf2_text(tag: str) -> str:
-        return _conf2_text(decompose_graded(conf2(tag), datum(tag).catalog))
+        parts = decompose_graded(conf2(tag), datum(tag).catalog)
+        return "; ".join(map(format_decomposition, parts))
 
     def flag_text(tag: str) -> str:
-        parts = decompose_graded(flag(tag), datum(tag).catalog)
-        return _flag_text((deg, p) for deg, p in enumerate(parts) if p)
+        d = datum(tag)
+        parts = decompose_graded(flag_character(d, convention), d.catalog)
+        return "; ".join(
+            f"{n}: {format_decomposition(p)}" for n, p in enumerate(parts) if p
+        )
 
     def unordered(tag: str, dims) -> tuple[int, ...]:
-        return _pad(dims, len(REFERENCE_UNORDERED[tag][convention]))
+        # a shorter answer is padded with zeros; a longer one is kept whole,
+        # so an extra degree shows up as a mismatch
+        length = len(REFERENCE_UNORDERED[tag][convention])
+        return tuple(dims) + (0,) * (length - len(dims))
 
     def rank1_exception() -> str:
         try:
@@ -304,111 +241,125 @@ def report(convention: str) -> VerifyReport:
             raised = "RankTooSmall"
         return f"H1 = {circle_conf(4).betti[1]}; naive count = 4; {raised}"
 
-    checks = []
-    for tag in TABLE1_TAGS:
-        checks.append(
+    checks = [
+        *(
             (
                 f"conf2-torus-{tag}",
-                _conf2_text(REFERENCE_CONF2_TORUS[tag]),
+                REFERENCE_CONF2_TORUS[tag],
                 lambda tag=tag: conf2_text(tag),
             )
-        )
-    for tag in TABLE1_TAGS:
-        checks.append(
+            for tag in TABLE1_TAGS
+        ),
+        *(
             (
                 f"flag-{tag}",
-                _flag_text(REFERENCE_FLAG[tag][convention]),
+                REFERENCE_FLAG[tag][convention],
                 lambda tag=tag: flag_text(tag),
             )
-        )
-    checks.append(
+            for tag in TABLE1_TAGS
+        ),
         (
             "conf2-total-dims",
             (12, 12, 12, 12),
             lambda: tuple(conf2(tag).total_dim() for tag in TABLE1_TAGS),
-        )
-    )
-    for tag in TABLE2_TAGS:
-        expected = REFERENCE_TABLE2[tag][convention]
-        checks += [
-            (f"table2-{tag}", expected, lambda tag=tag: table(tag, 2).dims()),
-            (
-                f"shortcut-{tag}",
-                expected,
-                lambda tag=tag: shortcut_dims(datum(tag), 2, convention),
-            ),
-            (f"euler-{tag}", 0, lambda tag=tag: table(tag, 2).euler),
-        ]
-    checks += [
-        ("conf3-U2", REFERENCE_CONF3_U2, lambda: table("U2", 3).dims()),
-        ("conf3-U2-euler", 0, lambda: table("U2", 3).euler),
+        ),
+        *(
+            check
+            for tag in TABLE2_TAGS
+            for check in (
+                (
+                    f"table2-{tag}",
+                    REFERENCE_TABLE2[tag][convention],
+                    lambda tag=tag: table(tag, 2, convention).dims(),
+                ),
+                (
+                    f"shortcut-{tag}",
+                    REFERENCE_TABLE2[tag][convention],
+                    lambda tag=tag: shortcut_dims(datum(tag), 2, convention),
+                ),
+                (
+                    f"euler-{tag}",
+                    0,
+                    lambda tag=tag: table(tag, 2, convention).euler,
+                ),
+            )
+        ),
+        (
+            "conf3-U2",
+            REFERENCE_CONF3_U2,
+            lambda: table("U2", 3, convention).dims(),
+        ),
+        ("conf3-U2-euler", 0, lambda: table("U2", 3, convention).euler),
         (
             "conf3-U2-shortcut",
             REFERENCE_CONF3_U2,
             lambda: shortcut_dims(datum("U2"), 3, convention),
         ),
-    ]
-    # k * pi1-rank against H^1 of the derived table (see the WARN line)
-    for tag in TABLE2_TAGS:
-        checks.append(
+        # k * pi1-rank against H^1 of the derived table (see the WARN line)
+        *(
             (
                 f"first-cohomology-{tag}",
-                lambda tag=tag: built(tag, 2, "derived").dims()[1],
+                lambda tag=tag: table(tag, 2, "derived").dims()[1],
                 lambda tag=tag: first_cohomology_dim(datum(tag), 2),
             )
-        )
-    checks.append(_CONVENTION_WARNING)
-    for tag in RING_TAGS:
-        expected = REFERENCE_UNORDERED[tag][convention]
-        checks += [
-            (
-                f"ring-series-{tag}",
-                REFERENCE_TABLE2[tag][convention],
-                lambda tag=tag: hilbert_series(conf2_ring(tag, convention)),
-            ),
-            (
-                f"unordered-fixed-subring-{tag}",
-                expected,
-                lambda tag=tag: unordered(
-                    tag,
-                    invariant_subring_dims(
-                        conf2_ring(tag, convention),
-                        (conf2_ring_involution(tag),),
+            for tag in TABLE2_TAGS
+        ),
+        _CONVENTION_WARNING,
+        *(
+            check
+            for tag in RING_TAGS
+            for check in (
+                (
+                    f"ring-series-{tag}",
+                    REFERENCE_TABLE2[tag][convention],
+                    lambda tag=tag: hilbert_series(
+                        conf2_ring(tag, convention)
                     ),
                 ),
-            ),
-            (
-                f"unordered-model-{tag}",
-                expected,
-                lambda tag=tag: unordered(
-                    tag, unordered_conf2_dims(datum(tag), convention)
+                (
+                    f"unordered-fixed-subring-{tag}",
+                    REFERENCE_UNORDERED[tag][convention],
+                    lambda tag=tag: unordered(
+                        tag,
+                        invariant_subring_dims(
+                            conf2_ring(tag, convention),
+                            (conf2_ring_involution(tag),),
+                        ),
+                    ),
                 ),
-            ),
-            (
-                f"unordered-closed-form-{tag}",
-                expected,
-                lambda tag=tag: unordered(
-                    tag, hilbert_series(unordered_conf2_ring(tag, convention))
+                (
+                    f"unordered-model-{tag}",
+                    REFERENCE_UNORDERED[tag][convention],
+                    lambda tag=tag: unordered(
+                        tag, unordered_conf2_dims(datum(tag), convention)
+                    ),
                 ),
-            ),
-        ]
-    for tag in RING_TAGS:
-        checks.append(
+                (
+                    f"unordered-closed-form-{tag}",
+                    REFERENCE_UNORDERED[tag][convention],
+                    lambda tag=tag: unordered(
+                        tag,
+                        hilbert_series(unordered_conf2_ring(tag, convention)),
+                    ),
+                ),
+            )
+        ),
+        *(
             (
                 f"ring-embedding-{tag}",
                 "invariant=True; swap-action=True; relations-zero=True; "
                 f"span={REFERENCE_TABLE2[tag][convention]}",
                 lambda tag=tag: _embedding_summary(tag, convention),
             )
-        )
-    checks += [
+            for tag in RING_TAGS
+        ),
         # bundle route (invariants over the maximal torus) against the
         # direct component counts for the two rank-1 groups
         (
             "circle-pairs",
             "bundle (1, 1); direct (1, 1)",
             lambda: (
-                f"bundle {table('S1', 2).dims()}; "
+                f"bundle {table('S1', 2, convention).dims()}; "
                 f"direct {circle_conf(2).betti}"
             ),
         ),
@@ -416,7 +367,7 @@ def report(convention: str) -> VerifyReport:
             "su2-pairs-bundle",
             "bundle (1, 0, 0, 1); direct (1, 0, 0, 1)",
             lambda: (
-                f"bundle {table('SU2', 2).dims()}; "
+                f"bundle {table('SU2', 2, convention).dims()}; "
                 f"direct {su2_conf(2).betti}"
             ),
         ),
