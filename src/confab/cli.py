@@ -22,7 +22,7 @@ import argparse
 import io
 import os
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from .groups import decompose_graded, format_decomposition
 from .rings import hilbert_series
@@ -41,14 +41,14 @@ from .torusconf import circle_conf, conf2_torus, su2_conf
 from .weyl import CONVENTIONS, datum, flag_character
 
 
-class Document(NamedTuple):
-    """What one command prints, before it is put into a format."""
+class Document(
+    namedtuple("Document", "payload header rows text code", defaults=(None, 0))
+):
+    """What one command prints, before it is put into a format: the json
+    payload, a header list and a list of rows, the markdown text or None,
+    and the exit code."""
 
-    payload: object
-    header: list
-    rows: list
-    text: str | None = None
-    code: int = 0
+    __slots__ = ()
 
 
 def _md_table(header, rows) -> str:

@@ -26,12 +26,7 @@ the column ``v``, and composition ``a.mul(b)`` means "apply ``b`` first".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
-
-# fractions pulls in decimal and numbers, and no shipped command builds a
-# Fraction, so it is imported where a value turns out not to be an int
-if TYPE_CHECKING:
-    from fractions import Fraction
+from collections.abc import Sequence
 
 
 class NonZeroRemainder(ArithmeticError):

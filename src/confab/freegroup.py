@@ -18,12 +18,9 @@ corresponding cohomology action (inverse transpose).
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .exact import QMatrix, as_exact, as_exact_tuple, inverse, rank, rref
-
-if TYPE_CHECKING:  # annotations only: fractions loads lazily, see exact
-    from fractions import Fraction
 
 _TOKEN = re.compile(r"^([^\s^]+)(?:\^(-?\d+))?$")
 

@@ -30,10 +30,10 @@ prove the tables confab ships orthonormal and complete.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Sequence
 from itertools import product
 from math import prod
 from operator import add, sub
-from typing import Hashable, Sequence
 
 from .exact import as_exact_tuple, exact_div
 

@@ -22,13 +22,10 @@ over the monomials, one degree at a time.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .exact import QMatrix, as_exact, rank
-
-if TYPE_CHECKING:  # annotations only: fractions loads lazily, see exact
-    from fractions import Fraction
 
 Monomial = tuple[int, ...]
 Element = dict[Monomial, "int | Fraction"]

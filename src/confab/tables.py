@@ -16,14 +16,14 @@ The checks themselves, with the pinned answers, live in ``confab.verify``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
 
 from .exact import whole_number
 from .groups import decompose_graded
 
-# eager although a k = 2 table never reads it: the benchmark's traced run
-# (perfbench/child.py) looks up confab.rings in sys.modules and wraps
-# unordered_conf2_dims here by name before any command runs
+# eager although a k = 2 table never reads it: ``cli`` imports confab.rings
+# at its top anyway, and loading it on first use here saved only about
+# 0.07 ms of a library import with a bytecode cache
 from .rings import RingMap, RingPresentation, invariant_subring_dims
 from .torusconf import conf2_torus, conf3_torus_rank2
 from .weyl import (
@@ -38,9 +38,6 @@ from .weyl import (
     kunneth,
 )
 
-if TYPE_CHECKING:
-    from .verify import VerifyReport
-
 TABLE1_TAGS = ("U2", "S1xSU2", "SU3", "Sp2")
 TABLE2_TAGS = ("S1xS1", "U2", "S1xSU2", "SU3", "Sp2")
 
@@ -49,17 +46,18 @@ class RankTooSmall(ValueError):
     """A formula valid from torus rank 2 was asked about a rank-1 datum."""
 
 
-class TableRow(NamedTuple):
-    degree: int
-    dimension: int
-    decomposition: tuple[tuple[str, int], ...] | None
+class TableRow(namedtuple("TableRow", "degree dimension decomposition")):
+    """One degree of a table: its invariant dimension and the pre-invariant
+    piece as ((label, multiplicity), ...) pairs, None without a catalog."""
+
+    __slots__ = ()
 
 
-class CohomologyTable(NamedTuple):
-    group: str
-    k: int
-    convention: str
-    rows: tuple[TableRow, ...]
+class CohomologyTable(namedtuple("CohomologyTable", "group k convention rows")):
+    """A datum's table: its tag, k, convention and a tuple of ``TableRow``s
+    from degree 0 to the last nonzero dimension."""
+
+    __slots__ = ()
 
     def dims(self) -> tuple[int, ...]:
         return tuple(row.dimension for row in self.rows)
@@ -172,13 +170,15 @@ def stable_bound(family: str, degree: int, k: int) -> int:
 
 # each ring tag's hand data, written once; ``_ring_record`` adds the paper
 # convention's carried a1, which every map fixes by keeping its label
-class _RingRecord(NamedTuple):
-    generators: tuple[tuple[str, int], ...]  # the pair ring
-    vanishing: tuple[tuple[str, str], ...]
-    swap: RingMap  # the point swap on the pair ring
-    unordered: tuple[tuple[str, int], ...]  # the closed-form unordered ring
-    flag: tuple[tuple[str, int], ...]  # the pre-invariant model's flag part
-    weyl: RingMap  # the Weyl involution on the model
+class _RingRecord(
+    namedtuple("_RingRecord", "generators vanishing swap unordered flag weyl")
+):
+    """The pair ring's (label, degree) generators and vanishing label pairs,
+    the point swap on it (a ``RingMap``), the closed-form unordered ring's
+    generators, the pre-invariant model's flag generators and the Weyl
+    involution on the model."""
+
+    __slots__ = ()
 
 
 _RINGS = {

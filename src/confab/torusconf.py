@@ -23,8 +23,8 @@ cohomology stops matching the fundamental-group rank.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .exact import inverse, whole_number
 from .weyl import (
@@ -133,20 +133,22 @@ def conf3_torus_rank2(d: WeylDatum) -> GradedCharacter:
     return kunneth(torus_character(d), conf2_torus_minus_point_rank2(d))
 
 
-class CircleConfSummary(NamedTuple):
+class CircleConfSummary(
+    namedtuple(
+        "CircleConfSummary",
+        "k components betti reflection_fixed reflection_orbits",
+    )
+):
     """Configurations of k distinct points on the circle.
 
     The space deformation retracts to (k-1)! disjoint circles, one per
     cyclic order of the points.  Inversion of the circle reverses cyclic
     orders; it is recorded because the rank-1 Weyl action identifies
-    components in pairs.
+    components in pairs.  ``betti`` is the pair (b0, b1); the last two
+    fields count the components that inversion fixes and its orbits.
     """
 
-    k: int
-    components: int
-    betti: tuple[int, int]
-    reflection_fixed: int
-    reflection_orbits: int
+    __slots__ = ()
 
 
 # the largest k whose (k - 1)! component count still converts to a decimal
@@ -171,19 +173,17 @@ def circle_conf(k: int) -> CircleConfSummary:
     )
 
 
-class SU2ConfSummary(NamedTuple):
+class SU2ConfSummary(namedtuple("SU2ConfSummary", "k components betti")):
     """Commuting k-tuples of pairwise-distinct elements in the rank-1 group.
 
     Commuting tuples land in a common maximal circle, so components follow
     the circle picture modulo the Weyl inversion.  Each freely identified
     pair of circle components contributes a twisted product of the 2-sphere
     with a circle; an inversion-fixed component keeps only the invariant
-    classes, which is a 3-sphere pattern.
+    classes, which is a 3-sphere pattern.  ``betti`` is (b0, b1, b2, b3).
     """
 
-    k: int
-    components: int
-    betti: tuple[int, int, int, int]
+    __slots__ = ()
 
 
 def su2_conf(k: int) -> SU2ConfSummary:

@@ -16,8 +16,8 @@ conventions stay available everywhere via ``convention=``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
-from typing import NamedTuple
 
 from .groups import decompose_graded, format_decomposition
 from .rings import (
@@ -90,16 +90,17 @@ REFERENCE_UNORDERED = {
 }
 
 
-class VerifyCheck(NamedTuple):
-    name: str
-    status: str
-    expected: str
-    got: str
+class VerifyCheck(namedtuple("VerifyCheck", "name status expected got")):
+    """One report line: its name, PASS, FAIL or WARN, and the expected and
+    computed values as printed."""
+
+    __slots__ = ()
 
 
-class VerifyReport(NamedTuple):
-    convention: str
-    checks: tuple[VerifyCheck, ...]
+class VerifyReport(namedtuple("VerifyReport", "convention checks")):
+    """A convention's report: a tuple of ``VerifyCheck``s in printed order."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

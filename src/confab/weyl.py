@@ -45,10 +45,10 @@ non-integral or negative coefficient raises NotACharacter.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import groupby, product
 from math import factorial, prod
-from typing import Iterator, Sequence
 
 from .exact import (
     as_trimmed_tuple,

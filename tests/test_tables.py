@@ -39,6 +39,21 @@ from confab.weyl import (
     symplectic,
 )
 
+# the benchmark's oracle tables, read here without being changed
+BENCHMARK_TABLES = json.loads(
+    (Path(__file__).parent.parent / "perfbench" / "golden.json").read_text(
+        encoding="utf-8"
+    )
+)["tables"]
+
+# every benchmark and Table 2 datum with named irreducibles at k = 2, and U2
+# at k = 3
+CATALOG_TABLES = [
+    (tag, 2)
+    for tag in sorted(set(BENCHMARK_TABLES) | set(TABLE2_TAGS))
+    if datum(tag).catalog is not None
+] + [("U2", 3)]
+
 
 class TestTables:
     def test_pair_columns(self):
@@ -51,13 +66,17 @@ class TestTables:
         table = conf_ab_table(datum("U2"), 3)
         assert table.dims() == REFERENCE_CONF3_U2
 
-    def test_rows_carry_the_full_decomposition(self):
-        table = conf_ab_table(datum("Sp2"), 2)
-        for row in table.rows:
-            assert row.decomposition is not None
+    @pytest.mark.parametrize("convention", ("derived", "paper"))
+    @pytest.mark.parametrize("tag, k", CATALOG_TABLES)
+    def test_rows_carry_the_full_decomposition(self, tag, k, convention):
+        # the Molien average and the block-kernel decomposition agree: the
+        # invariant dimension is the multiplicity of the first character,
+        # which is trivial ("1⊗1" on a product of two non-trivial factors)
+        catalog = datum(tag).catalog
+        assert all(set(table[0]) == {1} for table in catalog.tables)
+        for row in conf_ab_table(datum(tag), k, convention).rows:
             parts = dict(row.decomposition)
-            # invariant dimension is the trivial multiplicity
-            assert parts.get("1", 0) == row.dimension
+            assert parts.get(catalog.labels[0], 0) == row.dimension
 
     def test_rows_end_at_the_last_nonzero_dimension(self):
         for tag in TABLE2_TAGS:
@@ -227,14 +246,6 @@ class TestUnordered:
             conf2_ring("Sp2")
         with pytest.raises(UnsupportedDatum):
             unordered_conf2_dims(datum("SU3"))
-
-
-# the benchmark's oracle tables, read here without being changed
-BENCHMARK_TABLES = json.loads(
-    (Path(__file__).parent.parent / "perfbench" / "golden.json").read_text(
-        encoding="utf-8"
-    )
-)["tables"]
 
 
 @pytest.mark.parametrize("tag", sorted(BENCHMARK_TABLES))

@@ -1,9 +1,11 @@
 """Value semantics of confab's records and validated types, and import cost.
 
-Records are ``NamedTuple``s; validated types are plain classes whose
-``__init__`` checks their input and whose equality and hash are taken over
-the values that name an instance.  The import guard keeps modules that
-confab does not need out of every cold ``confab`` process.
+Records are ``collections.namedtuple`` subclasses with no ``__dict__``;
+validated types are plain classes whose ``__init__`` checks their input and
+whose equality and hash are taken over the values that name an instance.
+The import guard keeps modules that confab does not need out of every cold
+``confab`` process, ``typing`` included, and allows ``import confab.cli``
+only a short list of modules beyond those ``argparse`` loads.
 """
 
 import ast
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import confab
 from confab import conf_ab_table, datum, stable_bound
 from confab.cli import Document
 from confab.exact import QMatrix, as_trimmed_tuple
@@ -38,7 +41,8 @@ from confab.weyl import (
     unitary,
 )
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+# the directory the tested confab was imported from: src/, or the install
+ROOT = Path(confab.__file__).resolve().parents[1]
 
 
 def z2():
@@ -87,6 +91,8 @@ def test_equal_fields_are_equal_and_hash_alike(name):
     assert not first != second
     if name not in UNHASHABLE:
         assert hash(first) == hash(second)
+    # records and value types are slotted: no instance carries a __dict__
+    assert not hasattr(first, "__dict__")
 
 
 def test_different_fields_are_unequal():
@@ -257,6 +263,7 @@ IMPORT_CASES = {
     "cli-import": (
         "import confab.cli\n",
         (
+            "typing",
             "dataclasses",
             "inspect",
             "json",
@@ -273,7 +280,7 @@ IMPORT_CASES = {
         "for tag in ('U2', 'Sp2'):\n"
         "    conf_ab_table(datum(tag), 2)\n"
         "    shortcut_dims(datum(tag), 2)\n",
-        ("confab.freegroup", "confab.verify", *FRACTIONS),
+        ("typing", "confab.freegroup", "confab.verify", *FRACTIONS),
         (),
     ),
     "product-tables": (
@@ -281,18 +288,18 @@ IMPORT_CASES = {
         "from confab.tables import shortcut_dims\n"
         "conf_ab_table(datum('U2xSp2'), 2)\n"
         "shortcut_dims(datum('U2xSp2'), 2)\n",
-        FRACTIONS,
+        ("typing", *FRACTIONS),
         (),
     ),
     "conf3": (
         "from confab import conf_ab_table, datum\n"
         "conf_ab_table(datum('U2'), 3)\n",
-        FRACTIONS,
+        ("typing", *FRACTIONS),
         ("confab.freegroup",),
     ),
     "verify": (
         "import confab\nassert confab.verify_all().ok\n",
-        FRACTIONS,
+        ("typing", *FRACTIONS),
         ("confab.verify",),
     ),
     "first-fraction": (
@@ -309,7 +316,7 @@ IMPORT_CASES = {
         "    pass\n"
         "else:\n"
         "    raise AssertionError('as_exact accepted a float')\n",
-        (),
+        ("typing",),
         FRACTIONS,
     ),
     "first-float": (
@@ -320,24 +327,21 @@ IMPORT_CASES = {
         "    pass\n"
         "else:\n"
         "    raise AssertionError('as_exact accepted a float')\n",
-        (),
+        ("typing",),
         ("fractions",),
     ),
 }
 
 
-@pytest.mark.parametrize(
-    "code, absent, present", IMPORT_CASES.values(), ids=IMPORT_CASES
-)
-def test_cold_process_loads_only_what_it_runs(code, absent, present):
+def cold_modules(code):
+    """The names in ``sys.modules`` after ``code`` runs in a fresh process."""
     # -S keeps site and .pth files from importing a checked module first;
-    # the list is printed with repr because json is one of those modules
-    checked = absent + present
+    # the names are printed with repr because json is one of those modules
     script = (
         "import sys\n"
-        f"sys.path.insert(0, {str(SRC)!r})\n"
+        f"sys.path.insert(0, {str(ROOT)!r})\n"
         + code
-        + f"print(repr([m for m in {checked!r} if m in sys.modules]))\n"
+        + "print(repr(sorted(sys.modules)))\n"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", script],
@@ -345,4 +349,31 @@ def test_cold_process_loads_only_what_it_runs(code, absent, present):
         text=True,
         check=True,
     )
-    assert ast.literal_eval(result.stdout) == list(present)
+    return set(ast.literal_eval(result.stdout))
+
+
+@pytest.mark.parametrize(
+    "code, absent, present", IMPORT_CASES.values(), ids=IMPORT_CASES
+)
+def test_cold_process_loads_only_what_it_runs(code, absent, present):
+    loaded = cold_modules(code)
+    assert [m for m in absent + present if m in loaded] == list(present)
+
+
+# what ``import confab.cli`` may load beyond what ``argparse`` loads
+CLI_ALLOWED = {
+    "__future__",
+    "collections",
+    "collections.abc",
+    "functools",
+    "itertools",
+    "math",
+    "operator",
+}
+
+
+def test_cli_import_loads_only_the_allowlist():
+    extra = cold_modules("import confab.cli\n") - cold_modules(
+        "import argparse\n"
+    )
+    assert {m for m in extra if m.partition(".")[0] != "confab"} <= CLI_ALLOWED
