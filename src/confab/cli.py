@@ -24,7 +24,7 @@ import os
 import sys
 from collections import namedtuple
 
-from .groups import decompose_graded, format_decomposition
+from .groups import decompose, format_decomposition
 from .rings import hilbert_series
 from .tables import (
     RING_TAGS,
@@ -98,7 +98,7 @@ def _cmd_table1(args) -> Document:
     payload = []
     cells = []
     for tag, space, d, character in columns:
-        parts = decompose_graded(character, d.catalog)
+        parts = decompose(character, d.catalog)
         padding = [()] * (top - character.top)
         cells.append([format_decomposition(part) for part in parts + padding])
         dims = character.dims()

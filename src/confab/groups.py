@@ -20,12 +20,12 @@ catalog keeps one table per factor and the joined labels, never the
 Kronecker product they form on the product's classes.  One kernel applies
 such tables: each acts on the leading axis by adding whole blocks of
 values, C k_j additions for a factor of k_j characters on C classes instead
-of C^2.  ``decompose_graded`` lays a graded character out as (classes...,
+of C^2.  ``decompose`` lays a graded character out as (classes...,
 degree) and pairs every degree in one pass; the multiplicities must be
 nonnegative integers and, sent back through the transposed tables, give
-the traces again.  ``decompose`` is its degree-0 case.  A catalog checks
-its shape, not its orthogonality, which would cost O(k^2 C); the tests
-prove the tables confab ships orthonormal and complete.
+the traces again.  A catalog checks its shape, not its orthogonality,
+which would cost O(k^2 C); the tests prove the tables confab ships
+orthonormal and complete.
 """
 
 from __future__ import annotations
@@ -162,15 +162,23 @@ def _apply(values: list, tables: Sequence[Sequence[Sequence]]) -> list:
     return values
 
 
-def _decompose(group: FiniteGroup, traces, catalog) -> list[Parts]:
+def decompose(gc, catalog: IrreducibleCatalog) -> list[Parts]:
+    """Multiplicities of a graded character in catalog order, one tuple of
+    nonzero (label, multiplicity) pairs per degree 0..``gc.top``, in one
+    pass; a zero character gives [].
+
+    ``NotACharacter`` names the degree.  Only ``gc.group`` and ``gc.traces``
+    are read, so ``confab.weyl``'s graded characters need no import here.
+    """
     # traces holds each class's values by degree, low first, missing values
     # zero.  Laid out as (classes..., degree), one _apply pairs every degree
     # and leaves (degree, characters...); the multiplicities, laid out as
     # (characters..., degree), go back through the transposed tables
+    group = gc.group
     if group != catalog.group:
         raise GroupMismatch("decomposing against a foreign catalog")
-    depth = max(map(len, traces))
-    columns = [(*trace, *(0,) * (depth - len(trace))) for trace in traces]
+    depth = max(map(len, gc.traces))
+    columns = [(*trace, *(0,) * (depth - len(trace))) for trace in gc.traces]
     weighted = [size * v for size, c in zip(group.sizes, columns) for v in c]
     order = group.order
     mults = [exact_div(t, order) for t in _apply(weighted, catalog.tables)]
@@ -197,23 +205,6 @@ def _decompose(group: FiniteGroup, traces, catalog) -> list[Parts]:
                 f"class function in degree {n} is not in the catalog's span"
             )
     return out
-
-
-def decompose(f, catalog: IrreducibleCatalog) -> Parts:
-    """Multiplicities of a class function f in catalog order, nonzero
-    entries only: ``decompose_graded(f, catalog)[0]``, with its checks, for
-    a graded character f in degree 0 such as ``gc.piece(n)``; a zero f
-    gives ()."""
-    return (_decompose(f.group, f.traces, catalog) or [()])[0]
-
-
-def decompose_graded(gc, catalog: IrreducibleCatalog) -> list[Parts]:
-    """``decompose(gc.piece(n), catalog)`` for n = 0..top, in one pass.
-
-    ``NotACharacter`` names the degree.  Only ``gc.group`` and ``gc.traces``
-    are read, so ``confab.weyl``'s graded characters need no import here.
-    """
-    return _decompose(gc.group, gc.traces, catalog)
 
 
 def format_decomposition(parts: Sequence[tuple[str, int]]) -> str:

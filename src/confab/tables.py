@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .exact import whole_number
-from .groups import decompose_graded
+from .groups import decompose
 
 # eager although a k = 2 table never reads it: ``cli`` imports confab.rings
 # at its top anyway, and loading it on first use here saved only about
@@ -93,7 +93,7 @@ def conf_ab_table(
     total = kunneth(flag_character(d, convention), _conf_character(d, k))
     inv = invariant_dims(total)
     top = max(deg for deg, dim in inv.items() if dim > 0)
-    parts = decompose_graded(total, d.catalog) if d.catalog else [None] * (top + 1)
+    parts = decompose(total, d.catalog) if d.catalog else [None] * (top + 1)
     rows = tuple(TableRow(n, inv[n], parts[n]) for n in range(top + 1))
     return CohomologyTable(d.tag, k, convention, rows)
 
@@ -113,8 +113,8 @@ def shortcut_dims(
         )
     flag = flag_character(d, convention)
     conf = _conf_character(d, k)
-    flag_parts = decompose_graded(flag, d.catalog)
-    conf_mults = [dict(parts) for parts in decompose_graded(conf, d.catalog)]
+    flag_parts = decompose(flag, d.catalog)
+    conf_mults = [dict(parts) for parts in decompose(conf, d.catalog)]
     dims = [0] * (len(flag_parts) + len(conf_mults) - 1)
     for f, parts in enumerate(flag_parts):
         for c, source in enumerate(conf_mults):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
-from .groups import decompose_graded, format_decomposition
+from .groups import decompose, format_decomposition
 from .rings import (
     apply_images,
     broken_relation,
@@ -218,12 +218,12 @@ def report(convention: str) -> VerifyReport:
         return conf2_torus(datum(tag))
 
     def conf2_text(tag: str) -> str:
-        parts = decompose_graded(conf2(tag), datum(tag).catalog)
+        parts = decompose(conf2(tag), datum(tag).catalog)
         return "; ".join(map(format_decomposition, parts))
 
     def flag_text(tag: str) -> str:
         d = datum(tag)
-        parts = decompose_graded(flag_character(d, convention), d.catalog)
+        parts = decompose(flag_character(d, convention), d.catalog)
         return "; ".join(
             f"{n}: {format_decomposition(p)}" for n, p in enumerate(parts) if p
         )

@@ -24,7 +24,8 @@ finite reflection groups", 1963), so the polynomial comes straight from the
 cycle type; the binomials are multiplied into one tuple of int
 coefficients, low degree first.  The classes are counted before they are
 listed, p(n) for S_n and sum p(m) p(n - m) for B_n, and a factor or
-product with more than ``MAX_CLASSES`` of them is refused.
+product with more than ``MAX_CLASSES`` of them, or a product of torus rank
+above ``MAX_RANK``, is refused.
 ``datum`` splits a tag once into its (prefix, n) factors and keeps one
 datum per split, so every spelling of a tag shares it.
 
@@ -85,6 +86,8 @@ class UnsupportedDatum(ValueError):
 # the most classes a factor or product may have: U45 has 89 134 and builds,
 # U46 has 105 558; enumerating and scanning them grows with the count
 MAX_CLASSES = 100_000
+# the largest total torus rank; S1x...xS1 has one class at every rank
+MAX_RANK = 64
 
 
 def _partitions(n: int, largest: int = 0) -> Iterator[tuple[int, ...]]:
@@ -99,7 +102,7 @@ def _partitions(n: int, largest: int = 0) -> Iterator[tuple[int, ...]]:
 
 def _class_count(n: int, signed: bool) -> int:
     """Classes of S_n, p(n), or of B_n, sum p(m) p(n - m); exact to n = 64."""
-    n = min(n, 64)  # p(64) alone is past MAX_CLASSES
+    n = min(n, MAX_RANK)  # p(64) alone is past MAX_CLASSES
     p = [1] + [0] * n
     for part in range(1, n + 1):
         for m in range(part, n + 1):
@@ -107,11 +110,13 @@ def _class_count(n: int, signed: bool) -> int:
     return sum(p[m] * p[n - m] for m in range(n + 1)) if signed else p[n]
 
 
-def _check_class_count(count: int, name: str) -> None:
+def _check_size(count: int, name: str, rank: int = 0) -> None:
     if count > MAX_CLASSES:
         raise UnsupportedDatum(
             f"{name} has more than {MAX_CLASSES} Weyl group classes"
         )
+    if rank > MAX_RANK:
+        raise UnsupportedDatum(f"{name} has torus rank more than {MAX_RANK}")
 
 
 def _centralizer(lengths: tuple[int, ...], weight: int) -> int:
@@ -169,7 +174,7 @@ def _weyl_classes(
     n: int, signed: bool
 ) -> tuple[FiniteGroup, tuple[tuple[int, ...], ...]]:
     """S_n or B_n on Q^n by signed cycle type, with det(1 - x w) per class."""
-    _check_class_count(_class_count(n, signed), f"{'B' if signed else 'S'}_{n}")
+    _check_size(_class_count(n, signed), f"{'B' if signed else 'S'}_{n}")
     types = tuple(
         (alpha, beta)
         for m in (range(n, -1, -1) if signed else (n,))
@@ -330,9 +335,11 @@ def parse_tag(tag: str) -> tuple[LieFactor, ...]:
 def _build_factors(
     split: tuple[tuple[str, int], ...], tag: str
 ) -> tuple[LieFactor, ...]:
-    # the product's class count is checked before any factor is built
-    _check_class_count(
-        prod(_class_count(n, prefix == "Sp") for prefix, n in split), repr(tag)
+    # the product's class count and rank are checked before a factor is built
+    _check_size(
+        prod(_class_count(n, prefix == "Sp") for prefix, n in split),
+        repr(tag),
+        sum(n - (prefix == "SU") for prefix, n in split),
     )
     return tuple(
         circle() if prefix == "S" else _BUILDERS[prefix](n)
@@ -360,8 +367,8 @@ class WeylDatum:
         self.tag = "x".join(f.tag for f in factors)
         self.rank = sum(f.rank for f in factors)
         self.pi1_rank = sum(f.pi1_rank for f in factors)
-        _check_class_count(
-            prod(len(f.group.classes) for f in factors), self.tag
+        _check_size(
+            prod(len(f.group.classes) for f in factors), self.tag, self.rank
         )
         if len(factors) == 1:
             self.group = factors[0].group

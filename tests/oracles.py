@@ -13,8 +13,8 @@ class function, which confab keeps as a graded character in degree 0, and
 factors' tables; ``tensor_table`` builds the flat table of every product
 of factor characters, C value rows on C classes, and ``flat_decompose``
 pairs a class function's values with each of them, the route that
-confab's one block kernel replaced: ``decompose`` on one piece and
-``decompose_graded`` on every degree at once must both agree with it.
+confab's one block kernel replaced: ``decompose`` on one piece in degree 0
+and on every degree at once must both agree with it.
 Polynomials are coefficient tuples, low degree first and trimmed, as in
 confab; the graded traces are rebuilt here by schoolbook multiplication and
 by long division with ``exact_div`` on every coefficient, without confab's
@@ -27,8 +27,8 @@ reference for confab's determinant-free ``char_matrix_poly``.
 
 from collections import Counter
 from functools import reduce
-from itertools import product
-from math import factorial, prod
+from itertools import product, zip_longest
+from math import factorial, gcd, prod
 
 from confab.exact import (
     NonZeroRemainder,
@@ -38,7 +38,14 @@ from confab.exact import (
     rank,
     rref,
 )
-from confab.weyl import GradedCharacter
+from confab.torusconf import conf2_torus
+from confab.weyl import (
+    GradedCharacter,
+    flag_character,
+    invariant_dims,
+    kunneth,
+    torus_character,
+)
 
 
 def kernel_basis(matrix: QMatrix) -> list[tuple]:
@@ -280,9 +287,24 @@ def _substitute(poly, sign: int, power: int) -> tuple:
     return trimmed(coeffs)
 
 
-def _charpolys(factor) -> list:
-    # det(1 - x w) per class; SU(n) divides out the trivial summand's 1 - x
-    polys = [binomial_charpoly(t) for t in factor.group.classes]
+def squared_cycle_type(cycle_type):
+    """The signed cycle type of w^2: a cycle of length l and sign e becomes
+    gcd(l, 2) cycles of length l / gcd(l, 2) and sign e^(2 / gcd(l, 2))."""
+    signed = {1: [], -1: []}
+    for lengths, sign in zip(cycle_type, (1, -1)):
+        for length in lengths:
+            g = gcd(length, 2)
+            signed[sign ** (2 // g)] += [length // g] * g
+    return tuple(tuple(sorted(signed[e], reverse=True)) for e in (1, -1))
+
+
+def _charpolys(factor, squared: bool = False) -> list:
+    # det(1 - x w), or det(1 - x w^2), per class; SU(n) divides out the
+    # trivial summand's 1 - x
+    types = factor.group.classes
+    if squared:
+        types = map(squared_cycle_type, types)
+    polys = [binomial_charpoly(t) for t in types]
     if factor.tag.startswith("SU"):
         polys = [poly_quotient(p, (1, -1)) for p in polys]
     return polys
@@ -304,6 +326,44 @@ def torus_traces(d) -> tuple:
     return _product_traces(
         d,
         [[_substitute(p, -1, 1) for p in _charpolys(f)] for f in d.factors],
+    )
+
+
+def square_charpolys(d) -> tuple:
+    """det(1 - x w^2) per class of the datum, from the squared cycle types."""
+    return _product_traces(d, [_charpolys(f, squared=True) for f in d.factors])
+
+
+def swap_traces(d) -> tuple:
+    """tr(sigma w) on H*(Conf_2(T)) per class, sigma the swap of the points.
+
+    From confab's torus trace det(1 + t w): det(1 - t w) det(1 + t w) on
+    H*(T x T), less the diagonal's (-t)^r det(w) det(1 + t w), where
+    det(1 - t w) negates the odd coefficients and det(w) is the t^r one.
+    """
+    r = d.rank
+    out = []
+    for plus in torus_character(d).traces:
+        square = poly_product(_substitute(plus, -1, 1), plus)
+        diagonal = (0,) * r + tuple((-1) ** r * plus[r] * c for c in plus)
+        pairs = zip_longest(square, diagonal, fillvalue=0)
+        out.append(trimmed(a - b for a, b in pairs))
+    return tuple(out)
+
+
+def unordered_dims(d, convention: str) -> tuple:
+    """Betti numbers of unordered pairs in the torus, tensored with the flag
+    and averaged over W: half the sum of the Molien averages of flag x conf2
+    and of flag x swap.  The second average is not a character's, so it is
+    taken by pairing, without ``invariant_dims``'s check."""
+    flag = flag_character(d, convention)
+    ordered = invariant_dims(kunneth(flag, conf2_torus(d)))
+    swapped = pairing_invariant_dims(
+        kunneth(flag, GradedCharacter(d.group, swap_traces(d)))
+    )
+    top = max(len(ordered), len(swapped))
+    return trimmed(
+        exact_div(ordered.get(n, 0) + swapped.get(n, 0), 2) for n in range(top)
     )
 
 

@@ -54,9 +54,9 @@ from oracles import fixed_space_dim, inner_product, kernel_basis, tensor_table
 def multisets(d, gc):
     """degree -> {label: multiplicity} for a graded character."""
     return {
-        degree: dict(decompose(gc.piece(degree), d.catalog))
-        for degree in gc.degrees()
-        if decompose(gc.piece(degree), d.catalog)
+        degree: dict(parts)
+        for degree, parts in enumerate(decompose(gc, d.catalog))
+        if parts
     }
 
 

@@ -18,7 +18,6 @@ from confab.groups import (
     IrreducibleCatalog,
     NotACharacter,
     decompose,
-    decompose_graded,
     format_decomposition,
 )
 from confab.torusconf import conf2_torus
@@ -338,23 +337,16 @@ class TestCatalogs:
         catalog = datum("Sp2").catalog
         d = dict(zip(catalog.labels, characters(catalog)))["d"]
         square = class_function(catalog.group, class_product(d, d))
-        assert decompose(square, catalog) == (
-            ("1", 1),
-            ("a", 1),
-            ("b", 1),
-            ("c", 1),
-        )
+        assert decompose(square, catalog) == [
+            (("1", 1), ("a", 1), ("b", 1), ("c", 1))
+        ]
 
     def test_symmetric_catalog(self):
         catalog = datum("SU3").catalog
         std = dict(zip(catalog.labels, characters(catalog)))["std"]
         assert std[0] == 2
         square = class_function(catalog.group, class_product(std, std))
-        assert decompose(square, catalog) == (
-            ("1", 1),
-            ("std", 1),
-            ("sgn", 1),
-        )
+        assert decompose(square, catalog) == [(("1", 1), ("std", 1), ("sgn", 1))]
 
     def test_decompose_rejects_non_characters(self):
         catalog = datum("Sp1").catalog
@@ -469,22 +461,22 @@ ONE_FACTOR_CATALOGS = tuple(
 def test_decompose_equals_flat_pairing(tag, convention):
     # every piece of the flag, conf2 and Kunneth characters decomposes
     # factor by factor exactly as pairing with the flat table says, piece
-    # by piece and in the graded character's one pass; the pieces outside
-    # 0..top are zero and decompose to nothing
+    # by piece in degree 0 and in the graded character's one pass; the
+    # pieces outside 0..top are zero and decompose to nothing
     d = datum(tag)
     table = tensor_table(d)
     flag, conf = flag_character(d, convention), conf2_torus(d)
     for gc in (flag, conf, kunneth(flag, conf)):
-        graded = decompose_graded(gc, d.catalog)
+        graded = decompose(gc, d.catalog)
         assert len(graded) == gc.top + 1
         for degree in range(gc.top + 1):
             piece = gc.piece(degree)
             expected = flat_decompose(d.group, values(piece), table)
-            assert decompose(piece, d.catalog) == expected
+            assert decompose(piece, d.catalog) == ([expected] if expected else [])
             assert graded[degree] == expected
         for degree in (-2, -1, gc.top + 1):
             assert gc.piece(degree).traces == ((),) * len(d.group.classes)
-            assert decompose(gc.piece(degree), d.catalog) == ()
+            assert decompose(gc.piece(degree), d.catalog) == []
 
 
 class TestLargeProducts:
@@ -493,6 +485,7 @@ class TestLargeProducts:
 
     def test_sixteen_factor_datum_builds(self):
         d = datum("x".join(["U2"] * 16))
+        assert d.rank == 32  # half of MAX_RANK
         assert len(d.group.classes) == len(d.catalog.labels) == 2**16
         assert d.catalog.labels[0] == "⊗".join(["1"] * 16)
         assert d.catalog.labels[-1] == "⊗".join(["σ"] * 16)
@@ -522,8 +515,10 @@ class TestLargeProducts:
         flag = flag_character(d)
         assert flag.degrees() == tuple(sorted(expected))
         for degree, parts in expected.items():
-            assert decompose(flag.piece(degree), d.catalog) == tuple(
-                (label, parts[label])
-                for label in d.catalog.labels
-                if label in parts
-            )
+            assert decompose(flag.piece(degree), d.catalog) == [
+                tuple(
+                    (label, parts[label])
+                    for label in d.catalog.labels
+                    if label in parts
+                )
+            ]

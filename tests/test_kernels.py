@@ -27,7 +27,6 @@ from confab.groups import (
     IrreducibleCatalog,
     NotACharacter,
     decompose,
-    decompose_graded,
 )
 from confab.tables import conf2_ring, conf_ab_table
 from confab.torusconf import (
@@ -212,10 +211,11 @@ def test_as_exact_tuple_rejects_floats(values):
 def decompose_degree_one(f, catalog):
     # f as the degree-1 piece of a graded character that is zero in degree 0
     graded = GradedCharacter(f.group, [(0, *trace) for trace in f.traces])
-    return decompose_graded(graded, catalog)
+    return decompose(graded, catalog)
 
 
-# each entry point with the message it raises for a function outside the span
+# each placement of f with the message it raises for a function outside the
+# span
 ENTRY_POINTS = [
     pytest.param(
         decompose,
@@ -225,7 +225,7 @@ ENTRY_POINTS = [
     pytest.param(
         decompose_degree_one,
         "class function in degree 1 is not in the catalog's span",
-        id="decompose_graded",
+        id="decompose-degree1",
     ),
 ]
 
@@ -286,7 +286,7 @@ def test_graded_decompose_returns_the_drawn_multiplicities(tags, data):
     expected = [tuple(pair for pair in zip(labels, row) if pair[1]) for row in mults]
     while not expected[-1]:
         expected.pop()
-    assert decompose_graded(GradedCharacter(d.group, traces), d.catalog) == (
+    assert decompose(GradedCharacter(d.group, traces), d.catalog) == (
         expected
     )
     halved = [
@@ -295,7 +295,7 @@ def test_graded_decompose_returns_the_drawn_multiplicities(tags, data):
     ]
     first = next(j for j, m in enumerate(mults[n]) if m % 2)
     with pytest.raises(NotACharacter) as caught:
-        decompose_graded(GradedCharacter(d.group, halved), d.catalog)
+        decompose(GradedCharacter(d.group, halved), d.catalog)
     assert str(caught.value) == (
         f"multiplicity of {labels[first]} in degree {n} is "
         f"{Fraction(mults[n][first], 2)}, not a nonnegative integer"

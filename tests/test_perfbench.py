@@ -3,9 +3,12 @@
 ``perfbench/child.py`` binds confab names by attribute: its traced run wraps
 public functions in spans and counts calls to ``QMatrix.mul`` and
 ``weyl.char_matrix_poly``.  Removing or renaming one of them breaks the
-benchmark, so these tests run one traced table job and one traced CLI job
+benchmark, so these tests run one traced table job and two traced CLI jobs
 the way ``perfbench/run.py`` does (a fresh interpreter with ``src`` on
 ``PYTHONPATH``) and compare the result line with ``perfbench/golden.json``.
+The ``groups.decompose`` span wraps the one decomposition function the
+library calls, so the table route's shortcut and every column of the CLI's
+``table1`` record one span per decomposition.
 """
 
 import json
@@ -13,6 +16,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from confab.cli import TABLE1_TAGS
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -58,6 +63,12 @@ def test_traced_table_job():
         "exact.qmatrix_mul_calls",
         "exact.char_poly_calls",
     }
+    spans = result["spans"]
+    assert "tables.shortcut" in {
+        spans[parent][0]
+        for name, _, _, parent in spans
+        if name == "groups.decompose"
+    }
 
 
 def test_traced_cli_job():
@@ -71,3 +82,19 @@ def test_traced_cli_job():
     assert {"cli.main", "tables.table", "torusconf.conf3"} <= span_names(
         result
     )
+
+
+def test_traced_table1_job_spans_the_library_decomposition():
+    # one groups.decompose span per column: the conf2 and flag characters of
+    # every Table 1 group, each decomposed in one pass inside cli.main
+    argv = ["table1", "--format", "md", "--convention", "derived"]
+    result = run_child({"kind": "cli", "argv": argv, "traced": True})
+    expected = GOLDEN["cli"][" ".join(argv)]
+    assert (result["code"], result["stdout"]) == (
+        expected["code"],
+        expected["stdout"],
+    )
+    spans = result["spans"]
+    decompositions = [span for span in spans if span[0] == "groups.decompose"]
+    assert len(decompositions) == 2 * len(TABLE1_TAGS)
+    assert {spans[parent][0] for *_, parent in decompositions} == {"cli.main"}

@@ -9,9 +9,14 @@ it by (1 + t) for each factor that ``carried_factors`` marks.  The expected
 side reads only ``LieFactor.degrees``, so a degree list that does not match
 the Weyl group's characteristic polynomials fails here, in every degree.
 The data are the tags of the benchmark's ``tables`` and five more.
+
+For the rank-1 groups SU2 and Sp1 the same product with the k-th tensor
+power of the torus character gives Hom(Z^k, G)_1 at every k, against its
+closed form.
 """
 
 import json
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -55,3 +60,20 @@ def k1_dims(d, convention):
 def test_k1_table_is_the_cohomology_of_the_group(tag, convention):
     d = datum(tag)
     assert k1_dims(d, convention) == group_cohomology(d, convention)
+
+
+@pytest.mark.parametrize("tag", ["SU2", "Sp1"])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_commuting_tuples_of_a_rank1_group(tag, k):
+    # Hom(Z^k, G)_1 through the flag tensor the k-th tensor power of the
+    # torus character: sum C(k, j) t^j over even j plus sum C(k, j) t^(j+2)
+    # over odd j, 1 + t^3 at k = 1 and Adem-Cohen's 1 + t^2 + 2 t^3 at k = 2
+    d = datum(tag)
+    total = flag_character(d)
+    for _ in range(k):
+        total = kunneth(total, torus_character(d))
+    expected = [0] * (k + 3)
+    for j in range(k + 1):
+        expected[j + 2 * (j % 2)] += comb(k, j)
+    dims = as_trimmed_tuple(invariant_dims(total).values())
+    assert dims == as_trimmed_tuple(expected)

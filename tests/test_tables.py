@@ -1,4 +1,11 @@
-"""Assembled tables, stability bounds, unordered pairs, verification."""
+"""Assembled tables, stability bounds, unordered pairs, verification.
+
+Unordered pairs have a route for every datum in ``oracles.unordered_dims``:
+the Molien average of the flag tensor the swap character, built from the
+torus traces alone.  It meets the ring pins of U2 and S1xSU2 and gives
+Betti numbers, with H^0 = 1 and Euler characteristic 0, for every benchmark
+datum.
+"""
 
 import json
 import re
@@ -38,6 +45,7 @@ from confab.weyl import (
     special_unitary,
     symplectic,
 )
+from oracles import unordered_dims
 
 # the benchmark's oracle tables, read here without being changed
 BENCHMARK_TABLES = json.loads(
@@ -246,6 +254,43 @@ class TestUnordered:
             conf2_ring("Sp2")
         with pytest.raises(UnsupportedDatum):
             unordered_conf2_dims(datum("SU3"))
+
+    @pytest.mark.parametrize("convention", ["derived", "paper"])
+    @pytest.mark.parametrize("tag", ["U2", "S1xSU2"])
+    def test_swap_trace_is_a_fourth_route(self, tag, convention):
+        # the Molien average of the swap character, built from the torus
+        # traces alone, against the pins the three ring routes meet; each
+        # pin ends in one zero, which trimmed dims drop
+        reference = REFERENCE_UNORDERED[tag][convention]
+        assert reference[-1] == 0
+        assert unordered_dims(datum(tag), convention) == reference[:-1]
+
+    @pytest.mark.parametrize("convention", ["derived", "paper"])
+    def test_swap_trace_beyond_the_presented_groups(self, convention):
+        assert unordered_dims(datum("SU3"), convention) == (
+            1, 0, 0, 1, 0, 1, 0, 0, 1,
+        )
+        assert unordered_dims(datum("Sp2"), convention) == (
+            1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1,
+        )
+
+
+@pytest.mark.parametrize("convention", ["derived", "paper"])
+@pytest.mark.parametrize(
+    "tag", sorted(set(BENCHMARK_TABLES) | {"S1xS1", "S1xSU2", "U1xSU2"})
+)
+def test_swap_route_gives_betti_numbers(tag, convention):
+    # nonnegative integers with H^0 = 1 and Euler characteristic 0: at
+    # t = -1 the flag traces vanish off the identity, and the torus acts
+    # freely on unordered pairs by translation.  From rank 2 up the derived
+    # H^1 is the rank of pi_1, half the ordered table's
+    d = datum(tag)
+    dims = unordered_dims(d, convention)
+    assert all(type(dim) is int and dim >= 0 for dim in dims)
+    assert dims[0] == 1
+    assert sum((-1) ** n * dim for n, dim in enumerate(dims)) == 0
+    if d.rank >= 2 and convention == "derived":
+        assert dims[1] == d.pi1_rank
 
 
 @pytest.mark.parametrize("tag", sorted(BENCHMARK_TABLES))

@@ -18,14 +18,22 @@ from confab.torusconf import (
     conf3_torus_rank2,
     su2_conf,
 )
-from confab.weyl import UnsupportedDatum, datum
+from confab.weyl import (
+    GradedCharacter,
+    UnsupportedDatum,
+    datum,
+    flag_character,
+    invariant_dims,
+    kunneth,
+)
 from oracles import fixed_space_dim
 
 
 def dec_by_degree(d, gc):
     return {
-        degree: format_decomposition(decompose(gc.piece(degree), d.catalog))
-        for degree in gc.degrees()
+        degree: format_decomposition(parts)
+        for degree, parts in enumerate(decompose(gc, d.catalog))
+        if parts
     }
 
 
@@ -173,3 +181,31 @@ class TestSU2:
     def test_needs_a_point(self):
         with pytest.raises(UnsupportedDatum):
             su2_conf(0)
+
+
+def rank1_conf(d, k):
+    """The graded character of Conf_k(S^1), k >= 2, under a rank-1 Weyl group.
+
+    The space is (k - 1)! circles, so the identity has trace
+    (k - 1)! (1 + t).  The inversion fixes the one component at k = 2,
+    reversing its circle (trace 1 - t), and permutes the rest freely.
+    """
+    identity = (factorial(k - 1), factorial(k - 1))
+    inversion = (1, -1) if k == 2 else ()
+    traces = (identity, inversion)[: len(d.group.classes)]
+    return GradedCharacter(d.group, traces)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_rank1_summaries_against_the_character_route(k):
+    # the flag tensor the Conf_k(S^1) character, averaged over the Weyl
+    # group, against the closed forms of circle_conf and su2_conf
+    for tag, expected in (
+        ("SU2", su2_conf(k).betti),
+        ("Sp1", su2_conf(k).betti),
+        ("S1", circle_conf(k).betti),
+        ("U1", circle_conf(k).betti),
+    ):
+        d = datum(tag)
+        total = kunneth(flag_character(d), rank1_conf(d, k))
+        assert tuple(invariant_dims(total).values()) == expected, tag

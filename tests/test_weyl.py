@@ -10,6 +10,7 @@ from confab.torusconf import conf2_torus
 from confab import weyl
 from confab.weyl import (
     MAX_CLASSES,
+    MAX_RANK,
     GradedCharacter,
     UnsupportedDatum,
     WeylDatum,
@@ -37,8 +38,9 @@ LADDER = (
 
 def dec_by_degree(d, gc):
     return {
-        degree: format_decomposition(decompose(gc.piece(degree), d.catalog))
-        for degree in gc.degrees()
+        degree: format_decomposition(parts)
+        for degree, parts in enumerate(decompose(gc, d.catalog))
+        if parts
     }
 
 
@@ -363,3 +365,37 @@ class TestClassBound:
             "U20xU20 has more than 100000 Weyl group classes"
         )
         assert len(WeylDatum((u20, unitary(3))).group.classes) == 627 * 3
+
+
+class TestRankBound:
+    # the circle's Weyl group has one class, so no class bound stops
+    # S1x...xS1; the rank bound does, before any factor is built
+
+    def test_sixty_four_circles_build(self):
+        table = conf_ab_table(datum("x".join(["S1"] * MAX_RANK)), 2)
+        assert len(table.rows) == 2 * MAX_RANK
+        euler = sum((-1) ** row.degree * row.dimension for row in table.rows)
+        assert euler == 0
+
+    @pytest.mark.parametrize(
+        "tag",
+        ["x".join(["S1"] * 65), "x".join(["U45"] + ["S1"] * 20)],
+        ids=["S1^65", "U45xS1^20"],
+    )
+    def test_tag_refused_before_any_class_is_listed(self, tag, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("classes enumerated")
+
+        monkeypatch.setattr(weyl, "_partitions", refuse)
+        cached = _datum.cache_info().currsize
+        with pytest.raises(UnsupportedDatum) as caught:
+            datum(tag)
+        assert str(caught.value) == f"{tag!r} has torus rank more than 64"
+        assert _datum.cache_info().currsize == cached
+
+    def test_product_datum_refused_from_its_factor_ranks(self):
+        with pytest.raises(UnsupportedDatum) as caught:
+            WeylDatum([circle()] * 65)
+        assert str(caught.value) == (
+            "x".join(["S1"] * 65) + " has torus rank more than 64"
+        )
