@@ -40,14 +40,15 @@ class Singular(ArithmeticError):
 def as_exact(value) -> int | Fraction:
     """``value`` as an ``int`` when integral, else a ``Fraction``.
 
-    Accepts ints, Fractions and rational strings; a float is rejected, since
-    it may already have been rounded.
+    Accepts ints and Fractions only.  A float is refused, since it may
+    already have been rounded, and so is a string: every exact value in
+    confab is computed, never parsed.
     """
     if type(value) is int:
         return value
     from fractions import Fraction
 
-    if not isinstance(value, (int, Fraction, str)):
+    if not isinstance(value, (int, Fraction)):
         raise TypeError(f"not an exact rational: {value!r}")
     value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
@@ -254,23 +255,23 @@ class QMatrix:
         )
 
 
-def _eliminate(
+def eliminate(
     matrix: QMatrix,
 ) -> tuple[list[list[int | Fraction]], list[int]]:
-    # Gauss-Jordan elimination; returns the reduced rows and the pivot columns
+    """Gauss-Jordan elimination: the reduced rows and the pivot columns.
+
+    Row i of the first ``len(pivots)`` rows has a 1 in column ``pivots[i]``,
+    the only nonzero entry of that column, and the pivots increase; every
+    later row is zero.  Eliminating the reduced rows gives them back.
+    """
     rows = matrix.to_rows()
     pivots: list[int] = []
-    r = 0
     for col in range(matrix.cols):
-        pivot_row = None
-        for i in range(r, matrix.rows):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        r = len(pivots)
+        found = next((i for i in range(r, matrix.rows) if rows[i][col]), None)
+        if found is None:
             continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        rows[r], rows[found] = rows[found], rows[r]
         lead = rows[r][col]
         rows[r] = [exact_div(e, lead) for e in rows[r]]
         for i in range(matrix.rows):
@@ -278,32 +279,24 @@ def _eliminate(
                 factor = rows[i][col]
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
-        r += 1
-        if r == matrix.rows:
+        if r + 1 == matrix.rows:
             break
-    return rows, pivots
-
-
-def rref(matrix: QMatrix) -> QMatrix:
-    return QMatrix.from_rows(_eliminate(matrix)[0])
+    # int and Fraction arithmetic can leave an integral Fraction behind
+    return [list(as_exact_tuple(row)) for row in rows], pivots
 
 
 def rank(matrix: QMatrix) -> int:
-    return len(_eliminate(matrix)[1])
+    return len(eliminate(matrix)[1])
 
 
 def inverse(matrix: QMatrix) -> QMatrix:
     if matrix.rows != matrix.cols:
         raise Singular("inverse of a non-square matrix")
     n = matrix.rows
-    augmented = QMatrix.from_rows(
-        [
-            list(matrix.row(i)) + [1 if j == i else 0 for j in range(n)]
-            for i in range(n)
-        ]
-    )
-    rows, pivots = _eliminate(augmented)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
+    eye = QMatrix.identity(n)
+    augmented = [matrix.row(i) + eye.row(i) for i in range(n)]
+    rows, pivots = eliminate(QMatrix.from_rows(augmented))
+    if pivots[:n] != list(range(n)):
         raise Singular("matrix is not invertible")
     return QMatrix.from_rows([row[n:] for row in rows[:n]])
 

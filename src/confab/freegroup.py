@@ -7,7 +7,9 @@ freely determined by its values on the generators, so
 
 a quotient of Q^2n by the span of relation vectors.  Only its dimension
 and the traces of operators on it are needed, and ``quotient_trace`` reads
-both off the reduced relation rows; no basis of a quotient is ever chosen.
+both off one ``exact.eliminate`` of the relation rows: the pivots give the
+dimension, and the reduced rows, each alone at its pivot, the trace.  No
+basis of a quotient is ever chosen.
 
 Monodromy actions arrive as words in named generators ("r~ h~ v~ h~^-1");
 ``abelianized_matrix`` turns word images into an integer matrix column by
@@ -20,7 +22,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping, Sequence
 
-from .exact import QMatrix, as_exact, as_exact_tuple, inverse, rank, rref
+from .exact import QMatrix, as_exact, eliminate, inverse, rank
 
 _TOKEN = re.compile(r"^([^\s^]+)(?:\^(-?\d+))?$")
 
@@ -102,11 +104,10 @@ def quotient_trace(
     the quotient is what is left of the whole trace.
     """
     n = operator.rows
-    rows = [as_exact_tuple(r) for r in relations]
-    if any(len(r) != n for r in rows):
+    if any(len(r) != n for r in relations):
         raise ValueError("relation length does not match the operator")
-    reduced = [r for r in rref(QMatrix.from_rows(rows)).to_rows() if any(r)]
-    pivots = [next(j for j, x in enumerate(r) if x) for r in reduced]
+    # zipped with the pivots, the reduced rows stop before the zero rows
+    reduced, pivots = eliminate(QMatrix.from_rows(relations))
     span_trace = 0
     for r, p in zip(reduced, pivots):
         image = operator.apply(r)
@@ -118,7 +119,7 @@ def quotient_trace(
                 "operator does not preserve the relation span"
             )
         span_trace += image[p]
-    return n - len(reduced), as_exact(operator.trace() - span_trace)
+    return n - len(pivots), as_exact(operator.trace() - span_trace)
 
 
 def h1_f2(

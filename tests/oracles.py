@@ -34,9 +34,9 @@ from confab.exact import (
     NonZeroRemainder,
     QMatrix,
     as_exact,
+    eliminate,
     exact_div,
     rank,
-    rref,
 )
 from confab.torusconf import conf2_torus
 from confab.weyl import (
@@ -50,8 +50,7 @@ from confab.weyl import (
 
 def kernel_basis(matrix: QMatrix) -> list[tuple]:
     """Basis of the null space, one vector per free column, ascending."""
-    rows = [row for row in rref(matrix).to_rows() if any(row)]
-    pivots = [next(j for j, e in enumerate(row) if e) for row in rows]
+    rows, pivots = eliminate(matrix)
     basis = []
     for free in range(matrix.cols):
         if free in pivots:

@@ -13,12 +13,12 @@ from confab.exact import (
     as_exact,
     as_trimmed_tuple,
     char_matrix_poly,
+    eliminate,
     exact_div,
     inverse,
     poly_div,
     poly_mul,
     rank,
-    rref,
 )
 from oracles import det, det_char_poly, kernel_basis, poly_product
 
@@ -188,9 +188,27 @@ class TestElimination:
 
     @given(m=rect_matrices())
     @settings(deadline=None)
-    def test_rref_idempotent(self, m):
-        once = rref(m)
-        assert rref(once) == once
+    def test_eliminate_reduces_rows(self, m):
+        rows, pivots = eliminate(m)
+        count = len(pivots)
+        assert [len(row) for row in rows] == [m.cols] * m.rows
+        assert all(a < b for a, b in zip(pivots, pivots[1:]))
+        for i, pivot in enumerate(pivots):
+            column = [row[pivot] for row in rows[:count]]
+            assert column == [int(j == i) for j in range(count)]
+            # the pivot leads its row
+            assert not any(rows[i][:pivot])
+        assert not any(any(row) for row in rows[count:])
+        assert rank(m) == count
+        assert eliminate(QMatrix.from_rows(rows)) == (rows, pivots)
+        # the reduced rows span the original rows: a vector of the span is
+        # fixed by its entries at the pivots
+        for original in m.to_rows():
+            rebuilt = [0] * m.cols
+            for row, pivot in zip(rows, pivots):
+                coef = original[pivot]
+                rebuilt = [x + coef * y for x, y in zip(rebuilt, row)]
+            assert rebuilt == original
 
     @given(m=square_matrices())
     @settings(deadline=None)
@@ -208,7 +226,7 @@ class TestElimination:
     @given(m=square_matrices())
     @settings(deadline=None)
     def test_integral_entries_stay_int(self, m):
-        results = [m.entries, rref(m).entries]
+        results = [m.entries, *eliminate(m)[0]]
         if det(m) != 0:
             results.append(inverse(m).entries)
         for values in results:

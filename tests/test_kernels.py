@@ -195,7 +195,7 @@ def test_as_exact_tuple_keeps_ints_and_normalises_the_rest():
     assert as_exact_tuple(ints) is ints
     assert as_exact_tuple(iter(ints)) == ints
     assert as_exact_tuple(()) == ()
-    got = as_exact_tuple((Fraction(4, 2), "1/2", 7))
+    got = as_exact_tuple((Fraction(4, 2), Fraction(1, 2), 7))
     assert got == (2, Fraction(1, 2), 7)
     assert [type(v) for v in got] == [int, Fraction, int]
     # bool is not int: it is normalised to the int it stands for
@@ -204,6 +204,12 @@ def test_as_exact_tuple_keeps_ints_and_normalises_the_rest():
 
 @pytest.mark.parametrize("values", [(0.5,), (1, 2.0, 3)])
 def test_as_exact_tuple_rejects_floats(values):
+    with pytest.raises(TypeError):
+        as_exact_tuple(values)
+
+
+@pytest.mark.parametrize("values", [("1/2",), (1, "2", 3)])
+def test_as_exact_tuple_rejects_strings(values):
     with pytest.raises(TypeError):
         as_exact_tuple(values)
 

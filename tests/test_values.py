@@ -119,9 +119,13 @@ def test_lie_factor_equality_ignores_derived_attributes():
 
 def test_construction_normalises_fields():
     assert as_trimmed_tuple([1, 0, 0]) == (1,)
-    traces = GradedCharacter(z2(), ([1, 0, 0], (Fraction(4, 2), "1/2"))).traces
+    traces = GradedCharacter(
+        z2(), ([1, 0, 0], (Fraction(4, 2), Fraction(1, 2)))
+    ).traces
     assert traces == ((1,), (2, Fraction(1, 2)))
     assert [type(v) for v in traces[1]] == [int, Fraction]
+    with pytest.raises(TypeError):
+        GradedCharacter(z2(), ((1,), ("1/2",)))
     assert QMatrix(1, 1, (Fraction(4, 2),)).entries == (2,)
     assert type(QMatrix(1, 1, (Fraction(4, 2),)).entries[0]) is int
     assert stable_bound("SP", 1, 1) == stable_bound("sp", 1, 1) == 3
@@ -309,7 +313,7 @@ IMPORT_CASES = {
         "assert 'fractions' in sys.modules\n"
         "from fractions import Fraction\n"
         "assert half == Fraction(1, 2) and type(half) is Fraction\n"
-        "assert as_exact('2/4') == Fraction(1, 2)\n"
+        "assert type(as_exact(Fraction(4, 2))) is int\n"
         "try:\n"
         "    as_exact(0.5)\n"
         "except TypeError:\n"
@@ -321,12 +325,13 @@ IMPORT_CASES = {
     ),
     "first-float": (
         "from confab.exact import as_exact\n"
-        "try:\n"
-        "    as_exact(0.5)\n"
-        "except TypeError:\n"
-        "    pass\n"
-        "else:\n"
-        "    raise AssertionError('as_exact accepted a float')\n",
+        "for value in (0.5, '1/2'):\n"
+        "    try:\n"
+        "        as_exact(value)\n"
+        "    except TypeError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise AssertionError(f'as_exact accepted {value!r}')\n",
         ("typing",),
         ("fractions",),
     ),
