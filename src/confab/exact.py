@@ -20,8 +20,9 @@ datum is corrupt rather than a numerical artifact.
 division of coefficient sequences.  Dividing by a leading coefficient of 1
 or -1, as every Molien divisor has, skips ``exact_div``.
 
-Matrices act on column vectors: ``m.apply(v)`` is the product of ``m`` with
-the column ``v``, and composition ``a.mul(b)`` means "apply ``b`` first".
+A ``QMatrix`` is an operator on column vectors: ``m.apply(v)`` is ``m``
+times the column ``v``, and ``a.mul(b)`` means "apply ``b`` first".  The
+reductions, ``eliminate`` and ``rank``, take rows, not a ``QMatrix``.
 """
 
 from __future__ import annotations
@@ -218,15 +219,6 @@ class QMatrix:
                 )
         return QMatrix(self.rows, other.cols, tuple(out))
 
-    def sub(self, other: "QMatrix") -> "QMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return QMatrix(
-            self.rows,
-            self.cols,
-            tuple(a - b for a, b in zip(self.entries, other.entries)),
-        )
-
     def transpose(self) -> "QMatrix":
         return QMatrix(
             self.cols,
@@ -256,37 +248,41 @@ class QMatrix:
 
 
 def eliminate(
-    matrix: QMatrix,
+    rows: Sequence[Sequence],
 ) -> tuple[list[list[int | Fraction]], list[int]]:
-    """Gauss-Jordan elimination: the reduced rows and the pivot columns.
+    """Gauss-Jordan elimination of ``rows``: the reduced rows and pivots.
 
     Row i of the first ``len(pivots)`` rows has a 1 in column ``pivots[i]``,
     the only nonzero entry of that column, and the pivots increase; every
     later row is zero.  Eliminating the reduced rows gives them back.
+    Ragged rows raise ValueError, and a float or string entry TypeError.
     """
-    rows = matrix.to_rows()
+    rows = [list(as_exact_tuple(row)) for row in rows]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("ragged rows")
     pivots: list[int] = []
-    for col in range(matrix.cols):
+    for col in range(len(rows[0]) if rows else 0):
         r = len(pivots)
-        found = next((i for i in range(r, matrix.rows) if rows[i][col]), None)
+        found = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if found is None:
             continue
         rows[r], rows[found] = rows[found], rows[r]
         lead = rows[r][col]
         rows[r] = [exact_div(e, lead) for e in rows[r]]
-        for i in range(matrix.rows):
+        for i in range(len(rows)):
             if i != r and rows[i][col] != 0:
                 factor = rows[i][col]
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
-        if r + 1 == matrix.rows:
+        if r + 1 == len(rows):
             break
     # int and Fraction arithmetic can leave an integral Fraction behind
     return [list(as_exact_tuple(row)) for row in rows], pivots
 
 
-def rank(matrix: QMatrix) -> int:
-    return len(eliminate(matrix)[1])
+def rank(rows: Sequence[Sequence]) -> int:
+    """The number of pivots ``eliminate`` finds in ``rows``."""
+    return len(eliminate(rows)[1])
 
 
 def inverse(matrix: QMatrix) -> QMatrix:
@@ -295,7 +291,7 @@ def inverse(matrix: QMatrix) -> QMatrix:
     n = matrix.rows
     eye = QMatrix.identity(n)
     augmented = [matrix.row(i) + eye.row(i) for i in range(n)]
-    rows, pivots = eliminate(QMatrix.from_rows(augmented))
+    rows, pivots = eliminate(augmented)
     if pivots[:n] != list(range(n)):
         raise Singular("matrix is not invertible")
     return QMatrix.from_rows([row[n:] for row in rows[:n]])

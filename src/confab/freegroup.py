@@ -107,7 +107,7 @@ def quotient_trace(
     if any(len(r) != n for r in relations):
         raise ValueError("relation length does not match the operator")
     # zipped with the pivots, the reduced rows stop before the zero rows
-    reduced, pivots = eliminate(QMatrix.from_rows(relations))
+    reduced, pivots = eliminate(relations)
     span_trace = 0
     for r, p in zip(reduced, pivots):
         image = operator.apply(r)
@@ -129,20 +129,22 @@ def h1_f2(
 
     M is Q^n with invertible generator actions A, B.  A cocycle is a vector
     of Q^2n, its values on the two generators; the relations are the
-    coboundaries ((A - 1)m, (B - 1)m), the columns of A - 1 over B - 1.  An
-    involution squares to 1, intertwines (alpha A = B alpha) and acts by
-    swapping the two slots, applying alpha to each.
+    coboundaries ((A - 1)m, (B - 1)m): relation j is column j of A - 1,
+    then column j of B - 1.  An involution squares to 1, intertwines
+    (alpha A = B alpha) and swaps the two slots, applying alpha to each.
     """
     n = a_action.rows
-    for name, m in (("A", a_action), ("B", b_action)):
+    actions = (a_action, b_action)
+    for name, m in zip("AB", actions):
         if m.rows != n or m.cols != n:
             raise InvariantViolation("actions must be square, same size")
-        if rank(m) != n:
+        if rank(m.to_rows()) != n:
             raise InvariantViolation(f"generator action {name} is singular")
+    relations = [
+        [m.entry(i, j) - (i == j) for m in actions for i in range(n)]
+        for j in range(n)
+    ]
     eye = QMatrix.identity(n)
-    shifts = QMatrix.from_rows(
-        a_action.sub(eye).to_rows() + b_action.sub(eye).to_rows()
-    )
     if involution.rows != n or involution.cols != n:
         raise InvariantViolation("involution size mismatch")
     if involution.mul(involution) != eye:
@@ -156,4 +158,4 @@ def h1_f2(
         [zeros + list(involution.row(i)) for i in range(n)]
         + [list(involution.row(i)) + zeros for i in range(n)]
     )
-    return quotient_trace(shifts.transpose().to_rows(), operator)
+    return quotient_trace(relations, operator)

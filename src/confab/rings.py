@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import combinations
 
-from .exact import QMatrix, as_exact, rank
+from .exact import as_exact, rank
 
 Monomial = tuple[int, ...]
 Element = dict[Monomial, "int | Fraction"]
@@ -289,7 +289,7 @@ def span_dims(
         rows = by_degree.get(degree, [])
         monos = sorted({mono for element in rows for mono in element})
         matrix = [[element.get(mono, 0) for mono in monos] for element in rows]
-        dims.append(rank(QMatrix.from_rows(matrix)))
+        dims.append(rank(matrix))
     return tuple(dims)
 
 

@@ -50,7 +50,7 @@ from confab.weyl import (
 
 def kernel_basis(matrix: QMatrix) -> list[tuple]:
     """Basis of the null space, one vector per free column, ascending."""
-    rows, pivots = eliminate(matrix)
+    rows, pivots = eliminate(matrix.to_rows())
     basis = []
     for free in range(matrix.cols):
         if free in pivots:
@@ -66,9 +66,12 @@ def kernel_basis(matrix: QMatrix) -> list[tuple]:
 def fixed_space_dim(*actions: QMatrix) -> int:
     """Dimension of the simultaneous fixed space of actions on Q^n."""
     n = actions[0].rows
-    eye = QMatrix.identity(n)
-    stacked = [row for m in actions for row in m.sub(eye).to_rows()]
-    return n - rank(QMatrix.from_rows(stacked))
+    stacked = [
+        [x - (i == j) for j, x in enumerate(m.row(i))]
+        for m in actions
+        for i in range(n)
+    ]
+    return n - rank(stacked)
 
 
 def det(matrix: QMatrix):

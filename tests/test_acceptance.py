@@ -306,15 +306,14 @@ def test_c10_structural_properties():
     for _ in range(25):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
-        m = QMatrix.from_rows(
-            [
-                [Fraction(rng.randint(-4, 4)) for _ in range(cols)]
-                for _ in range(rows)
-            ]
-        )
-        assert rank(m) + len(kernel_basis(m)) == cols
+        entries = [
+            [Fraction(rng.randint(-4, 4)) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        m = QMatrix.from_rows(entries)
+        assert rank(entries) + len(kernel_basis(m)) == cols
         for vec in kernel_basis(m):
             assert all(x == 0 for x in m.apply(vec))
-        reduced = eliminate(m)
-        assert eliminate(QMatrix.from_rows(reduced[0])) == reduced
-        assert rank(m) == rank(m.transpose())
+        reduced = eliminate(entries)
+        assert eliminate(reduced[0]) == reduced
+        assert rank(entries) == rank(m.transpose().to_rows())

@@ -58,7 +58,7 @@ def square_matrices(max_size=4, values=entries, min_size=1):
     )
 
 
-def rect_matrices(max_size=5):
+def rect_rows(max_size=5):
     return st.tuples(
         st.integers(min_value=1, max_value=max_size),
         st.integers(min_value=1, max_value=max_size),
@@ -67,8 +67,12 @@ def rect_matrices(max_size=5):
             st.lists(entries, min_size=shape[1], max_size=shape[1]),
             min_size=shape[0],
             max_size=shape[0],
-        ).map(QMatrix.from_rows)
+        )
     )
+
+
+def rect_matrices(max_size=5):
+    return rect_rows(max_size).map(QMatrix.from_rows)
 
 
 # ints and non-integral fractions up to 6 x 6, the empty matrix included,
@@ -168,7 +172,7 @@ class TestPolynomials:
 class TestElimination:
     def test_rank_and_kernel_fixed(self):
         m = QMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-        assert rank(m) == 2
+        assert rank(m.to_rows()) == 2
         basis = kernel_basis(m)
         assert len(basis) == 1
         for vec in basis:
@@ -178,7 +182,7 @@ class TestElimination:
     @given(m=rect_matrices())
     @settings(deadline=None)
     def test_rank_plus_nullity(self, m):
-        assert rank(m) + len(kernel_basis(m)) == m.cols
+        assert rank(m.to_rows()) + len(kernel_basis(m)) == m.cols
 
     @given(m=rect_matrices())
     @settings(deadline=None)
@@ -186,12 +190,16 @@ class TestElimination:
         for vec in kernel_basis(m):
             assert all(x == 0 for x in m.apply(vec))
 
-    @given(m=rect_matrices())
+    @given(original_rows=rect_rows())
     @settings(deadline=None)
-    def test_eliminate_reduces_rows(self, m):
-        rows, pivots = eliminate(m)
+    def test_eliminate_reduces_rows(self, original_rows):
+        width = len(original_rows[0])
+        held = [list(row) for row in original_rows]
+        rows, pivots = eliminate(original_rows)
+        # the caller's rows are left as they were
+        assert original_rows == held
         count = len(pivots)
-        assert [len(row) for row in rows] == [m.cols] * m.rows
+        assert [len(row) for row in rows] == [width] * len(original_rows)
         assert all(a < b for a, b in zip(pivots, pivots[1:]))
         for i, pivot in enumerate(pivots):
             column = [row[pivot] for row in rows[:count]]
@@ -199,16 +207,35 @@ class TestElimination:
             # the pivot leads its row
             assert not any(rows[i][:pivot])
         assert not any(any(row) for row in rows[count:])
-        assert rank(m) == count
-        assert eliminate(QMatrix.from_rows(rows)) == (rows, pivots)
+        assert rank(original_rows) == count
+        assert eliminate(rows) == (rows, pivots)
         # the reduced rows span the original rows: a vector of the span is
         # fixed by its entries at the pivots
-        for original in m.to_rows():
-            rebuilt = [0] * m.cols
+        for original in original_rows:
+            rebuilt = [0] * width
             for row, pivot in zip(rows, pivots):
                 coef = original[pivot]
                 rebuilt = [x + coef * y for x, y in zip(rebuilt, row)]
             assert rebuilt == original
+
+    def test_eliminate_edge_rows(self):
+        assert eliminate([[1, 2], [2, 4]]) == ([[1, 2], [0, 0]], [0])
+        assert eliminate([]) == ([], [])
+        assert rank([]) == 0
+        # zero-width rows have no pivot and come back as they were
+        assert eliminate([[], []]) == ([[], []], [])
+
+    def test_eliminate_refuses_ragged_and_inexact_rows(self):
+        for ragged in ([[1], [1, 2]], [[1, 2], []]):
+            with pytest.raises(ValueError, match="^ragged rows$"):
+                eliminate(ragged)
+            with pytest.raises(ValueError, match="^ragged rows$"):
+                rank(ragged)
+        for bad in (0.5, "1/2"):
+            with pytest.raises(TypeError):
+                eliminate([[1, bad], [0, 1]])
+            with pytest.raises(TypeError):
+                rank([[bad]])
 
     @given(m=square_matrices())
     @settings(deadline=None)
@@ -226,7 +253,7 @@ class TestElimination:
     @given(m=square_matrices())
     @settings(deadline=None)
     def test_integral_entries_stay_int(self, m):
-        results = [m.entries, *eliminate(m)[0]]
+        results = [m.entries, *eliminate(m.to_rows())[0]]
         if det(m) != 0:
             results.append(inverse(m).entries)
         for values in results:
