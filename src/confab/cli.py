@@ -11,18 +11,21 @@ formats a document in one place:
   ``su2``, ``bound``, ``ring``, ``verify``) and otherwise a table of the
   header and the rows.
 
+One table, ``_COMMANDS``, drives both the argument parser and ``--help``.
+A usage error is reported as unsupported input is: one ``error:`` line on
+stderr, nothing on stdout, exit 2.
+
 Identical invocations are byte-identical.  Exit codes: 0 success, 1 failed
 verification, 2 usage, unsupported input or output that cannot be written.
 """
 
 from __future__ import annotations
 
-# argparse stays a top-level import: every command parses its arguments
-import argparse
 import io
 import os
 import sys
 from collections import namedtuple
+from types import SimpleNamespace
 
 from .groups import decompose, format_decomposition
 from .rings import hilbert_series
@@ -277,86 +280,130 @@ def _cmd_verify(args) -> Document:
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# arguments: one table drives both parsing and help
 
 
-_K_ARGUMENT = (
-    "--k",
-    {"type": int, "required": True, "help": "tuple length"},
-)
-_RING_ARGUMENTS = (
-    ("--group", {"choices": tuple(_RING_GROUPS), "required": True}),
+# an option is (flag, kind, required, help line); the kind is int, a tuple of
+# the accepted values, or bool for a switch
+_COMMON = (
+    ("--format", ("md", "json", "csv"), False, "output format (default md)"),
     (
-        "--unordered",
-        {
-            "action": "store_true",
-            "help": "presentation of the unordered-pair cohomology",
-        },
+        "--convention",
+        CONVENTIONS,
+        False,
+        "flag-column convention for circle factors (default derived)",
     ),
 )
-_BOUND_ARGUMENTS = (
-    ("--family", {"choices": ("u", "su", "sp"), "required": True}),
-    ("--degree", {"type": int, "required": True}),
-    ("--k", {"type": int, "required": True}),
+_HELP = ("--help", None, False, "show this help and exit")
+_K_OPTION = ("--k", int, True, "tuple length")
+_RING_OPTIONS = (
+    ("--group", tuple(_RING_GROUPS), True, "group tag"),
+    ("--unordered", bool, False, "present the unordered-pair cohomology"),
+)
+_BOUND_OPTIONS = (
+    ("--family", ("u", "su", "sp"), True, "group family"),
+    ("--degree", int, True, "cohomological degree"),
+    _K_OPTION,
 )
 
-# name, handler (its docstring is the help line), arguments beyond --format
+# name -> handler (its docstring is the help line), options beyond --format
 # and --convention
-_COMMANDS = (
-    ("table1", _cmd_table1, ()),
-    ("table2", _cmd_table2, ()),
-    ("conf3-u2", _cmd_conf3_u2, ()),
-    ("circle", _cmd_circle, (_K_ARGUMENT,)),
-    ("su2", _cmd_su2, (_K_ARGUMENT,)),
-    ("ring", _cmd_ring, _RING_ARGUMENTS),
-    ("bound", _cmd_bound, _BOUND_ARGUMENTS),
-    ("verify", _cmd_verify, ()),
-)
+_COMMANDS = {
+    "table1": (_cmd_table1, ()),
+    "table2": (_cmd_table2, ()),
+    "conf3-u2": (_cmd_conf3_u2, ()),
+    "circle": (_cmd_circle, (_K_OPTION,)),
+    "su2": (_cmd_su2, (_K_OPTION,)),
+    "ring": (_cmd_ring, _RING_OPTIONS),
+    "bound": (_cmd_bound, _BOUND_OPTIONS),
+    "verify": (_cmd_verify, ()),
+}
 
 
-def _add_common(parser, suppress: bool) -> None:
-    # on subcommands the defaults are suppressed so that a value given
-    # before the subcommand is not overwritten by the subparser default
-    parser.add_argument(
-        "--format",
-        choices=("md", "json", "csv"),
-        default=argparse.SUPPRESS if suppress else "md",
-        help="output format (default md)",
-    )
-    parser.add_argument(
-        "--convention",
-        choices=CONVENTIONS,
-        default=argparse.SUPPRESS if suppress else "derived",
-        help="flag-column convention for circle factors (default derived)",
-    )
+def _spelled(option) -> str:
+    flag, kind = option[:2]
+    if kind is int:
+        return f"{flag} {flag[2:].upper()}"
+    return flag if kind is bool else f"{flag} {{{','.join(kind)}}}"
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse writes help through a helper that swallows OSError, so a
-    # closed stdout would pass for printed help; this write raises instead
-    def print_help(self, file=None):
-        file = file or sys.stdout
-        file.write(self.format_help())
-        file.flush()
+def _help(command) -> str:
+    """The help text of one command, or of confab when command is None."""
+    handler, own = _COMMANDS.get(command, (None, ()))
+    lines = [f"usage: confab {command or '[options] COMMAND'} [options]", ""]
+    if handler is None:
+        lines += [
+            "tables of cohomology of spaces of distinct commuting tuples in "
+            "compact Lie groups",
+            "",
+            "commands:",
+        ]
+        lines += [f"  {n:<10}{h.__doc__}" for n, (h, _) in _COMMANDS.items()]
+    else:
+        lines.append(handler.__doc__)
+    rows = [(_spelled(o), o[3] + " (required)" * o[2]) for o in own + _COMMON]
+    rows.append(("-h, --help", _HELP[3]))
+    width = max(len(left) for left, _ in rows) + 2
+    lines += ["", "options:"]
+    lines += [f"  {left:<{width}}{text}" for left, text in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="confab",
-        description=(
-            "tables of cohomology of spaces of distinct commuting tuples "
-            "in compact Lie groups"
-        ),
-    )
-    _add_common(parser, suppress=False)
-    commands = parser.add_subparsers(dest="command", required=True)
-    for name, handler, arguments in _COMMANDS:
-        sub = commands.add_parser(name, help=handler.__doc__)
-        _add_common(sub, suppress=True)
-        for flag, options in arguments:
-            sub.add_argument(flag, **options)
-        sub.set_defaults(handler=handler)
-    return parser
+def _parse(argv):
+    """The handler that ``argv`` asks for and its option values, or None and
+    the help text.  A usage error raises ValueError."""
+    values = {"format": "md", "convention": "derived"}
+    command, options = None, _COMMON + (_HELP,)
+    choices = "; choose from " + ", ".join(_COMMANDS)
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            if command is not None:
+                raise ValueError(f"unexpected argument {token!r}")
+            if token not in _COMMANDS:
+                raise ValueError(f"unknown command {token!r}{choices}")
+            command = token
+            options = _COMMANDS[token][1] + options
+            continue
+        flag, equals, value = token.partition("=")
+        flag = "--help" if flag == "-h" else flag
+        # as in argparse, a unique prefix of a long option names it; no flag
+        # in the table is a prefix of another
+        found = [o for o in options if o[0].startswith(flag)]
+        if not found:
+            raise ValueError(f"unknown option {flag!r}")
+        if len(found) > 1:
+            flags = ", ".join(o[0] for o in found)
+            raise ValueError(f"ambiguous option {flag!r}: {flags}")
+        flag, kind = found[0][:2]
+        if kind is None:
+            return None, _help(command)
+        if kind is bool:
+            if equals:
+                raise ValueError(f"{flag} takes no value")
+            values[flag[2:]] = True
+            continue
+        if not equals:
+            value = next(tokens, None)
+        if value is None:
+            raise ValueError(f"{flag} needs a value")
+        try:
+            if kind is int:
+                value = int(value)
+            else:
+                kind.index(value)  # ValueError for a value not in kind
+        except ValueError:
+            want = "an integer" if kind is int else "one of " + ", ".join(kind)
+            raise ValueError(f"{flag} needs {want}, not {value!r}") from None
+        values[flag[2:]] = value
+    if command is None:
+        raise ValueError(f"no command given{choices}")
+    handler, own = _COMMANDS[command]
+    for flag, kind, required, _ in own:
+        if required and flag[2:] not in values:
+            raise ValueError(f"{command} needs {flag}")
+        values.setdefault(flag[2:], False if kind is bool else None)
+    return handler, SimpleNamespace(**values)
 
 
 def _stdout_closed() -> int:
@@ -369,15 +416,15 @@ def _stdout_closed() -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except BrokenPipeError:
-        return _stdout_closed()
-    try:
-        doc = args.handler(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        if handler is None:
+            text, code = args, 0
+        else:
+            doc = handler(args)
+            text, code = render(doc, args.format), doc.code
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    text = render(doc, args.format)
     try:
         # a text stream encodes the whole string before writing any of it,
         # so a failure here leaves stdout empty
@@ -392,7 +439,7 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         return _stdout_closed()
-    return doc.code
+    return code
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Command-line interface: formats, determinism, exit codes."""
+"""Command-line interface: formats, determinism, exit codes, parsing."""
 
 import csv
 import io
@@ -10,11 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from confab.cli import main
+from confab.cli import _COMMANDS, main
 from confab.torusconf import MAX_K
 from confab.verify import VerifyCheck, VerifyReport
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8")
+)
 
 
 def run(capsys, *argv):
@@ -171,10 +174,59 @@ class TestCsv:
 
 
 class TestExitCodes:
-    def test_usage_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["no-such-command"])
-        assert excinfo.value.code == 2
+    def test_usage_error(self, capsys):
+        code, out, err = run(capsys, "no-such-command")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: unknown command 'no-such-command'; choose from table1, "
+            "table2, conf3-u2, circle, su2, ring, bound, verify\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        (
+            ((), "no command given; choose from table1, "),
+            (("table2", "--no-such-option"), "unknown option '--no-such"),
+            (("--k", "4", "circle"), "unknown option '--k'"),
+            (("circle", "--k"), "--k needs a value"),
+            (
+                ("table2", "--format", "xml"),
+                "--format needs one of md, json, csv, not 'xml'",
+            ),
+            (
+                ("ring", "--group=U2"),
+                "--group needs one of u2, s1xsu2, not 'U2'",
+            ),
+            (("circle", "--k", "four"), "--k needs an integer, not 'four'"),
+            (("su2", "--k=2.5"), "--k needs an integer, not '2.5'"),
+            (("ring",), "ring needs --group"),
+            (("bound", "--k", "2"), "bound needs --family"),
+            (
+                ("ring", "--group", "u2", "--unordered=yes"),
+                "--unordered takes no value",
+            ),
+            (("table2", "extra"), "unexpected argument 'extra'"),
+        ),
+        ids=(
+            "no command",
+            "unknown option",
+            "option before its command",
+            "missing value",
+            "bad choice",
+            "choice is case-sensitive",
+            "non-integer k",
+            "fractional k",
+            "missing group",
+            "missing family",
+            "switch with a value",
+            "extra argument",
+        ),
+    )
+    def test_usage_errors_are_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + message)
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -182,6 +234,7 @@ class TestExitCodes:
             ("circle", "--k", "1"),
             ("su2", "--k", "0"),
             ("bound", "--family", "u", "--degree", "-1", "--k", "2"),
+            ("bound", "--family", "u", "--degree=-1", "--k", "2"),
             ("bound", "--family", "u", "--degree", "2", "--k", "0"),
         ),
         ids=" ".join,
@@ -260,3 +313,108 @@ class TestExitCodes:
         code, out, err = run(capsys, command, "--k", str(MAX_K + 1))
         assert (code, out) == (2, "")
         assert err == f"error: k must be at most {MAX_K}\n"
+
+
+# the flags a spelling test may rewrite; the abbreviations are unique among
+# the options of every command that takes them
+SWITCHES = {"--unordered"}
+ABBREVIATIONS = {
+    "--format": "--form",
+    "--convention": "--conv",
+    "--group": "--gr",
+    "--unordered": "--un",
+    "--family": "--fam",
+    "--degree": "--deg",
+    "--k": "--k",
+}
+COMMAND_OPTIONS = {
+    "table1": (),
+    "table2": (),
+    "conf3-u2": (),
+    "circle": ("--k",),
+    "su2": ("--k",),
+    "ring": ("--group", "--unordered"),
+    "bound": ("--family", "--degree", "--k"),
+    "verify": (),
+}
+
+
+def common_first(argv):
+    """argv with --format and --convention moved in front of the command."""
+    rest, front = list(argv), []
+    for flag in ("--format", "--convention"):
+        if flag in rest:
+            at = rest.index(flag)
+            front += rest[at : at + 2]
+            del rest[at : at + 2]
+    return front + rest
+
+
+def with_equals(argv):
+    """argv with every valued option written as --flag=value."""
+    tokens = iter(argv)
+    return [
+        f"{token}={next(tokens)}"
+        if token.startswith("--") and token not in SWITCHES
+        else token
+        for token in tokens
+    ]
+
+
+def abbreviated(argv):
+    return [ABBREVIATIONS.get(token, token) for token in argv]
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "case", GOLDEN, ids=lambda c: " ".join(c["argv"])
+    )
+    def test_spellings_match_the_capture(self, capsys, case):
+        for spell in (common_first, with_equals, abbreviated):
+            argv = spell(case["argv"])
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (case["code"], case["stdout"], ""), (
+                argv
+            )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        (
+            (
+                ("bound", "--f", "u", "--degree", "2", "--k", "9"),
+                "ambiguous option '--f': --family, --format",
+            ),
+            (("--x", "paper", "table2"), "unknown option '--x'"),
+            (("table2", "--formats", "json"), "unknown option '--formats'"),
+            (
+                ("ring", "--group", "u2", "--unorderly"),
+                "unknown option '--unorderly'",
+            ),
+        ),
+        ids=("ambiguous", "no such option", "longer", "misspelt"),
+    )
+    def test_prefix_must_name_one_option(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flag", ("--help", "-h", "--he"))
+    def test_help_lists_every_command(self, capsys, flag):
+        code, out, err = run(capsys, flag)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: confab ")
+        assert list(_COMMANDS) == list(COMMAND_OPTIONS)
+        for name, (handler, _) in _COMMANDS.items():
+            assert f"  {name}" in out
+            assert handler.__doc__ in out
+        for option in ("--format", "--convention", "-h, --help"):
+            assert option in out
+
+    @pytest.mark.parametrize("command", COMMAND_OPTIONS)
+    def test_command_help_lists_every_option(self, capsys, command):
+        code, out, err = run(capsys, command, "--format", "json", "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: confab {command} ")
+        assert _COMMANDS[command][0].__doc__ in out
+        for option in COMMAND_OPTIONS[command] + ("--format", "--convention"):
+            assert f"\n  {option} " in out
+        assert "\n  -h, --help " in out

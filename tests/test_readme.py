@@ -73,6 +73,7 @@ def test_library_snippet_prints_what_it_shows():
         ("table2", 5),
         ("bound --family sp --degree 3 --k 5", 1),
         ("circle --k 4", 1),
+        ("--help", 3),
     ),
 )
 def test_command_line_example_prints_what_it_shows(capsys, command, lines):

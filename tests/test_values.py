@@ -4,8 +4,9 @@ Records are ``collections.namedtuple`` subclasses with no ``__dict__``;
 validated types are plain classes whose ``__init__`` checks their input and
 whose equality and hash are taken over the values that name an instance.
 The import guard keeps modules that confab does not need out of every cold
-``confab`` process, ``typing`` included, and allows ``import confab.cli``
-only a short list of modules beyond those ``argparse`` loads.
+``confab`` process, ``typing`` and ``argparse`` included, and allows
+``import confab.cli`` only a short list of modules beyond those a bare
+``python -S`` process has loaded.
 """
 
 import ast
@@ -278,6 +279,15 @@ IMPORT_CASES = {
         ),
         (),
     ),
+    "cli-table2": (
+        "import io\n"
+        "import confab.cli\n"
+        "sys.stdout = io.StringIO()\n"
+        "assert confab.cli.main(['table2']) == 0\n"
+        "sys.stdout = sys.__stdout__\n",
+        ("argparse", "gettext", "locale", "typing", "json", "csv", *FRACTIONS),
+        (),
+    ),
     "pair-tables": (
         "from confab import conf_ab_table, datum\n"
         "from confab.tables import shortcut_dims\n"
@@ -365,20 +375,35 @@ def test_cold_process_loads_only_what_it_runs(code, absent, present):
     assert [m for m in absent + present if m in loaded] == list(present)
 
 
-# what ``import confab.cli`` may load beyond what ``argparse`` loads
+# what ``import confab.cli`` may load beyond a bare ``python -S`` process:
+# collections, functools and os with what they import (heapq only where
+# collections imports it at its top)
 CLI_ALLOWED = {
     "__future__",
+    "_collections",
+    "_collections_abc",
+    "_functools",
+    "_heapq",
+    "_operator",
+    "_stat",
     "collections",
     "collections.abc",
     "functools",
+    "genericpath",
+    "heapq",
     "itertools",
+    "keyword",
     "math",
     "operator",
+    "os",
+    "os.path",
+    "posixpath",
+    "reprlib",
+    "stat",
+    "types",
 }
 
 
 def test_cli_import_loads_only_the_allowlist():
-    extra = cold_modules("import confab.cli\n") - cold_modules(
-        "import argparse\n"
-    )
+    extra = cold_modules("import confab.cli\n") - cold_modules("")
     assert {m for m in extra if m.partition(".")[0] != "confab"} <= CLI_ALLOWED
