@@ -2,27 +2,29 @@
 
 Everything downstream (character theory, Molien series, monodromy kernels)
 runs on two forms, kept deliberately small: dense matrices over the
-rationals, and polynomials as plain coefficient tuples, low degree first
-with trailing zeros trimmed (the empty tuple is zero).  An exact rational is
-stored as an ``int`` when it is integral and as a ``fractions.Fraction``
-only when it is not; every division goes through ``exact_div``, which keeps
-that rule.  Characters, Molien coefficients and integer matrices therefore
-stay in plain ``int`` arithmetic, and ``fractions`` (with ``decimal`` and
-``numbers``) is imported only on the first value that is not an ``int``;
-``as_exact_tuple`` hands a tuple of ints back unchanged after one scan of
-the value types.  Mixed ``int``/``Fraction`` arithmetic is exact either way
-(``int`` has ``numerator`` and ``denominator`` too).  No floats anywhere; a
-division that should be exact but is not raises ``NonZeroRemainder``
-instead of rounding, because a nonzero remainder always means an upstream
-datum is corrupt rather than a numerical artifact.
+rationals as lists of rows, and polynomials as plain coefficient tuples,
+low degree first with trailing zeros trimmed (the empty tuple is zero).  An
+exact rational is stored as an ``int`` when it is integral and as a
+``fractions.Fraction`` only when it is not; every division goes through
+``exact_div``, which keeps that rule.  Characters, Molien coefficients and
+integer matrices therefore stay in plain ``int`` arithmetic, and
+``fractions`` (with ``decimal`` and ``numbers``) is imported only on the
+first value that is not an ``int``; ``as_exact_tuple`` hands a tuple of
+ints back unchanged after one scan of the value types.  Mixed
+``int``/``Fraction`` arithmetic is exact either way (``int`` has
+``numerator`` and ``denominator`` too).  No floats anywhere; a division
+that should be exact but is not raises ``NonZeroRemainder`` instead of
+rounding, because a nonzero remainder always means an upstream datum is
+corrupt rather than a numerical artifact.
 
 ``poly_mul`` and ``poly_div`` are the one convolution and the one exact
 division of coefficient sequences.  Dividing by a leading coefficient of 1
 or -1, as every Molien divisor has, skips ``exact_div``.
 
-A ``QMatrix`` is an operator on column vectors: ``m.apply(v)`` is ``m``
-times the column ``v``, and ``a.mul(b)`` means "apply ``b`` first".  The
-reductions, ``eliminate`` and ``rank``, take rows, not a ``QMatrix``.
+``eliminate``, ``rank`` and ``inverse`` take a matrix as a sequence of
+rows, and the first and last return lists of rows.  ``QMatrix`` is only
+``char_matrix_poly``'s input, the tests' route to det(I + t*g) from an
+explicit matrix.
 """
 
 from __future__ import annotations
@@ -154,7 +156,8 @@ def _poly_text(coeffs: Sequence) -> str:
 
 
 class QMatrix:
-    """Dense matrix over the rationals, row-major entries."""
+    """Dense matrix over the rationals, row-major entries: the input of
+    ``char_matrix_poly``."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -167,29 +170,6 @@ class QMatrix:
         self.cols = cols
         self.entries: tuple[int | Fraction, ...] = as_exact_tuple(entries)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "QMatrix":
-        rows = [list(r) for r in rows]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
-        return cls(len(rows), width, tuple(e for r in rows for e in r))
-
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
         return cls(
@@ -198,36 +178,18 @@ class QMatrix:
             tuple(1 if i == j else 0 for i in range(n) for j in range(n)),
         )
 
-    def entry(self, i: int, j: int) -> int | Fraction:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int | Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[int | Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def mul(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions disagree")
-        out = []
-        for i in range(self.rows):
-            left = self.row(i)
-            for j in range(other.cols):
-                out.append(
-                    sum(left[k] * other.entry(k, j) for k in range(self.cols))
-                )
-        return QMatrix(self.rows, other.cols, tuple(out))
-
-    def transpose(self) -> "QMatrix":
+        a, b, inner, width = self.entries, other.entries, self.cols, other.cols
         return QMatrix(
-            self.cols,
             self.rows,
-            tuple(
-                self.entries[i * self.cols + j]
-                for j in range(self.cols)
+            width,
+            [
+                sum(a[i * inner + k] * b[k * width + j] for k in range(inner))
                 for i in range(self.rows)
-            ),
+                for j in range(width)
+            ],
         )
 
     def trace(self) -> int | Fraction:
@@ -235,15 +197,6 @@ class QMatrix:
             raise ValueError("trace of a non-square matrix")
         return as_exact(
             sum(self.entries[i * self.cols + i] for i in range(self.rows))
-        )
-
-    def apply(self, vector: Sequence) -> tuple[int | Fraction, ...]:
-        vec = as_exact_tuple(vector)
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match columns")
-        return as_exact_tuple(
-            sum(self.entry(i, j) * vec[j] for j in range(self.cols))
-            for i in range(self.rows)
         )
 
 
@@ -285,16 +238,22 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(eliminate(rows)[1])
 
 
-def inverse(matrix: QMatrix) -> QMatrix:
-    if matrix.rows != matrix.cols:
+def inverse(rows: Sequence[Sequence]) -> list[list[int | Fraction]]:
+    """The inverse of a square matrix, both as rows.
+
+    Eliminates the rows beside the identity; non-square or singular rows
+    raise ``Singular``.  The caller's rows are left as they were.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise Singular("inverse of a non-square matrix")
-    n = matrix.rows
-    eye = QMatrix.identity(n)
-    augmented = [matrix.row(i) + eye.row(i) for i in range(n)]
-    rows, pivots = eliminate(augmented)
+    augmented = [
+        [*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)
+    ]
+    reduced, pivots = eliminate(augmented)
     if pivots[:n] != list(range(n)):
         raise Singular("matrix is not invertible")
-    return QMatrix.from_rows([row[n:] for row in rows[:n]])
+    return [row[n:] for row in reduced[:n]]
 
 
 def char_matrix_poly(

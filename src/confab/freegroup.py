@@ -11,10 +11,12 @@ both off one ``exact.eliminate`` of the relation rows: the pivots give the
 dimension, and the reduced rows, each alone at its pivot, the trace.  No
 basis of a quotient is ever chosen.
 
-Monodromy actions arrive as words in named generators ("r~ h~ v~ h~^-1");
-``abelianized_matrix`` turns word images into an integer matrix column by
-column, and ``contragredient`` converts a homology action into the
-corresponding cohomology action (inverse transpose).
+Matrices are lists of rows of ints and Fractions, acting on column
+vectors.  Monodromy actions arrive as words in named generators
+("r~ h~ v~ h~^-1"); ``abelianized_matrix`` turns word images into an
+integer matrix column by column, and ``contragredient`` converts a
+homology action into the corresponding cohomology action (inverse
+transpose).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping, Sequence
 
-from .exact import QMatrix, as_exact, eliminate, inverse, rank
+from .exact import as_exact, eliminate, inverse, rank
 
 _TOKEN = re.compile(r"^([^\s^]+)(?:\^(-?\d+))?$")
 
@@ -33,6 +35,21 @@ class MalformedWord(ValueError):
 
 class InvariantViolation(ValueError):
     """Module data breaks a structural requirement (invertibility, etc.)."""
+
+
+def _transpose(m: Sequence[Sequence]) -> list[list]:
+    return [list(column) for column in zip(*m)]
+
+
+def _apply(m: Sequence[Sequence], vector: Sequence) -> list:
+    # m times the column vector
+    return [sum(x * y for x, y in zip(row, vector)) for row in m]
+
+
+def _product(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
+    # a times b: apply b first
+    columns = _transpose(b)
+    return [_apply(columns, row) for row in a]
 
 
 def parse_word(
@@ -54,7 +71,7 @@ def parse_word(
 
 def abelianized_matrix(
     generators: Sequence[str], images: Mapping[str, str]
-) -> QMatrix:
+) -> list[list[int]]:
     """Exponent-sum matrix of an endomorphism given by word images.
 
     Column j holds the exponent vector of the image of generator j, so the
@@ -70,7 +87,7 @@ def abelianized_matrix(
     rows = abelianized_relation_rows(
         generators, [images[name] for name in generators]
     )
-    return QMatrix.from_rows(rows).transpose()
+    return _transpose(rows)
 
 
 def abelianized_relation_rows(
@@ -87,13 +104,13 @@ def abelianized_relation_rows(
     return rows
 
 
-def contragredient(m: QMatrix) -> QMatrix:
+def contragredient(m: Sequence[Sequence]) -> list[list]:
     """Inverse transpose: the action induced on the dual module."""
-    return inverse(m).transpose()
+    return _transpose(inverse(m))
 
 
 def quotient_trace(
-    relations: Sequence[Sequence], operator: QMatrix
+    relations: Sequence[Sequence], operator: Sequence[Sequence]
 ) -> tuple[int, int | Fraction]:
     """Dimension of Q^n / span(relations) and the trace ``operator`` induces.
 
@@ -103,14 +120,16 @@ def quotient_trace(
     the trace on the span is then sum_i (operator r_i)[p_i], and the trace on
     the quotient is what is left of the whole trace.
     """
-    n = operator.rows
+    n = len(operator)
+    if any(len(row) != n for row in operator):
+        raise ValueError("operator is not square")
     if any(len(r) != n for r in relations):
         raise ValueError("relation length does not match the operator")
     # zipped with the pivots, the reduced rows stop before the zero rows
     reduced, pivots = eliminate(relations)
     span_trace = 0
     for r, p in zip(reduced, pivots):
-        image = operator.apply(r)
+        image = _apply(operator, r)
         residue = image
         for r_j, p_j in zip(reduced, pivots):
             residue = [x - image[p_j] * y for x, y in zip(residue, r_j)]
@@ -119,11 +138,14 @@ def quotient_trace(
                 "operator does not preserve the relation span"
             )
         span_trace += image[p]
-    return n - len(pivots), as_exact(operator.trace() - span_trace)
+    trace = sum(operator[i][i] for i in range(n))
+    return n - len(pivots), as_exact(trace - span_trace)
 
 
 def h1_f2(
-    a_action: QMatrix, b_action: QMatrix, involution: QMatrix
+    a_action: Sequence[Sequence],
+    b_action: Sequence[Sequence],
+    involution: Sequence[Sequence],
 ) -> tuple[int, int | Fraction]:
     """Dimension of H^1(F_2; M) and the trace ``involution`` induces on it.
 
@@ -133,29 +155,28 @@ def h1_f2(
     then column j of B - 1.  An involution squares to 1, intertwines
     (alpha A = B alpha) and swaps the two slots, applying alpha to each.
     """
-    n = a_action.rows
+    n = len(a_action)
     actions = (a_action, b_action)
     for name, m in zip("AB", actions):
-        if m.rows != n or m.cols != n:
+        if len(m) != n or any(len(row) != n for row in m):
             raise InvariantViolation("actions must be square, same size")
-        if rank(m.to_rows()) != n:
+        if rank(m) != n:
             raise InvariantViolation(f"generator action {name} is singular")
     relations = [
-        [m.entry(i, j) - (i == j) for m in actions for i in range(n)]
+        [m[i][j] - (i == j) for m in actions for i in range(n)]
         for j in range(n)
     ]
-    eye = QMatrix.identity(n)
-    if involution.rows != n or involution.cols != n:
+    if len(involution) != n or any(len(row) != n for row in involution):
         raise InvariantViolation("involution size mismatch")
-    if involution.mul(involution) != eye:
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    if _product(involution, involution) != eye:
         raise InvariantViolation("involution does not square to 1")
-    if involution.mul(a_action) != b_action.mul(involution):
+    if _product(involution, a_action) != _product(b_action, involution):
         raise InvariantViolation(
             "involution does not intertwine the generator actions"
         )
     zeros = [0] * n
-    operator = QMatrix.from_rows(
-        [zeros + list(involution.row(i)) for i in range(n)]
-        + [list(involution.row(i)) + zeros for i in range(n)]
-    )
+    operator = [zeros + list(row) for row in involution] + [
+        list(row) + zeros for row in involution
+    ]
     return quotient_trace(relations, operator)

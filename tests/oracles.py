@@ -23,6 +23,10 @@ confab's ``NonZeroRemainder`` message does.  confab takes no determinant:
 ``det`` is a forward-only elimination, and ``det_char_poly`` recovers
 det(I + sign*t*g) from its values at t = 0..n by Newton interpolation, the
 reference for confab's determinant-free ``char_matrix_poly``.
+A matrix is a sequence of rows, as in confab.  ``matmul`` and ``identity``
+return tuples of tuples, which hash, so a test can collect a matrix group
+in a set; ``qmatrix`` builds the ``QMatrix`` that ``char_matrix_poly``
+takes.
 """
 
 from collections import Counter
@@ -48,14 +52,44 @@ from confab.weyl import (
 )
 
 
-def kernel_basis(matrix: QMatrix) -> list[tuple]:
+def identity(n: int) -> tuple[tuple, ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def transpose(matrix) -> tuple[tuple, ...]:
+    return tuple(zip(*matrix))
+
+
+def apply(matrix, vector) -> tuple:
+    """The matrix times a column vector."""
+    return tuple(sum(x * y for x, y in zip(row, vector)) for row in matrix)
+
+
+def matmul(a, b) -> tuple[tuple, ...]:
+    """The product a b, entry by entry: row of a against column of b."""
+    columns = transpose(b)
+    return tuple(tuple(apply(columns, row)) for row in a)
+
+
+def trace(matrix):
+    return sum(row[i] for i, row in enumerate(matrix))
+
+
+def qmatrix(matrix) -> QMatrix:
+    """The rows as a ``QMatrix``, ``char_matrix_poly``'s input."""
+    width = len(matrix[0]) if matrix else 0
+    return QMatrix(len(matrix), width, [e for row in matrix for e in row])
+
+
+def kernel_basis(matrix) -> list[tuple]:
     """Basis of the null space, one vector per free column, ascending."""
-    rows, pivots = eliminate(matrix.to_rows())
+    rows, pivots = eliminate(matrix)
+    width = len(matrix[0])
     basis = []
-    for free in range(matrix.cols):
+    for free in range(width):
         if free in pivots:
             continue
-        vec = [0] * matrix.cols
+        vec = [0] * width
         vec[free] = 1
         for row, pivot in zip(rows, pivots):
             vec[pivot] = -row[free]
@@ -63,24 +97,23 @@ def kernel_basis(matrix: QMatrix) -> list[tuple]:
     return basis
 
 
-def fixed_space_dim(*actions: QMatrix) -> int:
+def fixed_space_dim(*actions) -> int:
     """Dimension of the simultaneous fixed space of actions on Q^n."""
-    n = actions[0].rows
     stacked = [
-        [x - (i == j) for j, x in enumerate(m.row(i))]
+        [x - (i == j) for j, x in enumerate(row)]
         for m in actions
-        for i in range(n)
+        for i, row in enumerate(m)
     ]
-    return n - rank(stacked)
+    return len(actions[0]) - rank(stacked)
 
 
-def det(matrix: QMatrix):
+def det(matrix):
     """The product of the pivots of a forward elimination, negated once per
     row swap; 0 if singular."""
-    if matrix.rows != matrix.cols:
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise ValueError("determinant of a non-square matrix")
-    n = matrix.rows
-    rows = matrix.to_rows()
+    rows = [list(row) for row in matrix]
     result = 1
     for col in range(n):
         pivot = next((i for i in range(col, n) if rows[i][col] != 0), None)
@@ -98,17 +131,19 @@ def det(matrix: QMatrix):
     return as_exact(result)
 
 
-def det_char_poly(matrix: QMatrix, sign: int = 1) -> tuple:
+def det_char_poly(matrix, sign: int = 1) -> tuple:
     """det(I + sign*t*g) in t, trimmed, from ``det`` at t = 0..n.
 
     The degree is at most n, so n + 1 values pin the polynomial; Newton's
     divided differences give it in the basis t(t - 1)...(t - i + 1), which
     is then expanded into monomials.
     """
-    n = matrix.rows
-    eye = QMatrix.identity(n).entries
+    n = len(matrix)
     shifted = (
-        QMatrix(n, n, [e + sign * t * g for e, g in zip(eye, matrix.entries)])
+        [
+            [(i == j) + sign * t * g for j, g in enumerate(row)]
+            for i, row in enumerate(matrix)
+        ]
         for t in range(n + 1)
     )
     coeffs = [det(m) for m in shifted]

@@ -305,6 +305,41 @@ class TestExitCodes:
             b"error: stdout was closed before the output was written\n"
         )
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd"
+    )
+    def test_closed_stdout_leaves_no_descriptor_open(self):
+        # each in-process main call meets a fresh pipe whose read end is
+        # gone; the descriptors open after the call are those open before it
+        script = (
+            "import os, sys\n"
+            "from confab.cli import main\n"
+            "for command in ('table2', 'verify', '--help'):\n"
+            "    read_end, write_end = os.pipe()\n"
+            "    os.close(read_end)\n"
+            "    os.dup2(write_end, sys.stdout.fileno())\n"
+            "    os.close(write_end)\n"
+            "    before = sorted(os.listdir('/proc/self/fd'))\n"
+            "    code = main([command])\n"
+            "    after = sorted(os.listdir('/proc/self/fd'))\n"
+            "    print(command, code, after == before, file=sys.stderr)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        assert result.returncode == 0
+        message = "error: stdout was closed before the output was written"
+        assert result.stderr.splitlines() == [
+            line
+            for command in ("table2", "verify", "--help")
+            for line in (message, f"{command} 2 True")
+        ]
+
     @pytest.mark.parametrize("command", ("circle", "su2"))
     def test_k_is_bounded(self, capsys, command):
         code, out, err = run(capsys, command, "--k", str(MAX_K))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from confab.exact import QMatrix, char_matrix_poly
+from confab.exact import char_matrix_poly
 from confab.groups import (
     FiniteGroup,
     IrreducibleCatalog,
@@ -39,30 +39,35 @@ from oracles import (
     class_product,
     factor_class_indices,
     flat_decompose,
+    identity,
     inner_product,
+    matmul,
+    qmatrix,
     tensor_table,
+    trace,
     values,
 )
 
-SWAP = QMatrix.from_rows([[0, 1], [1, 0]])
-FLIP = QMatrix.from_rows([[1, 0], [0, -1]])
+SWAP = [[0, 1], [1, 0]]
+FLIP = [[1, 0], [0, -1]]
 
 
 # ---------------------------------------------------------------------------
 # the oracle: Weyl groups as explicit matrices, closed by breadth-first
-# multiplication, with conjugacy classes found by brute force
+# multiplication, with conjugacy classes found by brute force; an element is
+# a tuple of row tuples, so it hashes
 
 
 def close_group(generators, dimension):
     """Every product of the generators, identity first, in discovery order."""
-    elements = [QMatrix.identity(dimension)]
+    elements = [identity(dimension)]
     seen = set(elements)
     frontier = 0
     while frontier < len(elements):
         current = elements[frontier]
         frontier += 1
         for g in generators:
-            product = current.mul(g)
+            product = matmul(current, g)
             if product not in seen:
                 seen.add(product)
                 elements.append(product)
@@ -70,9 +75,9 @@ def close_group(generators, dimension):
 
 
 def inverses(elements):
-    identity = elements[0]
+    one = elements[0]
     return [
-        next(j for j, y in enumerate(elements) if x.mul(y) == identity)
+        next(j for j, y in enumerate(elements) if matmul(x, y) == one)
         for x in elements
     ]
 
@@ -87,7 +92,7 @@ def conjugacy_classes(elements):
             continue
         orbit = sorted(
             {
-                index[g.mul(x).mul(elements[inv[k]])]
+                index[matmul(matmul(g, x), elements[inv[k]])]
                 for k, g in enumerate(elements)
             }
         )
@@ -105,7 +110,7 @@ def perm_transposition(n, i):
     rows = _unit_rows(n)
     rows[i][i] = rows[i + 1][i + 1] = 0
     rows[i][i + 1] = rows[i + 1][i] = 1
-    return QMatrix.from_rows(rows)
+    return rows
 
 
 def root_reflection(n, i):
@@ -116,13 +121,13 @@ def root_reflection(n, i):
         rows[i][i - 1] = 1
     if i + 1 < n:
         rows[i][i + 1] = 1
-    return QMatrix.from_rows(rows)
+    return rows
 
 
 def last_sign_flip(n):
     rows = _unit_rows(n)
     rows[n - 1][n - 1] = -1
-    return QMatrix.from_rows(rows)
+    return rows
 
 
 def permutations(n):
@@ -166,25 +171,25 @@ def test_cycle_types_match_the_matrix_oracle(tag):
     ]
     # (size, det(1 - x w)) per class, then det(1 + t w) through the torus
     assert Counter(zip(factor.group.sizes, factor.charpolys)) == Counter(
-        (size, char_matrix_poly(g, -1)) for size, g in representatives
+        (size, char_matrix_poly(qmatrix(g), -1)) for size, g in representatives
     )
     torus = torus_character(WeylDatum((factor,)))
     assert Counter(zip(factor.group.sizes, torus.traces)) == Counter(
-        (size, char_matrix_poly(g, 1)) for size, g in representatives
+        (size, char_matrix_poly(qmatrix(g), 1)) for size, g in representatives
     )
     assert factor.group.order == len(elements)
 
 
 def signed_cycle_type(g):
     """(positive, negative) cycle lengths of a signed permutation matrix."""
-    n = g.rows
-    image = [next(i for i in range(n) if g.entry(i, j)) for j in range(n)]
+    n = len(g)
+    image = [next(i for i in range(n) if g[i][j]) for j in range(n)]
     seen, alpha, beta = set(), [], []
     for start in range(n):
         length, sign, j = 0, 1, start
         while j not in seen:
             seen.add(j)
-            sign *= g.entry(image[j], j)
+            sign *= g[image[j]][j]
             j = image[j]
             length += 1
         if length:
@@ -201,22 +206,22 @@ def test_d8_characters_match_elementwise_definitions():
     assert catalog.labels == ("1", "a", "b", "c", "d")
     by_label = dict(zip(catalog.labels, characters(catalog)))
     for g in elements:
-        unsigned = QMatrix(g.rows, g.cols, tuple(abs(e) for e in g.entries))
+        unsigned = [[abs(e) for e in row] for row in g]
         entries = Fraction(1)
-        for e in g.entries:
+        for e in (e for row in g for e in row):
             if e != 0:
                 entries *= e
         ci = factor.group.classes.index(signed_cycle_type(g))
         assert tuple(
             by_label[label][ci] for label in "abcd"
-        ) == (det(unsigned), entries, det(g), g.trace())
+        ) == (det(unsigned), entries, det(g), trace(g))
 
 
 class TestClosure:
     def test_signed_permutation_group_order_eight(self):
         elements = close_group([SWAP, FLIP], 2)
         assert len(elements) == 8
-        assert elements[0] == QMatrix.identity(2)
+        assert elements[0] == identity(2)
 
     def test_class_partition(self):
         classes = conjugacy_classes(close_group([SWAP, FLIP], 2))
@@ -225,8 +230,8 @@ class TestClosure:
         assert classes[0] == [0]
 
     def test_symmetric_group_classes(self):
-        s1 = QMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-        s2 = QMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+        s1 = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+        s2 = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
         classes = conjugacy_classes(close_group([s1, s2], 3))
         assert sorted(len(c) for c in classes) == [1, 2, 3]
 
@@ -243,7 +248,7 @@ class TestClosure:
     def test_inverses(self):
         elements = close_group([SWAP, FLIP], 2)
         for i, inv in enumerate(inverses(elements)):
-            assert elements[i].mul(elements[inv]) == QMatrix.identity(2)
+            assert matmul(elements[i], elements[inv]) == identity(2)
 
 
 # one bad table per refusal, each with the message it raises; a product

@@ -82,6 +82,9 @@ def test_traced_cli_job():
     assert {"cli.main", "tables.table", "torusconf.conf3"} <= span_names(
         result
     )
+    # the free-group route of the U2 triples runs on rows: no route
+    # multiplies a QMatrix
+    assert result["counts"]["exact.qmatrix_mul_calls"] == 0
 
 
 def test_traced_table1_job_spans_the_library_decomposition():
