@@ -409,8 +409,10 @@ def _parse(argv):
 def _stdout_closed() -> int:
     # the interpreter flushes stdout again at exit; send that nowhere
     devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
-    os.close(devnull)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    finally:
+        os.close(devnull)
     message = "error: stdout was closed before the output was written"
     print(message, file=sys.stderr)
     return 2

@@ -68,7 +68,7 @@ def apply(matrix, vector) -> tuple:
 def matmul(a, b) -> tuple[tuple, ...]:
     """The product a b, entry by entry: row of a against column of b."""
     columns = transpose(b)
-    return tuple(tuple(apply(columns, row)) for row in a)
+    return tuple(apply(columns, row) for row in a)
 
 
 def trace(matrix):
