@@ -16,7 +16,9 @@ A usage error is reported as unsupported input is: one ``error:`` line on
 stderr, nothing on stdout, exit 2.
 
 Identical invocations are byte-identical.  Exit codes: 0 success, 1 failed
-verification, 2 usage, unsupported input or output that cannot be written.
+verification, 2 usage, unsupported input or output that cannot be written
+(a stdout that is closed, on a full device or a pipe whose reader has gone,
+or a stdout encoding that lacks a printed symbol).
 """
 
 from __future__ import annotations
@@ -406,15 +408,18 @@ def _parse(argv):
     return handler, SimpleNamespace(**values)
 
 
-def _stdout_closed() -> int:
-    # the interpreter flushes stdout again at exit; send that nowhere
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    try:
-        os.dup2(devnull, sys.stdout.fileno())
-    finally:
-        os.close(devnull)
-    message = "error: stdout was closed before the output was written"
-    print(message, file=sys.stderr)
+_CLOSED = "stdout was closed before the output was written"
+
+
+def _unwritable(reason: str) -> int:
+    if sys.stdout is not None:
+        # the interpreter flushes stdout again at exit; send that nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+    print(f"error: {reason}", file=sys.stderr)
     return 2
 
 
@@ -429,6 +434,9 @@ def main(argv=None) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    if sys.stdout is None:
+        # descriptor 1 was closed when the interpreter started
+        return _unwritable(_CLOSED)
     try:
         # a text stream encodes the whole string before writing any of it,
         # so a failure here leaves stdout empty
@@ -442,7 +450,9 @@ def main(argv=None) -> int:
         )
         return 2
     except BrokenPipeError:
-        return _stdout_closed()
+        return _unwritable(_CLOSED)
+    except OSError as error:
+        return _unwritable(f"cannot write stdout: {error.strerror}")
     return code
 
 

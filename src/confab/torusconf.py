@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 
 from .exact import inverse, whole_number
 from .weyl import (
@@ -87,7 +86,6 @@ def _require_rank2_swap(d: WeylDatum) -> None:
         )
 
 
-@lru_cache(maxsize=None)
 def conf2_torus_minus_point_rank2(d: WeylDatum) -> GradedCharacter:
     """Character of pairs of distinct points in the punctured rank-2 torus.
 
@@ -97,8 +95,7 @@ def conf2_torus_minus_point_rank2(d: WeylDatum) -> GradedCharacter:
     derivation of the monodromy words is written in that basis.
     """
     _require_rank2_swap(d)
-    # imported on first use: only k = 3 needs the free-group layer, and the
-    # cache above runs this import once per process
+    # imported on first use: only k = 3 needs the free-group layer
     from .freegroup import (
         abelianized_matrix,
         abelianized_relation_rows,

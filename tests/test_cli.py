@@ -26,6 +26,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_unwritable(command, **stdout):
+    """Run ``command`` in a child whose stdout cannot take the output, and
+    require exit 2 with one stderr line and nothing from the interpreter."""
+    result = subprocess.run(
+        [sys.executable, "-m", "confab.cli", command],
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        **stdout,
+    )
+    assert result.returncode == 2
+    assert result.stderr.count(b"\n") == 1
+    assert result.stderr.endswith(b"\n")
+    assert b"Traceback" not in result.stderr
+    assert b"Exception ignored" not in result.stderr
+    return result
+
+
 class TestMarkdown:
     def test_table2_cells(self, capsys):
         code, out, err = run(capsys, "table2")
@@ -301,6 +318,24 @@ class TestExitCodes:
         finally:
             os.close(write_end)
         assert result.returncode == 2
+        assert result.stderr == (
+            b"error: stdout was closed before the output was written\n"
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("command", ("table2", "verify", "--help"))
+    def test_stdout_on_a_full_device(self, command):
+        with open("/dev/full", "wb") as full:
+            result = run_unwritable(command, stdout=full)
+        assert result.stderr.startswith(b"error: cannot write stdout: ")
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX descriptors")
+    @pytest.mark.parametrize("command", ("table2", "verify", "--help"))
+    def test_stdout_closed_at_start(self, command):
+        # the interpreter starts without descriptor 1, so sys.stdout is None
+        result = run_unwritable(
+            command, stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1)
+        )
         assert result.stderr == (
             b"error: stdout was closed before the output was written\n"
         )

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from confab import tables, verify
+from confab import freegroup, tables, verify
 from confab.tables import (
     RING_TAGS,
     TABLE1_TAGS,
@@ -524,6 +524,24 @@ class TestVerify:
         assert totals["flag_character"] == routes + len(TABLE1_TAGS)
         pair_routes = totals["pair routes"]
         assert totals["conf2_torus"] == pair_routes + len(TABLE1_TAGS)
+
+    def test_each_triple_route_builds_its_own_character(self, monkeypatch):
+        calls = []
+        original = freegroup.h1_f2
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(freegroup, "h1_f2", counted)
+        counts = []
+        for convention in ("derived", "paper", "derived"):
+            before = len(calls)
+            assert verify_all(convention).ok
+            counts.append(len(calls) - before)
+        # the conf3-U2 table and the conf3-U2-shortcut route each build the
+        # punctured-torus character, however many reports came before
+        assert counts == [2, 2, 2]
 
     def test_unknown_convention_rejected(self):
         with pytest.raises(ValueError):
